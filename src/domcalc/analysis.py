@@ -236,6 +236,7 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
     Model-local declarations shadow built-ins of the same dimension (W210).
     """
     registry = builtin_registry()
+    builtin_kinds = builtin_registry()
     diagnostics: list[Diagnostic] = []
 
     pending = list(model.conversions)
@@ -267,7 +268,7 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
                     f"conversion {conv.name!r} targets {conv.to_kind!r} "
                     f"of dimension {existing.dimension}, expected {from_kind.dimension}",
                     conv.span))
-            elif conv.to_kind in builtin_registry() and existing != derived:
+            elif conv.to_kind in builtin_kinds and existing != derived:
                 registry.override(derived)
                 diagnostics.append(warning(
                     "W210",
@@ -379,7 +380,7 @@ def check_wellformed(model: DomainModel) -> list[Diagnostic]:
         diagnostics.extend(_check_channels(model))
         if not any(d.is_error for d in diagnostics):
             from .compiler import compile_preflight  # late import, avoids a cycle
-            diagnostics.extend(compile_preflight(model, registry))
+            diagnostics.extend(compile_preflight(model))
     return diagnostics
 
 

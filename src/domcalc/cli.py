@@ -26,16 +26,27 @@ def _emit_diagnostics(diagnostics) -> None:
         print(dsl.format_diagnostics(diagnostics, color=_use_color()), file=sys.stderr)
 
 
-def _load_model(path: str):
-    """Parse and validate; returns (model, exit_code or None)."""
+def _parse_model(path: str):
+    """Parse; returns (model, exit_code or None)."""
     try:
         model, diagnostics = dsl.parse_file(path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8: {exc}", file=sys.stderr)
+        return None, 1
     _emit_diagnostics(diagnostics)
     if has_errors(diagnostics):
         return None, 1
+    return model, None
+
+
+def _load_model(path: str):
+    """Parse and validate; returns (model, exit_code or None)."""
+    model, code = _parse_model(path)
+    if code is not None:
+        return None, code
     checked = analysis.check_wellformed(model)
     _emit_diagnostics(checked)
     if has_errors(checked):
@@ -44,14 +55,9 @@ def _load_model(path: str):
 
 
 def cmd_parse(args) -> int:
-    try:
-        model, diagnostics = dsl.parse_file(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit_diagnostics(diagnostics)
-    if has_errors(diagnostics):
-        return 1
+    model, code = _parse_model(args.file)
+    if code is not None:
+        return code
     sys.stdout.write(dsl.print_model(model))
     return 0
 
@@ -115,8 +121,12 @@ def cmd_simulate(args) -> int:
     try:
         graph = compiler.compile_model(model)
         with open(args.script, encoding="utf-8") as handle:
-            script = simulator.EnvironmentScript.from_json(json.load(handle), graph)
+            data = json.load(handle)
+        script = simulator.EnvironmentScript.from_json(data, graph)
         config = simulator.instantiate(graph, script, args.seed)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: {args.script}: not a JSON script: {exc}", file=sys.stderr)
+        return 1
     except (compiler.CompileError, simulator.ScriptError,
             simulator.UncoveredChannel, simulator.MissingInit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

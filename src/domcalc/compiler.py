@@ -13,6 +13,7 @@ The compiler is pure: equal models produce identical graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .analysis import NotAPart, parse_value, registry_for_model
 from .diagnostics import Diagnostic, error
@@ -24,6 +25,7 @@ from .model import (
     AttributeDecl,
     BehaviourSignature,
     ChannelDecl,
+    ConversionDecl,
     CoreStep,
     DomainModel,
     EndurantDecl,
@@ -33,8 +35,8 @@ from .model import (
     ProcessNode,
     ResolvedChannel,
     SendSpec,
+    UnknownSort,
     UpdateSpec,
-    model_lookup,
 )
 from .units import KindRegistry, fraction_str
 
@@ -77,72 +79,101 @@ class _Relation:
                 f"{behaviour_prefix(self.receiver.behaviour_name)}_ch")
 
 
-def _relations(model: DomainModel) -> tuple[_Relation, ...]:
-    """Directed pairs: parts are related when either mereology names the
-    other's identifier type; the arrow points at the part with controllable
-    attributes (the consumer)."""
-    parts = model.parts()
-    by_id = {p.id_type: p for p in parts if p.id_type}
-    related: set[tuple[str, str]] = set()
-    for part in parts:
-        for leaf in (part.mereology.leaves() if part.mereology else ()):
-            other = by_id.get(leaf)
-            if other is not None and other.name != part.name:
-                related.add(tuple(sorted((part.name, other.name))))
-    out = []
-    for left_name, right_name in sorted(related):
-        left = model.endurant(left_name)
-        right = model.endurant(right_name)
-        for sender, receiver in ((left, right), (right, left)):
-            if _controllable_attrs(receiver):
-                out.append(_Relation(sender, receiver))
-    return tuple(out)
+class _ModelIndex:
+    """Lookups derived once from a model for one compile or print call.
 
+    Names resolve to their first declaration, as in ``DomainModel.endurant``.
+    Parts are related when either mereology names the other's identifier
+    type; each relation points at the part with controllable attributes
+    (the consumer).
+    """
 
-def _conversion_for(model: DomainModel, part: EndurantDecl,
-                    attr: AttributeDecl):
-    """The conversion applied to an attribute before it goes on the wire:
-    the first chain link of an axiom sourcing it (an empty chain pins the raw
-    value), else the unique conversion from the attribute's kind, else none."""
-    for axiom in model.axioms:
-        for source in axiom.sources:
-            if source.sort == part.name and source.attr == attr.name:
-                return model.conversion(source.chain[0]) if source.chain else None
-    candidates = [c for c in model.conversions if c.from_kind == attr.quantity]
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    def __init__(self, model: DomainModel):
+        self.model = model
+        self.endurants: dict[str, EndurantDecl] = {}
+        for decl in model.endurants:
+            self.endurants.setdefault(decl.name, decl)
+        self.conversions: dict[str, ConversionDecl] = {}
+        self.from_kind: dict[str, list[ConversionDecl]] = {}
+        for conv in model.conversions:
+            self.conversions.setdefault(conv.name, conv)
+            self.from_kind.setdefault(conv.from_kind, []).append(conv)
+        self.channels: dict[str, ChannelDecl] = {}
+        for channel in model.channels:
+            self.channels.setdefault(channel.name, channel)
+        self.source_chains: dict[tuple[str, str], tuple[str, ...]] = {}
+        for axiom in model.axioms:
+            for source in axiom.sources:
+                self.source_chains.setdefault((source.sort, source.attr), source.chain)
+
+        self.parts = model.parts()
+        self.id_owner = {p.id_type: p.name for p in self.parts if p.id_type}
+        related: set[tuple[str, str]] = set()
+        for part in self.parts:
+            for leaf in (part.mereology.leaves() if part.mereology else ()):
+                other = self.id_owner.get(leaf)
+                if other is not None and other != part.name:
+                    related.add(tuple(sorted((part.name, other))))
+        self.relations: list[_Relation] = []
+        for left_name, right_name in sorted(related):
+            left, right = self.endurants[left_name], self.endurants[right_name]
+            for sender, receiver in ((left, right), (right, left)):
+                if _controllable_attrs(receiver):
+                    self.relations.append(_Relation(sender, receiver))
+        self.by_channel: dict[str, _Relation] = {}
+        self.by_pair: dict[tuple[str, str], _Relation] = {}
+        self.outgoing: dict[str, list[_Relation]] = {}
+        self.incoming: dict[str, list[_Relation]] = {}
+        for relation in self.relations:
+            self.by_channel.setdefault(relation.channel_name, relation)
+            self.by_pair[relation.sender.name, relation.receiver.name] = relation
+            self.outgoing.setdefault(relation.sender.name, []).append(relation)
+            self.incoming.setdefault(relation.receiver.name, []).append(relation)
+
+    def lookup(self, name: str) -> EndurantDecl:
+        decl = self.endurants.get(name)
+        if decl is None:
+            raise UnknownSort(name)
+        return decl
+
+    def wire(self, part: EndurantDecl
+             ) -> list[tuple[AttributeDecl, Optional[ConversionDecl]]]:
+        """Each external attribute of ``part`` with the conversion applied
+        before it goes on the wire: the first chain link of an axiom sourcing
+        it (an empty chain pins the raw value), else the unique conversion
+        from the attribute's kind, else none."""
+        out = []
+        for attr in _external_attrs(part):
+            chain = self.source_chains.get((part.name, attr.name))
+            if chain is not None:
+                conv = self.conversions.get(chain[0]) if chain else None
+            else:
+                candidates = self.from_kind.get(attr.quantity, ())
+                conv = candidates[0] if len(candidates) == 1 else None
+            out.append((attr, conv))
+        return out
 
 
 def derive_channels(model: DomainModel) -> tuple[ChannelDecl, ...]:
     """The model's channel set: one ``attr_<A>_ch`` per external dynamic
     attribute of a part, plus one channel per directed mereology relation.
     Explicit declarations override the derived message kinds."""
-    channels: list[ChannelDecl] = []
-    seen: set[str] = set()
+    return _derive_channels(_ModelIndex(model))
 
-    def add(name: str, kinds: tuple[str, ...]) -> None:
-        declared = model.channel(name)
-        if declared is not None:
-            kinds = declared.kinds
-        if name not in seen:
-            seen.add(name)
-            channels.append(ChannelDecl(name, kinds))
 
-    for part in model.parts():
+def _derive_channels(index: _ModelIndex) -> tuple[ChannelDecl, ...]:
+    kinds: dict[str, tuple[str, ...]] = {}
+    for part in index.parts:
         for attr in _external_attrs(part):
-            add(f"attr_{attr.name}_ch", (attr.quantity,))
-    for relation in _relations(model):
-        kinds = []
-        for attr in _external_attrs(relation.sender):
-            conv = _conversion_for(model, relation.sender, attr)
-            kinds.append(conv.to_kind if conv is not None else attr.quantity)
-        add(relation.channel_name, tuple(kinds))
-    for declared in model.channels:
-        if declared.name not in seen:
-            seen.add(declared.name)
-            channels.append(ChannelDecl(declared.name, declared.kinds))
-    return tuple(channels)
+            kinds.setdefault(f"attr_{attr.name}_ch", (attr.quantity,))
+    for relation in index.relations:
+        kinds.setdefault(relation.channel_name, tuple(
+            conv.to_kind if conv else attr.quantity
+            for attr, conv in index.wire(relation.sender)))
+    for declared in index.channels.values():
+        kinds.setdefault(declared.name, declared.kinds)
+    return tuple(ChannelDecl(name, index.channels[name].kinds if name in index.channels else k)
+                 for name, k in kinds.items())
 
 
 def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
@@ -152,14 +183,16 @@ def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
     then incoming mereology channels by name; output channels are the
     outgoing mereology channels.
     """
-    decl = model_lookup(model, part_name)
+    return _derive_signature(_ModelIndex(model), part_name)
+
+
+def _derive_signature(index: _ModelIndex, part_name: str) -> BehaviourSignature:
+    decl = index.lookup(part_name)
     if decl.kind != "part":
         raise NotAPart(part_name)
     in_channels = [f"attr_{a.name}_ch" for a in _external_attrs(decl)]
-    incoming = sorted(r.channel_name for r in _relations(model)
-                      if r.receiver.name == decl.name)
-    outgoing = sorted(r.channel_name for r in _relations(model)
-                      if r.sender.name == decl.name)
+    incoming = sorted(r.channel_name for r in index.incoming.get(decl.name, ()))
+    outgoing = sorted(r.channel_name for r in index.outgoing.get(decl.name, ()))
     return BehaviourSignature(
         uid_param=decl.id_type or f"{decl.name}I",
         mereology_param=decl.mereology,
@@ -170,7 +203,7 @@ def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
     )
 
 
-def compile_preflight(model: DomainModel, registry: KindRegistry) -> list[Diagnostic]:
+def compile_preflight(model: DomainModel) -> list[Diagnostic]:
     """Compilation preconditions, reported as diagnostics.
 
     E301 an inter-behaviour channel with nothing derivable to send and no
@@ -178,37 +211,40 @@ def compile_preflight(model: DomainModel, registry: KindRegistry) -> list[Diagno
     E305 an axiom whose source part has no channel to the target part,
     E306 name collisions among behaviours or derived channels.
     """
+    return _preflight(_ModelIndex(model))
+
+
+def _preflight(index: _ModelIndex) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    for part in model.parts():
+    for part in index.parts:
         for attr in part.attributes:
             if attr.category == PROGRAMMABLE and attr.init is None:
                 out.append(error(
                     "E303", f"programmable attribute {part.name}.{attr.name} "
                             "has no init value", attr.span))
-    relations = _relations(model)
-    for relation in relations:
-        if not _external_attrs(relation.sender) and model.channel(relation.channel_name) is None:
+    for relation in index.relations:
+        if (not _external_attrs(relation.sender)
+                and relation.channel_name not in index.channels):
             out.append(error(
                 "E301", f"no derivable message kind for channel "
                         f"{relation.channel_name!r} ({relation.sender.name} -> "
                         f"{relation.receiver.name}) and none is declared",
                 relation.sender.span))
-    for axiom in model.axioms:
-        target = model.endurant(axiom.target_sort)
+    for axiom in index.model.axioms:
+        target = index.endurants.get(axiom.target_sort)
         if target is None:
             continue
         for source in axiom.sources:
-            src = model.endurant(source.sort)
+            src = index.endurants.get(source.sort)
             if src is None or src.name == target.name:
                 continue
-            if not any(r.sender.name == src.name and r.receiver.name == target.name
-                       for r in relations):
+            if (src.name, target.name) not in index.by_pair:
                 out.append(error(
                     "E305", f"axiom {axiom.name!r}: source {source.sort} has no "
                             f"channel to target {axiom.target_sort}; relate them "
                             "in a mereology", axiom.span))
     behaviours: dict[str, str] = {}
-    for part in model.parts():
+    for part in index.parts:
         name = part.behaviour_name
         if name in behaviours:
             out.append(error(
@@ -216,7 +252,7 @@ def compile_preflight(model: DomainModel, registry: KindRegistry) -> list[Diagno
                         f"behaviour name {name!r}", part.span))
         behaviours[name] = part.name
     attr_kinds: dict[str, tuple[str, str]] = {}
-    for part in model.parts():
+    for part in index.parts:
         for attr in _external_attrs(part):
             seen = attr_kinds.get(attr.name)
             if seen is not None and seen[1] != attr.quantity:
@@ -225,15 +261,13 @@ def compile_preflight(model: DomainModel, registry: KindRegistry) -> list[Diagno
                             f"{seen[0]!r} and {part.name!r} with different kinds",
                     attr.span))
             attr_kinds[attr.name] = (part.name, attr.quantity)
-    names: dict[str, _Relation] = {}
-    for relation in relations:
-        clash = names.get(relation.channel_name)
-        if clash is not None and (clash.sender.name, clash.receiver.name) != (
-                relation.sender.name, relation.receiver.name):
+    for relation in index.relations:
+        # Each (sender, receiver) pair has one relation, so any other relation
+        # holding the name joins a different pair of parts.
+        if index.by_channel[relation.channel_name] is not relation:
             out.append(error(
                 "E306", f"derived channel name {relation.channel_name!r} is "
                         "ambiguous between two relations", relation.sender.span))
-        names[relation.channel_name] = relation
     return out
 
 
@@ -247,31 +281,30 @@ def compile_process(model: DomainModel, part_name: str,
     compilations.
     """
     registry, reg_diags = registry_for_model(model)
+    index = _ModelIndex(model)
     diagnostics = [d for d in reg_diags if d.is_error]
-    diagnostics += compile_preflight(model, registry)
+    diagnostics += _preflight(index)
     if any(d.is_error for d in diagnostics):
         raise CompileError([d for d in diagnostics if d.is_error])
 
-    relations = _relations(model)
     visiting: list[str] = []
 
     def build(name: str) -> ProcessNode:
         if name in visiting:
             raise CompileError([error("E302", f"composite cycle through {name!r}")])
-        decl = model_lookup(model, name)
+        decl = index.lookup(name)
         visiting.append(name)
         children = tuple(build(child) for child in decl.children or ())
         visiting.pop()
-        own_channels = any(r.sender.name == name or r.receiver.name == name
-                           for r in relations)
+        own_channels = name in index.outgoing or name in index.incoming
         wants_core = (not decl.is_composite or always_core
                       or bool(decl.attributes) or own_channels)
-        core = _core_process(model, registry, decl, relations) if wants_core else None
+        core = _core_process(index, registry, decl) if wants_core else None
         return ProcessNode(name, core, children)
 
     root = build(part_name)
     process_names = {n.process.name for n in root.walk() if n.process}
-    channels = _resolved_channels(model, registry, relations, process_names)
+    channels = _resolved_channels(index, process_names)
     return ProcessGraph(root, channels, registry, model)
 
 
@@ -288,36 +321,24 @@ def compile_model(model: DomainModel, always_core: bool = False) -> ProcessGraph
     return compile_process(model, roots[0], always_core=always_core)
 
 
-def _core_process(model: DomainModel, registry: KindRegistry,
-                  decl: EndurantDecl, relations) -> ProcessDef:
-    signature = derive_signature(model, decl.name)
-    sends = []
-    for relation in relations:
-        if relation.sender.name != decl.name:
-            continue
-        parts = []
-        for attr in _external_attrs(decl):
-            conv = _conversion_for(model, decl, attr)
-            parts.append((attr.name, conv.name if conv else None))
-        sends.append(SendSpec(relation.channel_name, tuple(parts)))
-    sends.sort(key=lambda s: s.channel)
+def _core_process(index: _ModelIndex, registry: KindRegistry,
+                  decl: EndurantDecl) -> ProcessDef:
+    signature = _derive_signature(index, decl.name)
+    wire = tuple((attr.name, conv.name if conv else None) for attr, conv in index.wire(decl))
+    sends = sorted((SendSpec(r.channel_name, wire) for r in index.outgoing.get(decl.name, ())),
+                   key=lambda s: s.channel)
 
     updates = []
-    for axiom in model.axioms:
+    for axiom in index.model.axioms:
         if axiom.target_sort != decl.name:
             continue
         for target_attr, source in zip(axiom.target_attrs, axiom.sources):
-            src = model.endurant(source.sort)
-            if src is None:
-                continue
-            relation = next((r for r in relations
-                             if r.sender.name == src.name
-                             and r.receiver.name == decl.name), None)
+            relation = index.by_pair.get((source.sort, decl.name))
             if relation is None:
                 continue
-            index = [a.name for a in _external_attrs(src)].index(source.attr)
+            slot = [a.name for a in _external_attrs(relation.sender)].index(source.attr)
             updates.append(UpdateSpec(target_attr, relation.channel_name,
-                                      index, source.chain[1:]))
+                                      slot, source.chain[1:]))
     controllable_order = {name: i for i, name in
                           enumerate(signature.controllable_params)}
     updates.sort(key=lambda u: controllable_order.get(u.attr, len(controllable_order)))
@@ -338,32 +359,30 @@ def _core_process(model: DomainModel, registry: KindRegistry,
         part=decl.name,
         signature=signature,
         static_consts=tuple(statics),
-        programmable_args=signature.controllable_params,
         init_values=tuple(inits),
         body=CoreStep(receives=signature.in_channels,
                       sends=tuple(sends), updates=tuple(updates)),
     )
 
 
-def _resolved_channels(model: DomainModel, registry: KindRegistry,
-                       relations, process_names: set[str]) -> tuple[ResolvedChannel, ...]:
-    derived = {c.name: c for c in derive_channels(model)}
-    behaviours = {p.name: p.behaviour_name for p in model.parts()}
-    out = []
-    for part in model.parts():
-        if behaviours[part.name] not in process_names:
+def _resolved_channels(index: _ModelIndex,
+                       process_names: set[str]) -> tuple[ResolvedChannel, ...]:
+    derived = {c.name: c for c in _derive_channels(index)}
+    behaviours = {p.name: p.behaviour_name for p in index.parts}
+    env: dict[str, ResolvedChannel] = {}
+    for part in index.parts:
+        behaviour = behaviours[part.name]
+        if behaviour not in process_names:
             continue
         for attr in _external_attrs(part):
             name = f"attr_{attr.name}_ch"
-            existing = next((c for c in out if c.name == name), None)
-            if existing is not None:
-                out[out.index(existing)] = ResolvedChannel(
-                    name, existing.kinds, True, "env",
-                    tuple(sorted(set(existing.receivers) | {behaviours[part.name]})))
-                continue
-            out.append(ResolvedChannel(name, derived[name].kinds, True, "env",
-                                       (behaviours[part.name],)))
-    for relation in relations:
+            existing = env.get(name)
+            receivers = (tuple(sorted(set(existing.receivers) | {behaviour}))
+                         if existing else (behaviour,))
+            kinds = existing.kinds if existing else derived[name].kinds
+            env[name] = ResolvedChannel(name, kinds, True, "env", receivers)
+    out = list(env.values())
+    for relation in index.relations:
         sender = behaviours[relation.sender.name]
         receiver = behaviours[relation.receiver.name]
         if sender in process_names or receiver in process_names:
@@ -384,10 +403,9 @@ def _uid_var(part_name: str) -> str:
     return stem.lower() + "π"
 
 
-def _mereo_vars(model: DomainModel, decl: EndurantDecl) -> str:
+def _mereo_vars(index: _ModelIndex, decl: EndurantDecl) -> str:
     expr = decl.mereology if decl.mereology is not None else MereoEmpty()
-    id_owner = {p.id_type: p.name for p in model.parts() if p.id_type}
-    names = [_uid_var(id_owner.get(leaf, leaf)) for leaf in expr.leaves()]
+    names = [_uid_var(index.id_owner.get(leaf, leaf)) for leaf in expr.leaves()]
     if not names:
         return "()"
     if len(names) == 1:
@@ -395,7 +413,7 @@ def _mereo_vars(model: DomainModel, decl: EndurantDecl) -> str:
     return "(" + ",".join(names) + ")"
 
 
-def _recv_var(model: DomainModel, process: ProcessDef, channel: str) -> str:
+def _recv_var(channel: str) -> str:
     if channel.startswith("attr_") and channel.endswith("_ch"):
         return channel[len("attr_"):-len("_ch")].lower()
     return channel[:-len("_ch")].split("_")[0] + "_d′"
@@ -403,7 +421,7 @@ def _recv_var(model: DomainModel, process: ProcessDef, channel: str) -> str:
 
 def print_process(graph: ProcessGraph) -> str:
     """CSP/RSL-flavoured rendering of a compiled process graph."""
-    model = _model_of(graph)
+    index = _ModelIndex(_model_of(graph))
     times = " × "
     lines: list[str] = []
     for channel in graph.channels:
@@ -418,7 +436,7 @@ def print_process(graph: ProcessGraph) -> str:
         process = node.process
         if process is None:
             continue
-        lines.extend(_print_definition(model, process))
+        lines.extend(_print_definition(index, process))
         lines.append("")
 
     for node in graph.root.walk():
@@ -426,29 +444,28 @@ def print_process(graph: ProcessGraph) -> str:
             values = ",".join(fraction_str(v.magnitude)
                               for _, v in node.process.init_values)
             lines.append(f"init_{node.part} : DA_{node.process.name} = ({values})")
-    composition = _composition_text(model, graph.root)
+    composition = _composition_text(index, graph.root)
     lines.append(f"compile({graph.root.part}) ≡ {composition}")
     return "\n".join(lines) + "\n"
 
 
-def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
-    decl = model_lookup(model, process.part)
+def _print_definition(index: _ModelIndex, process: ProcessDef) -> list[str]:
+    decl = index.lookup(process.part)
     sig = process.signature
-    head_args = f"({_uid_var(process.part)},{_mereo_vars(model, decl)})"
+    head_args = f"({_uid_var(process.part)},{_mereo_vars(index, decl)})"
+    groups: dict[str, list[UpdateSpec]] = {}
+    for update in process.body.updates:
+        groups.setdefault(update.channel, []).append(update)
+    grouped_attrs = {u.attr for updates in groups.values() for u in updates}
+    ungrouped = [a for a in sig.controllable_params if a not in grouped_attrs]
     ctrl_head = ""
-    groups = _update_groups(process)
-    if sig.controllable_params:
-        names = [f"{behaviour_prefix(_sender_of(model, ch))}_da" for ch, _ in groups]
-        names += [a.lower() for a in sig.controllable_params
-                  if all(a not in [u.attr for u in us] for _, us in groups)]
-        ctrl_head = "(" + ",".join(names) + ")"
-
     type_line = None
     if sig.controllable_params:
-        grouped = ["(" + "×".join(u.attr for u in us) + ")" for _, us in groups]
-        grouped += [a for a in sig.controllable_params
-                    if all(a not in [u.attr for u in us] for _, us in groups)]
-        type_line = f"type DA_{process.name} = " + "×".join(grouped)
+        names = [f"{behaviour_prefix(index.by_channel[ch].sender.behaviour_name)}_da"
+                 for ch in groups]
+        ctrl_head = "(" + ",".join(names + [a.lower() for a in ungrouped]) + ")"
+        grouped = ["(" + "×".join(u.attr for u in us) + ")" for us in groups.values()]
+        type_line = f"type DA_{process.name} = " + "×".join(grouped + ungrouped)
 
     sig_line = f"{process.name}: {sig.uid_param}"
     if sig.mereology_param is not None and sig.mereology_param.leaves():
@@ -471,7 +488,7 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
         body += f"let {name.lower()} = {text} in "
         ends += 1
     if process.body.receives:
-        vars_ = [_recv_var(model, process, ch) for ch in process.body.receives]
+        vars_ = [_recv_var(ch) for ch in process.body.receives]
         reads = [f"{ch}?" for ch in process.body.receives]
         body += f"let ({','.join(vars_)}) = ({','.join(reads)}) in "
         ends += 1
@@ -479,13 +496,8 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
         payload = ",".join(f"{conv}({attr.lower()})" if conv else attr.lower()
                            for attr, conv in send.parts)
         body += f"{send.channel} ! ({payload}); "
-    tail_args = []
-    for channel, _updates in groups:
-        conv_name = f"conv_{channel[:-len('_ch')]}"
-        tail_args.append(f"{conv_name}({_recv_var(model, process, channel)})")
-    for attr in sig.controllable_params:
-        if all(attr not in [u.attr for u in us] for _, us in groups):
-            tail_args.append(attr.lower())
+    tail_args = [f"conv_{ch[:-len('_ch')]}({_recv_var(ch)})" for ch in groups]
+    tail_args += [a.lower() for a in ungrouped]
     tail = f"{process.name}{head_args}"
     if tail_args:
         tail += "(" + ",".join(tail_args) + ")"
@@ -493,9 +505,10 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
 
     out = [sig_line] if type_line is None else [type_line, sig_line]
     out.append(f"{process.name}{head_args}{ctrl_head} ≡ {body}")
-    for channel, updates in groups:
+    for channel, updates in groups.items():
         conv_name = f"conv_{channel[:-len('_ch')]}"
-        slots = _component_names(model, channel)
+        slots = [conv.to_kind.lower() if conv else attr.name.lower()
+                 for attr, conv in index.wire(index.by_channel[channel].sender)]
         exprs = []
         for update in updates:
             expr = slots[update.index]
@@ -506,46 +519,16 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
     return out
 
 
-def _update_groups(process: ProcessDef) -> list[tuple[str, list[UpdateSpec]]]:
-    groups: list[tuple[str, list[UpdateSpec]]] = []
-    for update in process.body.updates:
-        for channel, updates in groups:
-            if channel == update.channel:
-                updates.append(update)
-                break
-        else:
-            groups.append((update.channel, [update]))
-    return groups
-
-
-def _sender_of(model: DomainModel, channel: str) -> str:
-    for relation in _relations(model):
-        if relation.channel_name == channel:
-            return relation.sender.behaviour_name
-    return channel
-
-
-def _component_names(model: DomainModel, channel: str) -> list[str]:
-    for relation in _relations(model):
-        if relation.channel_name == channel:
-            names = []
-            for attr in _external_attrs(relation.sender):
-                conv = _conversion_for(model, relation.sender, attr)
-                names.append(conv.to_kind.lower() if conv else attr.name.lower())
-            return names
-    return []
-
-
-def _composition_text(model: DomainModel, node: ProcessNode) -> str:
+def _composition_text(index: _ModelIndex, node: ProcessNode) -> str:
     parts = []
     if node.process is not None:
-        decl = model_lookup(model, node.part)
-        text = f"{node.process.name}({_uid_var(node.part)},{_mereo_vars(model, decl)})"
+        decl = index.lookup(node.part)
+        text = f"{node.process.name}({_uid_var(node.part)},{_mereo_vars(index, decl)})"
         if node.process.signature.controllable_params:
             text += f"(init_{node.part})"
         parts.append(text)
     for child in node.children:
-        parts.append(_composition_text(model, child))
+        parts.append(_composition_text(index, child))
     return " ∥ ".join(parts)
 
 

@@ -305,7 +305,6 @@ class ProcessDef:
     part: str
     signature: BehaviourSignature
     static_consts: tuple[tuple[str, Optional[Quantity]], ...]
-    programmable_args: tuple[str, ...]
     init_values: tuple[tuple[str, Quantity], ...]
     body: CoreStep
 

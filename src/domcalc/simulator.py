@@ -71,7 +71,10 @@ class EnvironmentScript:
     @staticmethod
     def from_json(data: dict, graph: ProcessGraph) -> "EnvironmentScript":
         """Build a script from the JSON form: channel -> [[step, "value"], ...]
-        or channel -> {"points": [...], "cycle": N}."""
+        or channel -> {"points": [...], "cycle": N}.  Steps are non-negative
+        and a cycle is a positive integer; anything else raises ``ScriptError``."""
+        if not isinstance(data, dict):
+            raise ScriptError("script must be a JSON object mapping channels to tracks")
         registry: KindRegistry = graph.registry
         tracks: dict[str, ScriptTrack] = {}
         for name, entry in data.items():
@@ -84,12 +87,25 @@ class EnvironmentScript:
             cycle = None
             points = entry
             if isinstance(entry, dict):
-                points = entry["points"]
+                points = entry.get("points")
                 cycle = entry.get("cycle")
-            parsed = tuple(sorted(
-                ((int(step), parse_value(text, kind, registry)) for step, text in points),
-                key=lambda point: point[0]))
-            tracks[name] = ScriptTrack(parsed, cycle)
+            if cycle is not None and (type(cycle) is not int or cycle <= 0):
+                raise ScriptError(f"{name!r}: cycle must be a positive integer, not {cycle!r}")
+            if not (isinstance(points, (list, tuple)) and all(
+                    isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[1], str)
+                    for p in points)):
+                raise ScriptError(f"{name!r}: points must be [step, \"value\"] pairs")
+            parsed = []
+            for step, text in points:
+                try:
+                    step = int(step)
+                    value = parse_value(text, kind, registry)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise ScriptError(f"{name!r} at step {step!r}: {exc}") from None
+                if step < 0:
+                    raise ScriptError(f"{name!r}: point at negative step {step}")
+                parsed.append((step, value))
+            tracks[name] = ScriptTrack(tuple(sorted(parsed, key=lambda p: p[0])), cycle)
         return EnvironmentScript(tracks)
 
 
@@ -115,12 +131,6 @@ class Trace:
     @property
     def deadlocked(self) -> bool:
         return bool(self.events) and self.events[-1].kind == DEADLOCK
-
-    def of_kind(self, kind: str) -> tuple[TraceEvent, ...]:
-        return tuple(e for e in self.events if e.kind == kind)
-
-    def on_channel(self, channel: str) -> tuple[TraceEvent, ...]:
-        return tuple(e for e in self.events if e.channel == channel)
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,15 @@ class _ProcState:
         return ("recurse", None)
 
 
+def apply_chain(model: DomainModel, registry: KindRegistry, chain: Iterable[str],
+                value: Quantity) -> Quantity:
+    """Push ``value`` through the named conversions, first to last."""
+    for name in chain:
+        conv = model.conversion(name)
+        value = conv.apply(value, registry.resolve(conv.to_kind))
+    return value
+
+
 def run(config: RunConfig, max_steps: int) -> Trace:
     """Execute until ``max_steps`` rendezvous or quiescence.
 
@@ -212,19 +231,13 @@ def run(config: RunConfig, max_steps: int) -> Trace:
     events: list[TraceEvent] = []
     steps = 0
 
-    def conversions(chain: Iterable[str], value: Quantity) -> Quantity:
-        for name in chain:
-            conv = model.conversion(name)
-            value = conv.apply(value, registry.resolve(conv.to_kind))
-        return value
-
     def recurse(state: _ProcState) -> None:
         for update in state.process.body.updates:
             payload = state.received.get(update.channel)
             if payload is None:
                 continue
-            state.controllables[update.attr] = conversions(update.chain,
-                                                           payload[update.index])
+            state.controllables[update.attr] = apply_chain(
+                model, registry, update.chain, payload[update.index])
         payload = tuple(state.controllables[a]
                         for a in state.process.signature.controllable_params)
         events.append(TraceEvent(steps, RECURSION, None, state.process.name, payload))
@@ -278,14 +291,10 @@ def run(config: RunConfig, max_steps: int) -> Trace:
         # Rotate the sorted pair list by the seed, walking one position per
         # step so no enabled channel is starved forever.
         channel, sender, receiver, send_spec = pairs[(config.seed + steps) % len(pairs)]
-        payload = []
-        for attr, conv_name in send_spec.parts:
-            value = sender.received[f"attr_{attr}_ch"][0]
-            if conv_name is not None:
-                conv = model.conversion(conv_name)
-                value = conv.apply(value, registry.resolve(conv.to_kind))
-            payload.append(value)
-        message = tuple(payload)
+        message = tuple(
+            apply_chain(model, registry, () if conv_name is None else (conv_name,),
+                        sender.received[f"attr_{attr}_ch"][0])
+            for attr, conv_name in send_spec.parts)
         events.append(TraceEvent(steps, SEND, channel, sender.process.name, message))
         events.append(TraceEvent(steps, RECEIVE, channel, receiver.process.name, message))
         sender.pc += 1
@@ -338,11 +347,8 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
                 if update is None or update.channel not in last:
                     complete = False
                     break
-                value = last[update.channel][update.index]
-                for name in update.chain:
-                    conv = model.conversion(name)
-                    value = conv.apply(value, registry.resolve(conv.to_kind))
-                expected.append(value)
+                expected.append(apply_chain(model, registry, update.chain,
+                                            last[update.channel][update.index]))
                 actual.append(event.payload[order.index(attr)])
             if not complete:
                 continue
@@ -366,10 +372,11 @@ def conversion_roundtrip_check(model: DomainModel, samples: int, seed: int) -> l
     registry, _ = registry_for_model(model)
     rng = random.Random(seed)
     verdicts: list[Verdict] = []
+    first_declared = {c.name: c for c in reversed(model.conversions)}
     for conv in model.conversions:
         if conv.inverse_of is None:
             continue
-        partner = model.conversion(conv.inverse_of)
+        partner = first_declared.get(conv.inverse_of)
         if partner is None:
             continue
         from_kind = registry.resolve(conv.from_kind)

@@ -446,9 +446,6 @@ class KindRegistry:
         except KeyError:
             raise UnregisteredKind(name) from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._kinds))
-
     def kinds(self) -> tuple[QuantityKind, ...]:
         return tuple(self._kinds[n] for n in sorted(self._kinds))
 

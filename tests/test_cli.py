@@ -119,6 +119,38 @@ def test_simulate_uncovered_channel(capsys, tmp_path, aircraft_path):
     assert "error" in err
 
 
+def _with_lo_track(track):
+    return lambda raw: json.dumps(dict(raw, attr_LO_ch=track))
+
+
+@pytest.mark.parametrize("dom, make_script", [
+    pytest.param(None, lambda raw: '{"attr_LO_ch": [[0, ', id="malformed-json"),
+    pytest.param(None, lambda raw: json.dumps(sorted(raw)), id="json-list"),
+    pytest.param(None, _with_lo_track([[0, "abc deg"]]), id="bad-value"),
+    pytest.param(None, _with_lo_track({"points": [[0, "10 deg"]], "cycle": "x"}),
+                 id="cycle-not-int"),
+    pytest.param(None, _with_lo_track({"points": [[0, "10 deg"]], "cycle": 0}),
+                 id="cycle-zero"),
+    pytest.param(None, _with_lo_track({"points": [[0, "10 deg"]], "cycle": -3}),
+                 id="cycle-negative"),
+    pytest.param(None, _with_lo_track([[0, "10 deg"], [-5, "11 deg"]]),
+                 id="negative-step"),
+    pytest.param(b"part \xff\xfe {}", json.dumps, id="dom-not-utf8"),
+])
+def test_simulate_bad_input_exits_1_without_traceback(
+        capsys, tmp_path, aircraft_path, aircraft_script_path, dom, make_script):
+    script = tmp_path / "script.json"
+    script.write_text(make_script(json.loads(aircraft_script_path.read_text())))
+    model = aircraft_path
+    if dom is not None:
+        model = tmp_path / "bad.dom"
+        model.write_bytes(dom)
+    code, _, err = run_cli(capsys, "simulate", str(model), "--script", str(script),
+                           "--steps", "5", "--seed", "0")
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_units_check_newton(capsys):
     code, out, _ = run_cli(capsys, "units", "check", "kg*m/s^2")
     assert code == 0

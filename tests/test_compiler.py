@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from domcalc.compiler import (
 from domcalc.dsl import parse_model
 from domcalc.model import UnknownSort
 
+from conftest import GOLDEN
 from modelgen import random_model
 
 
@@ -169,6 +171,24 @@ def test_structure_preservation_generated():
             return (name, tuple(sorted(decl_tree(c) for c in decl.children or ())))
 
         assert tree_of(graph.root) == decl_tree(graph.root.part)
+
+
+def generated_process_text() -> str:
+    """Process text and graph JSON of the generated models, with and without
+    composite cores."""
+    chunks = []
+    for seed in range(40):
+        model = random_model(random.Random(seed))
+        for always_core in (False, True):
+            graph = compile_model(model, always_core=always_core)
+            chunks.append(f"-- seed {seed} always_core={always_core}\n")
+            chunks.append(print_process(graph))
+            chunks.append(json.dumps(graph_to_json(graph), sort_keys=True) + "\n")
+    return "".join(chunks)
+
+
+def test_generated_models_print_golden():
+    assert generated_process_text() == (GOLDEN / "generated_process.txt").read_text()
 
 
 def test_signature_completeness_generated():

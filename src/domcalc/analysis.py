@@ -38,10 +38,16 @@ from .units import (
     KindRegistry,
     Quantity,
     QuantityKind,
+    UnitBoundError,
     UnitError,
     builtin_registry,
     parse_unit,
 )
+
+
+# Parts on the longest composite chain; deeper trees are refused (E120), well
+# before the recursive compile and print walks reach Python's recursion limit.
+MAX_COMPOSITION_DEPTH = 200
 
 
 class NotComposite(ValueError):
@@ -205,13 +211,12 @@ def _slice_source(model: DomainModel, roots: set[str]) -> str:
     kept = tuple(e for e in model.endurants if e.name in sorts)
     needed = {word for e in kept for a in e.attributes for word in a.quantity.split()}
     conversions: list[ConversionDecl] = []
-    by_name = {c.name: c for c in model.conversions}
     while True:
         added = False
         for conv in model.conversions:
             if conv in conversions:
                 continue
-            partner = by_name.get(conv.inverse_of) if conv.inverse_of else None
+            partner = model.conversion(conv.inverse_of) if conv.inverse_of else None
             if (conv.to_kind in needed or
                     (partner is not None and partner in conversions)):
                 conversions.append(conv)
@@ -232,7 +237,8 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
 
     Conversion declarations mint their target kinds (same dimension as the
     source, scale divided by the affine factor).  Attribute quantities and
-    channel kinds are resolved, reporting E205 for anything unknown.
+    channel kinds are resolved, reporting E205 for anything unknown and E208
+    for unit expressions beyond the size bounds.
     Model-local declarations shadow built-ins of the same dimension (W210).
     """
     registry = builtin_registry()
@@ -245,6 +251,10 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
         for conv in list(pending):
             try:
                 from_kind = registry.resolve(conv.from_kind)
+            except UnitBoundError as exc:
+                pending.remove(conv)
+                diagnostics.append(error("E208", f"conversion {conv.name!r}: {exc}", conv.span))
+                continue
             except (UnitError, KeyError):
                 continue
             pending.remove(conv)
@@ -293,15 +303,21 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
                 registry.resolve(attr.quantity)
             except (UnitError, KeyError) as exc:
                 diagnostics.append(error(
-                    "E205", f"attribute {endurant.name}.{attr.name}: {exc}", attr.span))
+                    _unit_code(exc), f"attribute {endurant.name}.{attr.name}: {exc}",
+                    attr.span))
     for channel in model.channels:
         for kind in channel.kinds:
             try:
                 registry.resolve(kind)
             except (UnitError, KeyError) as exc:
                 diagnostics.append(error(
-                    "E205", f"channel {channel.name!r}: {exc}", channel.span))
+                    _unit_code(exc), f"channel {channel.name!r}: {exc}", channel.span))
     return registry, diagnostics
+
+
+def _unit_code(exc: Exception) -> str:
+    """E208 for a unit expression beyond the size bounds, else E205."""
+    return "E208" if isinstance(exc, UnitBoundError) else "E205"
 
 
 def parse_value(text: str, kind: QuantityKind, registry: KindRegistry) -> Quantity:
@@ -432,26 +448,34 @@ def _check_composition_tree(model: DomainModel) -> list[Diagnostic]:
             out.append(error("E117", f"part {child!r} is a child of {count} "
                                      "composites; composition must form a tree"))
 
-    # Cycle detection over the children relation.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {e.name: WHITE for e in model.endurants}
-
-    def visit(name: str) -> bool:
-        colour[name] = GREY
+    # Depth-first over the children relation with an explicit stack, so deep
+    # trees cannot exhaust Python's recursion limit.  ``path`` maps each open
+    # sort to its unvisited children; ``depth`` maps each finished sort to the
+    # parts on the longest chain down from it.
+    def children(name: str) -> tuple[str, ...]:
         decl = model.endurant(name)
-        for child in (decl.children or ()) if decl else ():
-            if colour.get(child) == GREY:
-                return True
-            if colour.get(child) == WHITE and visit(child):
-                return True
-        colour[name] = BLACK
-        return False
+        return (decl.children or ()) if decl else ()
 
+    depth: dict[str, int] = {}
     for decl in model.endurants:
-        if colour[decl.name] == WHITE and visit(decl.name):
-            out.append(error("E102", f"composite cycle through {decl.name!r}",
-                             decl.span))
-            break
+        path = {} if decl.name in depth else {decl.name: iter(children(decl.name))}
+        while path:
+            name, pending = next(reversed(path.items()))
+            child = next(pending, None)
+            if child is None:
+                path.popitem()
+                depth[name] = 1 + max((depth[c] for c in children(name)), default=0)
+            elif child in path:
+                out.append(error("E102", f"composite cycle through {decl.name!r}",
+                                 decl.span))
+                return out
+            elif child not in depth:
+                path[child] = iter(children(child))
+    deepest = max(model.endurants, key=lambda d: depth[d.name], default=None)
+    if deepest is not None and depth[deepest.name] > MAX_COMPOSITION_DEPTH:
+        out.append(error("E120", f"composition under {deepest.name!r} nests "
+                                 f"{depth[deepest.name]} parts deep; the limit is "
+                                 f"{MAX_COMPOSITION_DEPTH}", deepest.span))
     return out
 
 

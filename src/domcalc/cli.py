@@ -115,6 +115,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        print(f"error: --steps must be >= 0, not {args.steps}", file=sys.stderr)
+        return 1
     model, code = _load_model(args.file)
     if code is not None:
         return code
@@ -144,6 +147,9 @@ def cmd_units(args) -> int:
     text = args.expr
     try:
         dimension, scale = units.parse_unit(text)
+    except units.UnitBoundError as exc:
+        print(f"E208: {exc}")
+        return 2
     except units.UnitError:
         result = units.typecheck_expr(text, {}, units.builtin_registry())
         if result.kind is not None:

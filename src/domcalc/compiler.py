@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import NotAPart, parse_value, registry_for_model
+from .analysis import MAX_COMPOSITION_DEPTH, NotAPart, parse_value, registry_for_model
 from .diagnostics import Diagnostic, error
 from .model import (
     CONTROLLABLE_CATEGORIES,
@@ -35,8 +35,8 @@ from .model import (
     ProcessNode,
     ResolvedChannel,
     SendSpec,
-    UnknownSort,
     UpdateSpec,
+    model_lookup,
 )
 from .units import KindRegistry, fraction_str
 
@@ -80,9 +80,9 @@ class _Relation:
 
 
 class _ModelIndex:
-    """Lookups derived once from a model for one compile or print call.
+    """Relations derived once from a model for one compile or print call;
+    names are looked up on the model itself.
 
-    Names resolve to their first declaration, as in ``DomainModel.endurant``.
     Parts are related when either mereology names the other's identifier
     type; each relation points at the part with controllable attributes
     (the consumer).
@@ -90,17 +90,9 @@ class _ModelIndex:
 
     def __init__(self, model: DomainModel):
         self.model = model
-        self.endurants: dict[str, EndurantDecl] = {}
-        for decl in model.endurants:
-            self.endurants.setdefault(decl.name, decl)
-        self.conversions: dict[str, ConversionDecl] = {}
         self.from_kind: dict[str, list[ConversionDecl]] = {}
         for conv in model.conversions:
-            self.conversions.setdefault(conv.name, conv)
             self.from_kind.setdefault(conv.from_kind, []).append(conv)
-        self.channels: dict[str, ChannelDecl] = {}
-        for channel in model.channels:
-            self.channels.setdefault(channel.name, channel)
         self.source_chains: dict[tuple[str, str], tuple[str, ...]] = {}
         for axiom in model.axioms:
             for source in axiom.sources:
@@ -116,7 +108,7 @@ class _ModelIndex:
                     related.add(tuple(sorted((part.name, other))))
         self.relations: list[_Relation] = []
         for left_name, right_name in sorted(related):
-            left, right = self.endurants[left_name], self.endurants[right_name]
+            left, right = model_lookup(model, left_name), model_lookup(model, right_name)
             for sender, receiver in ((left, right), (right, left)):
                 if _controllable_attrs(receiver):
                     self.relations.append(_Relation(sender, receiver))
@@ -130,12 +122,6 @@ class _ModelIndex:
             self.outgoing.setdefault(relation.sender.name, []).append(relation)
             self.incoming.setdefault(relation.receiver.name, []).append(relation)
 
-    def lookup(self, name: str) -> EndurantDecl:
-        decl = self.endurants.get(name)
-        if decl is None:
-            raise UnknownSort(name)
-        return decl
-
     def wire(self, part: EndurantDecl
              ) -> list[tuple[AttributeDecl, Optional[ConversionDecl]]]:
         """Each external attribute of ``part`` with the conversion applied
@@ -146,7 +132,7 @@ class _ModelIndex:
         for attr in _external_attrs(part):
             chain = self.source_chains.get((part.name, attr.name))
             if chain is not None:
-                conv = self.conversions.get(chain[0]) if chain else None
+                conv = self.model.conversion(chain[0]) if chain else None
             else:
                 candidates = self.from_kind.get(attr.quantity, ())
                 conv = candidates[0] if len(candidates) == 1 else None
@@ -170,10 +156,9 @@ def _derive_channels(index: _ModelIndex) -> tuple[ChannelDecl, ...]:
         kinds.setdefault(relation.channel_name, tuple(
             conv.to_kind if conv else attr.quantity
             for attr, conv in index.wire(relation.sender)))
-    for declared in index.channels.values():
-        kinds.setdefault(declared.name, declared.kinds)
-    return tuple(ChannelDecl(name, index.channels[name].kinds if name in index.channels else k)
-                 for name, k in kinds.items())
+    for name, declared in index.model.channels_by_name.items():
+        kinds[name] = declared.kinds
+    return tuple(ChannelDecl(name, k) for name, k in kinds.items())
 
 
 def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
@@ -187,7 +172,7 @@ def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
 
 
 def _derive_signature(index: _ModelIndex, part_name: str) -> BehaviourSignature:
-    decl = index.lookup(part_name)
+    decl = model_lookup(index.model, part_name)
     if decl.kind != "part":
         raise NotAPart(part_name)
     in_channels = [f"attr_{a.name}_ch" for a in _external_attrs(decl)]
@@ -224,18 +209,18 @@ def _preflight(index: _ModelIndex) -> list[Diagnostic]:
                             "has no init value", attr.span))
     for relation in index.relations:
         if (not _external_attrs(relation.sender)
-                and relation.channel_name not in index.channels):
+                and index.model.channel(relation.channel_name) is None):
             out.append(error(
                 "E301", f"no derivable message kind for channel "
                         f"{relation.channel_name!r} ({relation.sender.name} -> "
                         f"{relation.receiver.name}) and none is declared",
                 relation.sender.span))
     for axiom in index.model.axioms:
-        target = index.endurants.get(axiom.target_sort)
+        target = index.model.endurant(axiom.target_sort)
         if target is None:
             continue
         for source in axiom.sources:
-            src = index.endurants.get(source.sort)
+            src = index.model.endurant(source.sort)
             if src is None or src.name == target.name:
                 continue
             if (src.name, target.name) not in index.by_pair:
@@ -292,7 +277,10 @@ def compile_process(model: DomainModel, part_name: str,
     def build(name: str) -> ProcessNode:
         if name in visiting:
             raise CompileError([error("E302", f"composite cycle through {name!r}")])
-        decl = index.lookup(name)
+        if len(visiting) == MAX_COMPOSITION_DEPTH:
+            raise CompileError([error("E120", f"composition under {part_name!r} nests "
+                                              f"more than {MAX_COMPOSITION_DEPTH} parts deep")])
+        decl = model_lookup(model, name)
         visiting.append(name)
         children = tuple(build(child) for child in decl.children or ())
         visiting.pop()
@@ -368,10 +356,9 @@ def _core_process(index: _ModelIndex, registry: KindRegistry,
 def _resolved_channels(index: _ModelIndex,
                        process_names: set[str]) -> tuple[ResolvedChannel, ...]:
     derived = {c.name: c for c in _derive_channels(index)}
-    behaviours = {p.name: p.behaviour_name for p in index.parts}
     env: dict[str, ResolvedChannel] = {}
     for part in index.parts:
-        behaviour = behaviours[part.name]
+        behaviour = part.behaviour_name
         if behaviour not in process_names:
             continue
         for attr in _external_attrs(part):
@@ -383,8 +370,7 @@ def _resolved_channels(index: _ModelIndex,
             env[name] = ResolvedChannel(name, kinds, True, "env", receivers)
     out = list(env.values())
     for relation in index.relations:
-        sender = behaviours[relation.sender.name]
-        receiver = behaviours[relation.receiver.name]
+        sender, receiver = relation.sender.behaviour_name, relation.receiver.behaviour_name
         if sender in process_names or receiver in process_names:
             decl = derived[relation.channel_name]
             out.append(ResolvedChannel(decl.name, decl.kinds, False,
@@ -450,7 +436,7 @@ def print_process(graph: ProcessGraph) -> str:
 
 
 def _print_definition(index: _ModelIndex, process: ProcessDef) -> list[str]:
-    decl = index.lookup(process.part)
+    decl = model_lookup(index.model, process.part)
     sig = process.signature
     head_args = f"({_uid_var(process.part)},{_mereo_vars(index, decl)})"
     groups: dict[str, list[UpdateSpec]] = {}
@@ -522,7 +508,7 @@ def _print_definition(index: _ModelIndex, process: ProcessDef) -> list[str]:
 def _composition_text(index: _ModelIndex, node: ProcessNode) -> str:
     parts = []
     if node.process is not None:
-        decl = index.lookup(node.part)
+        decl = model_lookup(index.model, node.part)
         text = f"{node.process.name}({_uid_var(node.part)},{_mereo_vars(index, decl)})"
         if node.process.signature.controllable_params:
             text += f"(init_{node.part})"

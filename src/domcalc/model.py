@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .diagnostics import SourceSpan
 from .units import Quantity
@@ -42,6 +43,14 @@ CONTROLLABLE_CATEGORIES = (BIDDABLE, PROGRAMMABLE)
 
 class UnknownSort(KeyError):
     pass
+
+
+def _first_by_name(decls: Iterable) -> dict:
+    """Name -> declaration in declaration order; the first of a name wins."""
+    index: dict = {}
+    for decl in decls:
+        index.setdefault(decl.name, decl)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -208,26 +217,30 @@ class DomainModel:
     channels: tuple[ChannelDecl, ...] = ()
     axioms: tuple[AxiomDecl, ...] = ()
 
+    # Read-only by-name indexes, built on first use; the first declaration wins.
+    @cached_property
+    def endurants_by_name(self) -> Mapping[str, EndurantDecl]:
+        return _first_by_name(self.endurants)
+
+    @cached_property
+    def conversions_by_name(self) -> Mapping[str, ConversionDecl]:
+        return _first_by_name(self.conversions)
+
+    @cached_property
+    def channels_by_name(self) -> Mapping[str, ChannelDecl]:
+        return _first_by_name(self.channels)
+
     def endurant(self, name: str) -> Optional[EndurantDecl]:
-        for decl in self.endurants:
-            if decl.name == name:
-                return decl
-        return None
+        return self.endurants_by_name.get(name)
 
     def parts(self) -> tuple[EndurantDecl, ...]:
         return tuple(e for e in self.endurants if e.kind == PART)
 
     def conversion(self, name: str) -> Optional[ConversionDecl]:
-        for conv in self.conversions:
-            if conv.name == name:
-                return conv
-        return None
+        return self.conversions_by_name.get(name)
 
     def channel(self, name: str) -> Optional[ChannelDecl]:
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        return None
+        return self.channels_by_name.get(name)
 
     @property
     def is_empty(self) -> bool:
@@ -355,8 +368,9 @@ class ProcessGraph:
             return ()
         return tuple(n.process for n in self.root.walk() if n.process is not None)
 
+    @cached_property
+    def _channels_by_name(self) -> Mapping[str, ResolvedChannel]:
+        return _first_by_name(self.channels)
+
     def channel(self, name: str) -> Optional[ResolvedChannel]:
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        return None
+        return self._channels_by_name.get(name)

@@ -192,15 +192,16 @@ class _ProcState:
     received: dict = field(default_factory=dict)
     controllables: dict = field(default_factory=dict)
     recursed_in_phase: bool = False
+    # One core cycle: every receive, then every send, then the recursion.
+    program: tuple = field(init=False)
+
+    def __post_init__(self) -> None:
+        body = self.process.body
+        self.program = (*(("recv", name) for name in body.receives),
+                        *(("send", spec) for spec in body.sends), ("recurse", None))
 
     def action(self):
-        receives = self.process.body.receives
-        sends = self.process.body.sends
-        if self.pc < len(receives):
-            return ("recv", receives[self.pc])
-        if self.pc < len(receives) + len(sends):
-            return ("send", sends[self.pc - len(receives)])
-        return ("recurse", None)
+        return self.program[self.pc]
 
 
 def apply_chain(model: DomainModel, registry: KindRegistry, chain: Iterable[str],
@@ -228,6 +229,10 @@ def run(config: RunConfig, max_steps: int) -> Trace:
               for p in sorted(graph.processes(), key=lambda p: p.name)]
     if not states:
         return Trace(())
+    # The one receiver of each channel that can rendezvous; absent when elided.
+    state_of = {state.process.name: state for state in states}
+    receiver_of = {c.name: state_of[c.receivers[0]] for c in graph.channels
+                   if c.name not in external and c.receivers[0] in state_of}
     events: list[TraceEvent] = []
     steps = 0
 
@@ -274,10 +279,9 @@ def run(config: RunConfig, max_steps: int) -> Trace:
             op, arg = sender.action()
             if op != "send":
                 continue
-            for receiver in states:
-                rop, rarg = receiver.action()
-                if rop == "recv" and rarg == arg.channel and rarg not in external:
-                    pairs.append((arg.channel, sender, receiver, arg))
+            receiver = receiver_of.get(arg.channel)
+            if receiver is not None and receiver.action() == ("recv", arg.channel):
+                pairs.append((arg.channel, sender, receiver, arg))
         return sorted(pairs, key=lambda p: (p[0], p[1].process.name))
 
     settled = False
@@ -372,11 +376,10 @@ def conversion_roundtrip_check(model: DomainModel, samples: int, seed: int) -> l
     registry, _ = registry_for_model(model)
     rng = random.Random(seed)
     verdicts: list[Verdict] = []
-    first_declared = {c.name: c for c in reversed(model.conversions)}
     for conv in model.conversions:
         if conv.inverse_of is None:
             continue
-        partner = first_declared.get(conv.inverse_of)
+        partner = model.conversion(conv.inverse_of)
         if partner is None:
             continue
         from_kind = registry.resolve(conv.from_kind)

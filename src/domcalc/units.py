@@ -57,6 +57,10 @@ class UnknownPrefix(UnitError):
     pass
 
 
+class UnitBoundError(UnitError):
+    """A unit expression beyond the size bounds below; diagnosed as E208."""
+
+
 class UnregisteredKind(KeyError):
     pass
 
@@ -208,6 +212,29 @@ def derived_unit_name(dimension: Dimension) -> Optional[str]:
 
 _UNIT_TOKEN = re.compile(r"\s*([A-Za-zµΩ°]+|\d+|[*/^()-])")
 
+# Size bounds on unit expressions (E208).  Exact scales grow with every power,
+# and Python prints no integer past 4300 digits.
+MAX_UNIT_EXPONENT = 1000  # |n| of a power, and every dimension exponent
+MAX_SCALE_BITS = 4096  # scale numerator and denominator, about 1233 digits
+
+
+def _int_token(token: str) -> int:
+    if len(token) * 3 > MAX_SCALE_BITS:
+        raise UnitBoundError(f"number with {len(token)} digits in unit expression")
+    return int(token)
+
+
+def _bounded(dim: Dimension, scale: Fraction, n: int = 1) -> tuple[Dimension, Fraction]:
+    """``(dim ** n, scale ** n)``, refused before it is computed when the
+    result would exceed the size bounds."""
+    if abs(n) > MAX_UNIT_EXPONENT or any(abs(e * n) > MAX_UNIT_EXPONENT
+                                         for e in dim.exponents):
+        raise UnitBoundError(f"unit exponent beyond ±{MAX_UNIT_EXPONENT}")
+    if abs(n) * max(scale.numerator.bit_length(),
+                    scale.denominator.bit_length()) > MAX_SCALE_BITS:
+        raise UnitBoundError(f"unit scale beyond {MAX_SCALE_BITS} bits")
+    return dim ** n, scale ** n
+
 
 def _resolve_symbol(token: str) -> tuple[Dimension, Fraction]:
     """Whole symbols win over prefixed ones, so 'cd' is candela, not centi-day."""
@@ -229,7 +256,7 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
     Grammar: products ``*``, quotients ``/``, integer powers ``^n``,
     parentheses, the literal ``1`` for dimensionless, unit symbols with
     standard prefixes.  Raises ``UnknownUnitSymbol`` / ``UnknownPrefix`` /
-    ``UnitError`` on bad input.
+    ``UnitBoundError`` / ``UnitError`` on bad input.
     """
     tokens: list[str] = []
     pos = 0
@@ -267,7 +294,7 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
             take()
         elif tok.isdigit():
             take()
-            dim, scale = DIMENSIONLESS, Fraction(int(tok))
+            dim, scale = _bounded(DIMENSIONLESS, Fraction(_int_token(tok)))
         else:
             take()
             dim, scale = _resolve_symbol(tok)
@@ -281,8 +308,7 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
             if exp_tok is None or not exp_tok.lstrip("-").isdigit():
                 raise UnitError("expected integer exponent after '^'")
             take()
-            n = sign * int(exp_tok)
-            dim, scale = dim ** n, scale ** n
+            dim, scale = _bounded(dim, scale, sign * _int_token(exp_tok))
         return dim, scale
 
     def parse_expr() -> tuple[Dimension, Fraction]:
@@ -291,9 +317,9 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
             op = take()
             rdim, rscale = parse_factor()
             if op == "*":
-                dim, scale = dim * rdim, scale * rscale
+                dim, scale = _bounded(dim * rdim, scale * rscale)
             else:
-                dim, scale = dim / rdim, scale / rscale
+                dim, scale = _bounded(dim / rdim, scale / rscale)
         return dim, scale
 
     dim, scale = parse_expr()

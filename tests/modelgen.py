@@ -113,6 +113,66 @@ def random_model(rng: random.Random) -> DomainModel:
     return DomainModel(tuple(endurants), tuple(conversions), (), axioms)
 
 
+def pairs_model(rng: random.Random, n: int) -> DomainModel:
+    """``n`` independent sensor/display pairs under one composite root.
+
+    Each sensor reads one or two external attributes and sends them to its
+    display, which tracks them as programmable attributes under an axiom.
+    Behaviour names are multi-word (``sensor_a_b``, ``display_a_b``) so the
+    word-initial channel prefixes of different pairs never collide (E306).
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    sensors: list[EndurantDecl] = []
+    displays: list[EndurantDecl] = []
+    conversions: list[ConversionDecl] = []
+    axioms: list[AxiomDecl] = []
+    for i in range(n):
+        tag = f"{letters[i // 26 % 26]}_{letters[i % 26]}"
+        sensor, display = f"S{i}", f"D{i}"
+        attrs = tuple(
+            AttributeDecl(f"A{i}K{k}", kind, rng.choice(EXTERNAL_CATEGORIES))
+            for k, kind in enumerate(rng.sample(KIND_POOL, rng.randint(1, 2))))
+        targets: list[AttributeDecl] = []
+        sources: list[AxiomSource] = []
+        for attr in attrs:
+            rec, disp = f"r{attr.name}", f"d{attr.name}"
+            s2 = rng.choice(AFFINE_SCALES)
+            o2 = rng.choice(AFFINE_OFFSETS)
+            conversions += [
+                ConversionDecl(f"a2r{attr.name}", attr.quantity, rec,
+                               rng.choice(AFFINE_SCALES), Fraction(0)),
+                ConversionDecl(f"r2d{attr.name}", rec, disp, s2, o2,
+                               inverse_of=f"d2r{attr.name}"),
+                ConversionDecl(f"d2r{attr.name}", disp, rec, 1 / s2, -o2 / s2,
+                               inverse_of=f"r2d{attr.name}")]
+            targets.append(AttributeDecl(disp, disp, "programmable",
+                                         init=str(rng.randint(-5, 5))))
+            sources.append(AxiomSource(sensor, attr.name,
+                                       (f"a2r{attr.name}", f"r2d{attr.name}")))
+        sensors.append(EndurantDecl(
+            sensor, "part", "discrete", id_type=f"{sensor}I",
+            mereology=MereoId(f"{display}I"), attributes=attrs,
+            behaviour=f"sensor_{tag}"))
+        displays.append(EndurantDecl(
+            display, "part", "discrete", id_type=f"{display}I",
+            mereology=MereoId(f"{sensor}I"), attributes=tuple(targets),
+            behaviour=f"display_{tag}"))
+        axioms.append(AxiomDecl(f"tracks_{i}", display,
+                                tuple(a.name for a in targets), tuple(sources)))
+    children = tuple(p.name for p in sensors + displays)
+    root = EndurantDecl("RT", "part", "discrete", children=children,
+                        id_type="RTI", mereology=MereoEmpty())
+    return DomainModel((root, *sensors, *displays), tuple(conversions), (), tuple(axioms))
+
+
+def composite_chain(depth: int) -> DomainModel:
+    """``depth`` parts, each the only child of the one before."""
+    return DomainModel(tuple(
+        EndurantDecl(f"P{i}", "part", "discrete", id_type=f"P{i}I", mereology=MereoEmpty(),
+                     children=(f"P{i + 1}",) if i < depth - 1 else None)
+        for i in range(depth)))
+
+
 def random_script(rng: random.Random, graph, horizon: int = 80) -> EnvironmentScript:
     """Script covering every external channel of the graph from step 0
     through at least ``horizon`` steps."""

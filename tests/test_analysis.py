@@ -18,7 +18,7 @@ from domcalc.analysis import (
 from domcalc.dsl import parse_model
 from domcalc.model import DomainModel, EndurantDecl, MereoEmpty
 
-from modelgen import random_model
+from modelgen import composite_chain, random_model
 
 
 def parse_ok(text):
@@ -185,6 +185,25 @@ def test_composite_cycle_detected():
     """)
     assert cycle_oracle(model)
     assert "E102" in {d.code for d in check_wellformed(model)}
+
+
+def test_composition_depth_limit():
+    limit = analysis.MAX_COMPOSITION_DEPTH
+    assert check_wellformed(composite_chain(limit)) == []
+    for depth in (limit + 1, 1000, 3000):
+        diagnostics = check_wellformed(composite_chain(depth))
+        assert [d.code for d in diagnostics] == ["E120"]
+        assert f"{depth} parts deep" in diagnostics[0].message
+
+
+def test_unit_size_bound_in_model_is_e208():
+    model, _ = parse_model("""
+    part A { id AI; mereo A -> empty; attr X : km^10000 reactive; }
+    channel c : ((kdeg^99)^99)^99;
+    conversion big : km^5000 -> Z = affine(1, 0);
+    """)
+    codes = [d.code for d in registry_for_model(model)[1]]
+    assert codes == ["E208", "E208", "E208"]
 
 
 def test_cycle_oracle_agrees_on_acyclic(aircraft_model):

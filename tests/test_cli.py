@@ -151,6 +151,21 @@ def test_simulate_bad_input_exits_1_without_traceback(
     assert err.startswith("error: ")
 
 
+def test_simulate_negative_steps_exits_1(capsys, aircraft_path, aircraft_script_path):
+    code, out, err = run_cli(capsys, "simulate", str(aircraft_path), "--script",
+                             str(aircraft_script_path), "--steps", "-5", "--seed", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--steps" in err
+
+
+@pytest.mark.parametrize("expr", ["km^10000", "km^100000000", "((kdeg^99)^99)^99"])
+def test_units_check_size_bound_exits_2(capsys, expr):
+    code, out, _ = run_cli(capsys, "units", "check", expr)
+    assert code == 2
+    assert out.startswith("E208: ")
+
+
 def test_units_check_newton(capsys):
     code, out, _ = run_cli(capsys, "units", "check", "kg*m/s^2")
     assert code == 0

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from domcalc import compiler
-from domcalc.analysis import NotAPart
+from domcalc.analysis import MAX_COMPOSITION_DEPTH, NotAPart
 from domcalc.compiler import (
     CompileError,
     behaviour_prefix,
@@ -19,7 +19,7 @@ from domcalc.dsl import parse_model
 from domcalc.model import UnknownSort
 
 from conftest import GOLDEN
-from modelgen import random_model
+from modelgen import composite_chain, random_model
 
 
 def parse_ok(text):
@@ -313,6 +313,16 @@ def test_printed_bodies_end_in_self_recursion():
             assert definitions
             head, _, body = definitions[0].partition(" ≡ ")
             assert f"{process.name}(" in body  # tail-recursive by construction
+
+
+def test_composition_depth_limit_in_compile():
+    graph = compile_model(composite_chain(MAX_COMPOSITION_DEPTH))
+    assert print_process(graph).startswith("value\n")
+    json.dumps(graph_to_json(graph), indent=2)
+    for depth in (MAX_COMPOSITION_DEPTH + 1, 1000):
+        with pytest.raises(CompileError) as exc:
+            compile_model(composite_chain(depth))
+        assert [d.code for d in exc.value.diagnostics] == ["E120"]
 
 
 def test_cycle_guard_fires_when_compiling_unchecked_model():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from domcalc import compiler, simulator
+from domcalc.analysis import check_wellformed
 from domcalc.dsl import parse_model
 from domcalc.simulator import (
     EnvironmentScript,
@@ -20,7 +22,8 @@ from domcalc.simulator import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from modelgen import perturb_recursion_payload, random_model, random_script
+from conftest import GOLDEN
+from modelgen import pairs_model, perturb_recursion_payload, random_model, random_script
 
 
 def parse_ok(text):
@@ -146,6 +149,42 @@ def test_independent_subgraphs_interleave_deterministically():
     assert run(config, 12) == trace
     for verdict in check_axioms(model, trace):
         assert verdict.passed and verdict.checked > 0
+
+
+def generated_traces_text() -> str:
+    """sha256 of each generated run's JSONL trace followed by its verdict
+    JSON.  The pair models enable many rendezvous at once, so these lines pin
+    the seed rotation over the sorted (channel, sender) list."""
+    models = [(f"random_model seed={seed}", random.Random(seed), None)
+              for seed in range(40)]
+    models += [(f"pairs_model n={n} seed={seed}", random.Random(seed), n)
+               for n in (2, 5, 12) for seed in range(6)]
+    lines = []
+    for label, rng, n in models:
+        model = random_model(rng) if n is None else pairs_model(rng, n)
+        graph = compiler.compile_model(model)
+        script = random_script(rng, graph)
+        for run_seed in (0, 1, 5):
+            config = instantiate(graph, script, seed=run_seed)
+            for steps in (0, 7, 60):
+                trace = run(config, steps)
+                verdicts = simulator.verdicts_to_json(check_axioms(model, trace))
+                digest = hashlib.sha256((trace_to_jsonl(trace) + json.dumps(
+                    verdicts, sort_keys=True)).encode()).hexdigest()
+                lines.append(f"{label} run_seed={run_seed} steps={steps} {digest}\n")
+    return "".join(lines)
+
+
+def test_generated_traces_golden():
+    assert generated_traces_text() == (GOLDEN / "generated_traces.txt").read_text()
+
+
+def test_pairs_model_is_wellformed_and_enables_every_pair():
+    model = pairs_model(random.Random(3), 12)
+    assert check_wellformed(model) == []
+    graph = compiler.compile_model(model)
+    trace = run(instantiate(graph, random_script(random.Random(3), graph), seed=0), 60)
+    assert len({e.channel for e in trace if e.kind == "send"}) == 12
 
 
 def test_rendezvous_conservation(aircraft_graph, aircraft_script):
@@ -364,6 +403,11 @@ def test_declared_channel_with_no_payload_runs():
     sends = [e for e in trace if e.kind == "send"]
     assert sends and all(e.payload == () for e in sends)
     assert run(config, 5) == trace
+
+
+def test_script_value_beyond_unit_bounds_is_script_error(aircraft_graph):
+    with pytest.raises(ScriptError, match="exponent"):
+        EnvironmentScript.from_json({"attr_AL_ch": [[0, "1 km^100000000"]]}, aircraft_graph)
 
 
 def test_instantiate_rejects_wrong_kind_values(aircraft_graph):

@@ -142,6 +142,21 @@ def test_whole_symbols_beat_prefix_splits():
     assert parse_unit("mm") == (Dimension.of(m=1), Fraction(1, 1000))
 
 
+@pytest.mark.parametrize("text", [
+    "km^10000", "km^100000000", "((kdeg^99)^99)^99", "m^1001", "m^500*m^501",
+    "km*" * 500 + "km", "9" * 5000, "m^" + "9" * 5000,
+])
+def test_unit_size_bounds_refused_before_computing(text):
+    with pytest.raises(units.UnitBoundError):
+        parse_unit(text)
+
+
+def test_unit_size_bounds_admit_their_limits():
+    assert parse_unit("m^1000") == (Dimension.of(m=1000), Fraction(1))
+    assert parse_unit("s^-1000")[0] == Dimension.of(s=-1000)
+    assert parse_unit("(kdeg^99)^4")[1] == Fraction(10) ** 1188
+
+
 def test_unknown_symbol_and_prefix():
     with pytest.raises(units.UnknownUnitSymbol):
         parse_unit("mfoo")

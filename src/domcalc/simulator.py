@@ -13,9 +13,12 @@ shorter runs are prefixes of longer ones.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cache, partial
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import parse_value, registry_for_model
 from .model import DomainModel, ProcessDef, ProcessGraph
@@ -44,9 +47,9 @@ class ScriptError(ValueError):
 class ScriptTrack:
     """Step-indexed values for one external channel.
 
-    ``points`` are (step, value) pairs; between points the last value holds.
-    A finite track is exhausted after its final point; a cyclic track repeats
-    with period ``cycle``.
+    ``points`` are (step, value) pairs sorted by step; between points the
+    last value holds.  A finite track is exhausted after its final point; a
+    cyclic track repeats with period ``cycle``.
     """
 
     points: tuple[tuple[int, Quantity], ...]
@@ -55,13 +58,10 @@ class ScriptTrack:
     def value_at(self, step: int) -> Optional[Quantity]:
         if self.cycle:
             step %= self.cycle
-        elif self.points and step > max(p for p, _ in self.points):
+        elif self.points and step > self.points[-1][0]:
             return None  # finite track exhausted
-        value = None
-        for pstep, pvalue in self.points:
-            if pstep <= step:
-                value = pvalue
-        return value
+        index = bisect_right(self.points, step, key=lambda point: point[0])
+        return self.points[index - 1][1] if index else None
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,28 @@ class _ProcState:
         return self.program[self.pc]
 
 
-def apply_chain(model: DomainModel, registry: KindRegistry, chain: Iterable[str],
-                value: Quantity) -> Quantity:
-    """Push ``value`` through the named conversions, first to last."""
+def chain_map(model: DomainModel, registry: KindRegistry,
+              chain: Iterable[str]) -> Callable[[Quantity], Quantity]:
+    """Compose the named conversions, first to last, into one exact map.
+
+    Links ``x -> s1*x + o1`` then ``x -> s2*x + o2`` compose to
+    ``x -> (s2*s1)*x + (s2*o1 + o2)`` over ``Fraction``s, so the result equals
+    applying each link in turn; the kind is the last link's target.  An empty
+    chain returns the value unchanged, and a composed identity (such as
+    ``a2rLO ; r2dLO``, 10 then 0.1) only relabels the kind.
+    """
+    scale, offset, last = Fraction(1), Fraction(0), None
     for name in chain:
-        conv = model.conversion(name)
-        value = conv.apply(value, registry.resolve(conv.to_kind))
-    return value
+        last = model.conversion(name)
+        scale, offset = last.scale * scale, last.scale * offset + last.offset
+    if last is None:
+        return lambda value: value
+    kind = registry.resolve(last.to_kind)
+    if offset == 0:
+        if scale == 1:
+            return lambda value: Quantity(value.magnitude, kind)
+        return lambda value: Quantity(scale * value.magnitude, kind)
+    return lambda value: Quantity(scale * value.magnitude + offset, kind)
 
 
 def run(config: RunConfig, max_steps: int) -> Trace:
@@ -235,14 +250,14 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                    if c.name not in external and c.receivers[0] in state_of}
     events: list[TraceEvent] = []
     steps = 0
+    map_of = cache(partial(chain_map, model, registry))  # filled on first use
 
     def recurse(state: _ProcState) -> None:
         for update in state.process.body.updates:
             payload = state.received.get(update.channel)
             if payload is None:
                 continue
-            state.controllables[update.attr] = apply_chain(
-                model, registry, update.chain, payload[update.index])
+            state.controllables[update.attr] = map_of(update.chain)(payload[update.index])
         payload = tuple(state.controllables[a]
                         for a in state.process.signature.controllable_params)
         events.append(TraceEvent(steps, RECURSION, None, state.process.name, payload))
@@ -296,8 +311,8 @@ def run(config: RunConfig, max_steps: int) -> Trace:
         # step so no enabled channel is starved forever.
         channel, sender, receiver, send_spec = pairs[(config.seed + steps) % len(pairs)]
         message = tuple(
-            apply_chain(model, registry, () if conv_name is None else (conv_name,),
-                        sender.received[f"attr_{attr}_ch"][0])
+            map_of(() if conv_name is None else (conv_name,))(
+                sender.received[f"attr_{attr}_ch"][0])
             for attr, conv_name in send_spec.parts)
         events.append(TraceEvent(steps, SEND, channel, sender.process.name, message))
         events.append(TraceEvent(steps, RECEIVE, channel, receiver.process.name, message))
@@ -327,6 +342,7 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
     registry: KindRegistry = graph.registry
     processes = {p.name: p for p in graph.processes()}
     verdicts: list[Verdict] = []
+    map_of = cache(partial(chain_map, model, registry))  # filled on first use
     for axiom in model.axioms:
         target = model.endurant(axiom.target_sort)
         process = processes.get(target.behaviour_name) if target else None
@@ -351,8 +367,7 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
                 if update is None or update.channel not in last:
                     complete = False
                     break
-                expected.append(apply_chain(model, registry, update.chain,
-                                            last[update.channel][update.index]))
+                expected.append(map_of(update.chain)(last[update.channel][update.index]))
                 actual.append(event.payload[order.index(attr)])
             if not complete:
                 continue
@@ -402,29 +417,49 @@ def conversion_roundtrip_check(model: DomainModel, samples: int, seed: int) -> l
 # ---------------------------------------------------------------------------
 
 def trace_to_jsonl(trace: Trace) -> str:
+    """One JSON object per event and line, as ``json.dumps(..., sort_keys=True)``
+    writes it: keys in sorted order (``channel``, ``kind``, ``payload`` of
+    ``kind``/``value`` objects, ``process``, ``step``), strings ASCII-escaped,
+    and each magnitude as an exact decimal or ``p/q`` string."""
+    strings: dict[Optional[str], str] = {None: "null"}
+
+    def string(text: Optional[str]) -> str:
+        literal = strings.get(text)
+        if literal is None:
+            literal = strings[text] = encode_basestring_ascii(text)
+        return literal
+
     lines = []
     for event in trace:
-        lines.append(json.dumps({
-            "step": event.step,
-            "kind": event.kind,
-            "channel": event.channel,
-            "process": event.process,
-            "payload": [{"kind": q.kind.name, "value": fraction_str(q.magnitude)}
-                        for q in event.payload],
-        }, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+        payload = ", ".join(
+            f'{{"kind": {string(q.kind.name)}, "value": "{fraction_str(q.magnitude)}"}}'
+            for q in event.payload)
+        lines.append(
+            f'{{"channel": {string(event.channel)}, "kind": {string(event.kind)}, '
+            f'"payload": [{payload}], "process": {string(event.process)}, '
+            f'"step": {int.__repr__(event.step)}}}\n')
+    return "".join(lines)
 
 
 def trace_from_jsonl(text: str, registry: KindRegistry) -> Trace:
     events = []
+    # A trace repeats a handful of (kind, value) pairs; equal ones share a Quantity.
+    quantities: dict[tuple[str, str], Quantity] = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         data = json.loads(line)
-        payload = tuple(Quantity(parse_fraction(p["value"]), registry.resolve(p["kind"]))
-                        for p in data["payload"])
+        payload = []
+        for p in data["payload"]:
+            key = (p["kind"], p["value"])
+            try:
+                quantity = quantities[key]
+            except (KeyError, TypeError):  # TypeError: a JSON array or object, refused below
+                quantity = Quantity(parse_fraction(key[1]), registry.resolve(key[0]))
+                quantities[key] = quantity
+            payload.append(quantity)
         events.append(TraceEvent(data["step"], data["kind"], data["channel"],
-                                 data["process"], payload))
+                                 data["process"], tuple(payload)))
     return Trace(tuple(events))
 
 

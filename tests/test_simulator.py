@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domcalc import compiler, simulator
 from domcalc.analysis import check_wellformed
 from domcalc.dsl import parse_model
+from domcalc.model import ConversionDecl, DomainModel
 from domcalc.simulator import (
     EnvironmentScript,
     MissingInit,
     ScriptError,
     ScriptTrack,
     Trace,
+    TraceEvent,
     UncoveredChannel,
     check_axioms,
     conversion_roundtrip_check,
@@ -22,6 +25,7 @@ from domcalc.simulator import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from domcalc.units import DIMENSIONLESS, KindRegistry, Quantity, QuantityKind, fraction_str
 from conftest import GOLDEN
 from modelgen import pairs_model, perturb_recursion_payload, random_model, random_script
 
@@ -420,3 +424,152 @@ def test_instantiate_rejects_wrong_kind_values(aircraft_graph):
               for c in aircraft_graph.channels if c.external}
     with pytest.raises(ScriptError):
         instantiate(aircraft_graph, EnvironmentScript(tracks), seed=0)
+
+
+# sha256 of the bundled aircraft's JSONL trace followed by its verdict JSON,
+# written from the code before conversion chains were composed and the JSONL
+# writer stopped calling json.dumps.  Unlike generated_traces.txt these cover
+# the corpus's role-marked kinds (``point deg``, ``interval m/s^2``) and
+# decimal script values such as "0.5".
+AIRCRAFT_TRACE_DIGESTS = {
+    (0, 0): "a125493202304ac63987a1b7525f261dd7134457bb20463f8faad85f987e576b",
+    (0, 1): "f443a7c1ad1705c78620c199cf407d3dd7099c7e9112a55140cd31a1c8fedfdf",
+    (0, 2000): "7776066bcc45347d31e3f0f9990cc3183d363df5be3335a960cd0667229cd2fb",
+    (3, 0): "a125493202304ac63987a1b7525f261dd7134457bb20463f8faad85f987e576b",
+    (3, 1): "f443a7c1ad1705c78620c199cf407d3dd7099c7e9112a55140cd31a1c8fedfdf",
+    (3, 2000): "7776066bcc45347d31e3f0f9990cc3183d363df5be3335a960cd0667229cd2fb",
+}
+
+
+def aircraft_trace_digest(model, graph, script, seed, steps):
+    trace = run(instantiate(graph, script, seed=seed), steps)
+    verdicts = simulator.verdicts_to_json(check_axioms(model, trace))
+    return hashlib.sha256((trace_to_jsonl(trace) + json.dumps(
+        verdicts, sort_keys=True)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, steps", sorted(AIRCRAFT_TRACE_DIGESTS))
+def test_aircraft_trace_digest(aircraft_model, aircraft_graph, aircraft_script, seed, steps):
+    digest = aircraft_trace_digest(aircraft_model, aircraft_graph, aircraft_script,
+                                   seed, steps)
+    assert digest == AIRCRAFT_TRACE_DIGESTS[seed, steps]
+
+
+_coefficients = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(10),
+                     Fraction(1, 10), Fraction(-5, 2)]),
+    st.fractions(max_denominator=1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(links=st.lists(st.tuples(_coefficients, _coefficients), max_size=4),
+       start=st.fractions(max_denominator=10 ** 6))
+def test_composed_chain_equals_stepwise_apply(links, start):
+    # Oracle: apply each declared conversion in turn, resolving every link's
+    # target kind, as the chain reads in the source.
+    registry = KindRegistry()
+    for i in range(len(links) + 1):
+        registry.register(QuantityKind(f"q{i}", DIMENSIONLESS))
+    convs = tuple(ConversionDecl(f"c{i}", f"q{i}", f"q{i + 1}", scale, offset)
+                  for i, (scale, offset) in enumerate(links))
+    model = DomainModel(conversions=convs)
+    value = Quantity(start, registry.resolve("q0"))
+    expected = value
+    for conv in convs:
+        expected = conv.apply(expected, registry.resolve(conv.to_kind))
+    actual = simulator.chain_map(model, registry, tuple(c.name for c in convs))(value)
+    assert actual.magnitude == expected.magnitude
+    assert actual.kind is expected.kind
+    assert actual == expected
+
+
+def test_composed_identity_chain_relabels_kind(aircraft_model, aircraft_graph):
+    registry = aircraft_graph.registry
+    value = Quantity(Fraction("10.2"), registry.resolve("point deg"))
+    shown = simulator.chain_map(aircraft_model, registry, ("a2rLO", "r2dLO"))(value)
+    assert shown == Quantity(Fraction("10.2"), registry.resolve("dLO"))
+    assert simulator.chain_map(aircraft_model, registry, ())(value) is value
+
+
+def reference_jsonl(trace):
+    # The writer as it was: one json.dumps(sort_keys=True) per event.
+    return "".join(json.dumps({
+        "step": event.step,
+        "kind": event.kind,
+        "channel": event.channel,
+        "process": event.process,
+        "payload": [{"kind": q.kind.name, "value": fraction_str(q.magnitude)}
+                    for q in event.payload],
+    }, sort_keys=True) + "\n" for event in trace)
+
+
+def test_jsonl_writer_matches_json_dumps_reference():
+    def kind(name):
+        return QuantityKind(name, DIMENSIONLESS)
+
+    quote, slash, wide = kind('say "hi"'), kind("back\\slash/"), kind("Ωmega µs 🚀")
+    control = kind("tab\there\nnl\x01\x7f")
+    events = (
+        TraceEvent(0, "receive", "attr_X_ch", "sensor", (Quantity(Fraction(-7), quote),)),
+        TraceEvent(0, "send", 'ch"q', "proc\\1", (
+            Quantity(Fraction(22, 7), slash), Quantity(Fraction(-1, 3), wide),
+            Quantity(Fraction("-0.5"), control), Quantity(Fraction(10 ** 40 + 1), quote),
+            Quantity(Fraction(-(10 ** 30), 2 ** 20), slash), Quantity(Fraction(0), wide))),
+        TraceEvent(1, "recursion", None, "dísplay", ()),
+        TraceEvent(2 ** 70, "receive", "ümlaut_ch", "😀", (Quantity(Fraction(1, 3), wide),)),
+        TraceEvent(3, "deadlock", None, ""),
+    )
+    trace = Trace(events)
+    assert trace_to_jsonl(trace) == reference_jsonl(trace)
+    assert trace_to_jsonl(Trace(())) == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(st.text(max_size=8), min_size=4, max_size=4),
+       magnitude=st.fractions(), step=st.integers(min_value=0))
+def test_jsonl_writer_matches_reference_on_any_text(names, magnitude, step):
+    channel, process, kind_name, event_kind = names
+    payload = (Quantity(magnitude, QuantityKind(kind_name, DIMENSIONLESS)),)
+    trace = Trace((TraceEvent(step, event_kind, channel, process, payload),
+                   TraceEvent(step, event_kind, None, process, payload * 2)))
+    assert trace_to_jsonl(trace) == reference_jsonl(trace)
+
+
+def test_jsonl_reader_keeps_equal_values_of_different_kinds_apart(aircraft_graph):
+    registry = aircraft_graph.registry
+    rlo, rla = registry.resolve("rLO"), registry.resolve("rLA")
+    events = tuple(
+        TraceEvent(step, "send", "po_di_ch", "position",
+                   (Quantity(Fraction(100), rlo), Quantity(Fraction(100), rla),
+                    Quantity(Fraction(100), rlo)))
+        for step in range(3))
+    back = trace_from_jsonl(trace_to_jsonl(Trace(events)), registry)
+    assert back == Trace(events)
+    for event in back:
+        assert [q.kind for q in event.payload] == [rlo, rla, rlo]
+
+
+def test_jsonl_reader_raises_on_first_bad_value(aircraft_graph):
+    good = '{"channel": null, "kind": "recursion", "payload": [{"kind": "rLO", ' \
+           '"value": "%s"}], "process": "display", "step": 0}\n'
+    with pytest.raises(ValueError, match="abc"):
+        trace_from_jsonl(good % "1.5" + good % "1.5" + good % "abc",
+                         aircraft_graph.registry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6),
+       cycle=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+       step=st.integers(min_value=0, max_value=100))
+def test_script_track_value_at_matches_scan(steps, cycle, step):
+    # Oracle: the last point at or before the step, scanning every point.
+    kind = QuantityKind("q", DIMENSIONLESS)
+    points = tuple(sorted(((s, Quantity(Fraction(i), kind)) for i, s in enumerate(steps)),
+                          key=lambda p: p[0]))
+    at = step % cycle if cycle else step
+    expected = None
+    if cycle or at <= max(steps):
+        for pstep, pvalue in points:
+            if pstep <= at:
+                expected = pvalue
+    assert ScriptTrack(points, cycle).value_at(step) == expected

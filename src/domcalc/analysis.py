@@ -10,7 +10,6 @@ an empty diagnostic list guarantees that compilation succeeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .diagnostics import Diagnostic, error, warning
@@ -41,7 +40,9 @@ from .units import (
     UnitBoundError,
     UnitError,
     builtin_registry,
+    parse_fraction,
     parse_unit,
+    resolve_kind,
 )
 
 
@@ -233,53 +234,59 @@ def _slice_source(model: DomainModel, roots: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnostic]]:
-    """Built-in kinds extended with kinds the model declares.
+    """The model's kind registry: one table built in one pass.
 
-    Conversion declarations mint their target kinds (same dimension as the
-    source, scale divided by the affine factor).  Attribute quantities and
-    channel kinds are resolved, reporting E205 for anything unknown and E208
-    for unit expressions beyond the size bounds.
-    Model-local declarations shadow built-ins of the same dimension (W210).
+    The table holds the built-in kinds; the kinds conversion declarations
+    mint (same dimension as the source, scale divided by the affine factor),
+    including model-local kinds that shadow a built-in of the same dimension
+    (W210); and every kind the model names in conversions, attributes and
+    channels, each with its interval kind.  Unknown kinds are reported as
+    E205 and unit expressions beyond the size bounds as E208.
     """
-    registry = builtin_registry()
-    builtin_kinds = builtin_registry()
+    builtins = builtin_registry()
+    kinds = {k.name: k for k in builtins.kinds()}
     diagnostics: list[Diagnostic] = []
+
+    def resolve(text: str) -> QuantityKind:
+        kind = resolve_kind(kinds, text)
+        kinds.setdefault(kind.name, kind)
+        if kind.interval_kind is not None:
+            kinds.setdefault(kind.interval_kind.name, kind.interval_kind)
+        return kind
 
     pending = list(model.conversions)
     while pending:
-        progressed = False
-        for conv in list(pending):
+        waiting: list[ConversionDecl] = []
+        for conv in pending:
             try:
-                from_kind = registry.resolve(conv.from_kind)
+                from_kind = resolve(conv.from_kind)
             except UnitBoundError as exc:
-                pending.remove(conv)
                 diagnostics.append(error("E208", f"conversion {conv.name!r}: {exc}", conv.span))
                 continue
             except (UnitError, KeyError):
+                waiting.append(conv)  # its source may be minted later in the pass
                 continue
-            pending.remove(conv)
-            progressed = True
             if conv.scale == 0:
                 diagnostics.append(error(
                     "E207", f"conversion {conv.name!r} has a degenerate affine scale 0",
                     conv.span))
                 continue
             try:
-                existing: Optional[QuantityKind] = registry.resolve(conv.to_kind)
+                existing: Optional[QuantityKind] = resolve(conv.to_kind)
             except (UnitError, KeyError):
                 existing = None
             derived = QuantityKind(conv.to_kind, from_kind.dimension, from_kind.role,
                                    from_kind.scale / conv.scale)
             if existing is None:
-                registry.register(derived)
+                kinds[derived.name] = derived
             elif existing.dimension != from_kind.dimension:
                 diagnostics.append(error(
                     "E205",
                     f"conversion {conv.name!r} targets {conv.to_kind!r} "
                     f"of dimension {existing.dimension}, expected {from_kind.dimension}",
                     conv.span))
-            elif conv.to_kind in builtin_kinds and existing != derived:
-                registry.override(derived)
+            elif conv.to_kind in builtins and existing != derived:
+                kinds[derived.name] = derived
                 diagnostics.append(warning(
                     "W210",
                     f"model-local kind {conv.to_kind!r} shadows the built-in kind",
@@ -290,17 +297,18 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
                     f"conversion {conv.name!r} derives {conv.to_kind!r} on a "
                     "different scale than its earlier definition; keeping the first",
                     conv.span))
-        if not progressed:
-            for conv in pending:
+        if len(waiting) == len(pending):
+            for conv in waiting:
                 diagnostics.append(error(
                     "E205", f"conversion {conv.name!r} has unknown source kind "
                             f"{conv.from_kind!r}", conv.span))
             break
+        pending = waiting
 
     for endurant in model.endurants:
         for attr in endurant.attributes:
             try:
-                registry.resolve(attr.quantity)
+                resolve(attr.quantity)
             except (UnitError, KeyError) as exc:
                 diagnostics.append(error(
                     _unit_code(exc), f"attribute {endurant.name}.{attr.name}: {exc}",
@@ -308,11 +316,11 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
     for channel in model.channels:
         for kind in channel.kinds:
             try:
-                registry.resolve(kind)
+                resolve(kind)
             except (UnitError, KeyError) as exc:
                 diagnostics.append(error(
                     _unit_code(exc), f"channel {channel.name!r}: {exc}", channel.span))
-    return registry, diagnostics
+    return KindRegistry(kinds.values()), diagnostics
 
 
 def _unit_code(exc: Exception) -> str:
@@ -330,7 +338,7 @@ def parse_value(text: str, kind: QuantityKind, registry: KindRegistry) -> Quanti
     parts = text.strip().split(None, 1)
     if not parts:
         raise ValueError("empty value literal")
-    magnitude = Fraction(parts[0])
+    magnitude = parse_fraction(parts[0])
     if len(parts) == 1:
         return Quantity(magnitude, kind)
     dim, scale = parse_unit(parts[1])

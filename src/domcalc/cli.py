@@ -54,6 +54,17 @@ def _load_model(path: str):
     return model, None
 
 
+def _write_output(path: str, text: str) -> int:
+    """Write an output file: 0, or 1 after ``error: …`` when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_parse(args) -> int:
     model, code = _parse_model(args.file)
     if code is not None:
@@ -108,9 +119,8 @@ def cmd_compile(args) -> int:
         return 2
     sys.stdout.write(compiler.print_process(graph))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(compiler.graph_to_json(graph), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        return _write_output(args.json, json.dumps(
+            compiler.graph_to_json(graph), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -135,9 +145,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     trace = simulator.run(config, args.steps)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(simulator.trace_to_jsonl(trace))
+    if args.trace and _write_output(args.trace, simulator.trace_to_jsonl(trace)):
+        return 1
     verdicts = simulator.check_axioms(model, trace)
     print(json.dumps(simulator.verdicts_to_json(verdicts), indent=2, sort_keys=True))
     return 0 if all(v.passed for v in verdicts) else 2

@@ -52,7 +52,7 @@ from .model import (
     MereoProduct,
     MereoSet,
 )
-from .units import fraction_str
+from .units import UnitBoundError, fraction_str, parse_fraction
 
 _TOP_KEYWORDS = ("part", "material", "component", "conversion", "channel", "axiom")
 
@@ -83,10 +83,11 @@ class Token:
 
 
 class _ParseError(Exception):
-    def __init__(self, message: str, token: Token):
+    def __init__(self, message: str, token: Token, code: str = "E001"):
         super().__init__(message)
         self.message = message
         self.token = token
+        self.code = code
 
 
 def _tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -223,7 +224,7 @@ class _Parser:
                     raise self.fail(
                         f"expected a declaration keyword, found {tok.value!r}")
             except _ParseError as err:
-                self.report("E001", err.message, err.token)
+                self.report(err.code, err.message, err.token)
                 self.skip_to_top_level()
         model = DomainModel(tuple(endurants), tuple(conversions),
                             tuple(channels), tuple(axioms))
@@ -378,19 +379,25 @@ class _Parser:
                                               semi.line, semi.col + 1))
 
     def parse_number(self) -> Fraction:
-        tok = self.peek()
-        if tok.type != "number":
-            raise self.fail(f"expected a number, found {tok.value!r}", tok)
-        self.next()
-        value = Fraction(tok.value)
+        value = self.number_token("a number")
         if self.at("/"):  # exact rational literals: 5/18
             self.next()
-            denom = self.peek()
-            if denom.type != "number":
-                raise self.fail(f"expected a denominator, found {denom.value!r}", denom)
-            self.next()
-            value /= Fraction(denom.value)
+            tok = self.peek()
+            denominator = self.number_token("a denominator")
+            if denominator == 0:
+                raise self.fail("zero denominator in a rational literal", tok)
+            value /= denominator
         return value
+
+    def number_token(self, what: str) -> Fraction:
+        tok = self.peek()
+        if tok.type != "number":
+            raise self.fail(f"expected {what}, found {tok.value!r}", tok)
+        self.next()
+        try:
+            return parse_fraction(tok.value)
+        except UnitBoundError as exc:
+            raise _ParseError(str(exc), tok, "E208") from None
 
     def parse_channel(self) -> ChannelDecl:
         start = self.next()

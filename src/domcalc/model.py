@@ -1,7 +1,8 @@
 """Core value types for domain descriptions and compiled behaviour IR.
 
-Everything in this module is an immutable value: models can be shared freely
-between threads and compared structurally.  Source spans are carried for
+Everything in this module is an immutable value: models and process graphs,
+including the ``KindRegistry`` a graph carries, can be shared freely between
+threads, and they compare structurally.  Source spans are carried for
 diagnostics but excluded from equality, so a parsed model and its re-parsed
 pretty-print compare equal.
 """
@@ -14,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .diagnostics import SourceSpan
-from .units import Quantity
+from .units import KindRegistry, Quantity
 
 # Endurant kinds.
 PART = "part"
@@ -360,7 +361,7 @@ class ProcessNode:
 class ProcessGraph:
     root: Optional[ProcessNode]
     channels: tuple[ResolvedChannel, ...]
-    registry: object = field(default=None, compare=False, repr=False)
+    registry: KindRegistry = field(compare=False, repr=False)
     model: Optional["DomainModel"] = field(default=None, compare=False, repr=False)
 
     def processes(self) -> tuple[ProcessDef, ...]:

@@ -72,7 +72,8 @@ class EnvironmentScript:
     def from_json(data: dict, graph: ProcessGraph) -> "EnvironmentScript":
         """Build a script from the JSON form: channel -> [[step, "value"], ...]
         or channel -> {"points": [...], "cycle": N}.  Steps are non-negative
-        and a cycle is a positive integer; anything else raises ``ScriptError``."""
+        JSON integers and a cycle is a positive integer; anything else raises
+        ``ScriptError``."""
         if not isinstance(data, dict):
             raise ScriptError("script must be a JSON object mapping channels to tracks")
         registry: KindRegistry = graph.registry
@@ -97,13 +98,14 @@ class EnvironmentScript:
                 raise ScriptError(f"{name!r}: points must be [step, \"value\"] pairs")
             parsed = []
             for step, text in points:
-                try:
-                    step = int(step)
-                    value = parse_value(text, kind, registry)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
-                    raise ScriptError(f"{name!r} at step {step!r}: {exc}") from None
+                if type(step) is not int:
+                    raise ScriptError(f"{name!r}: step {step!r} is not an integer")
                 if step < 0:
                     raise ScriptError(f"{name!r}: point at negative step {step}")
+                try:
+                    value = parse_value(text, kind, registry)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ScriptError(f"{name!r} at step {step}: {exc}") from None
                 parsed.append((step, value))
             tracks[name] = ScriptTrack(tuple(sorted(parsed, key=lambda p: p[0])), cycle)
         return EnvironmentScript(tracks)
@@ -430,10 +432,14 @@ def trace_to_jsonl(trace: Trace) -> str:
         return literal
 
     lines = []
+    message: tuple[Quantity, ...] = ()
+    payload = ""
     for event in trace:
-        payload = ", ".join(
-            f'{{"kind": {string(q.kind.name)}, "value": "{fraction_str(q.magnitude)}"}}'
-            for q in event.payload)
+        if event.payload is not message:  # a send and its receive share one tuple
+            message = event.payload
+            payload = ", ".join(
+                f'{{"kind": {string(q.kind.name)}, "value": "{fraction_str(q.magnitude)}"}}'
+                for q in message)
         lines.append(
             f'{{"channel": {string(event.channel)}, "kind": {string(event.kind)}, '
             f'"payload": [{payload}], "process": {string(event.process)}, '

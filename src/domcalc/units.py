@@ -10,7 +10,7 @@ This module supplies:
   * ``QuantityKind``     named kind = dimension + role + scale + affine offset
   * ``check_op``         the operator-permission ledger over kinds
   * ``mean`` / ``rate_of_change`` / ``typecheck_expr``  value and expression checks
-  * ``KindRegistry``     built-in kinds plus kinds extended from a domain model
+  * ``KindRegistry``     immutable table of built-in kinds plus a model's kinds
 
 All arithmetic is exact (``fractions.Fraction``); there are no floats anywhere,
 so equality checks in axiom verdicts are meaningful.
@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, SourceSpan, error
 
@@ -406,7 +407,18 @@ def fraction_str(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Inverse of ``fraction_str``: decimal forms and 'p/q' forms."""
+    """Inverse of ``fraction_str``: decimal, exponent and 'p/q' forms.
+
+    A literal spelling out more digits, its exponent included, than the
+    scale bound allows raises ``UnitBoundError`` before any number is built.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(map(str.isdecimal, mantissa))
+    if exponent.isdecimal():
+        digits += int(exponent[:5])  # five digits already pass the bound
+    if digits * 3 > MAX_SCALE_BITS:
+        raise UnitBoundError(f"number literal beyond {MAX_SCALE_BITS} bits")
     return Fraction(text.strip())
 
 
@@ -432,36 +444,48 @@ _BUILTIN_KINDS = (REAL, BOOL, TIME, TIME_INTERVAL, TEMP, TEMP_INTERVAL,
                   MEAN_TEMP, CELSIUS)
 
 
-class KindRegistry:
-    """Name -> QuantityKind mapping: built-ins plus model-declared kinds.
+def resolve_kind(kinds: Mapping[str, QuantityKind], text: str) -> QuantityKind:
+    """Resolve a quantity reference against a name -> kind table: a kind name,
+    a unit expression, or a unit expression under a ``point``/``interval``
+    role marker.  The raw text is looked up first, then its canonical name.
+    A unit expression missing from ``kinds`` gets a fresh kind, a pure
+    function of its text, and ``kinds`` is not written."""
+    if text in kinds:
+        return kinds[text]
+    words = text.split()
+    if words and words[0] in (POINT, INTERVAL):
+        role = words[0]
+        base = canonical_unit_text(" ".join(words[1:]))
+        if not base:
+            raise UnitError(f"missing unit expression after {role!r}")
+        name = f"{role} {base}"
+        if name in kinds:
+            return kinds[name]
+        dim, scale = parse_unit(base)
+        interval = kinds.get(f"interval {base}")
+        if interval is None:
+            interval = QuantityKind(f"interval {base}", dim, INTERVAL, scale)
+        if role == INTERVAL:
+            return interval
+        return QuantityKind(name, dim, POINT, scale, interval_kind=interval)
+    stripped = canonical_unit_text(text)
+    if stripped in kinds:
+        return kinds[stripped]
+    dim, scale = parse_unit(stripped)
+    return QuantityKind(stripped, dim, PLAIN, scale)
 
-    The registry is conceptually immutable once a model has been loaded;
-    ``resolve`` only mints kinds for unit expressions, which are pure
-    functions of their text.
+
+class KindRegistry:
+    """Name -> QuantityKind table: the built-ins, or the kinds of a model.
+
+    A registry is an immutable value, safe to share between threads: its
+    table is fixed at construction (``analysis.registry_for_model`` builds a
+    model's), and ``resolve`` stores nothing.
     """
 
-    def __init__(self) -> None:
-        self._kinds: dict[str, QuantityKind] = {k.name: k for k in _BUILTIN_KINDS}
-
-    def register(self, kind: QuantityKind) -> QuantityKind:
-        existing = self._kinds.get(kind.name)
-        if existing is not None:
-            if existing.dimension != kind.dimension:
-                raise ValueError(
-                    f"kind {kind.name!r} already registered with dimension "
-                    f"{existing.dimension}, not {kind.dimension}")
-            return existing
-        self._kinds[kind.name] = kind
-        return kind
-
-    def override(self, kind: QuantityKind) -> QuantityKind:
-        """Replace a registered kind of the same dimension (model-local
-        declarations shadow built-ins)."""
-        existing = self._kinds.get(kind.name)
-        if existing is not None and existing.dimension != kind.dimension:
-            raise ValueError(f"cannot override {kind.name!r} across dimensions")
-        self._kinds[kind.name] = kind
-        return kind
+    def __init__(self, kinds: Iterable[QuantityKind] = _BUILTIN_KINDS) -> None:
+        self._kinds: Mapping[str, QuantityKind] = MappingProxyType(
+            {k.name: k for k in kinds})
 
     def __contains__(self, name: str) -> bool:
         return name in self._kinds
@@ -476,34 +500,7 @@ class KindRegistry:
         return tuple(self._kinds[n] for n in sorted(self._kinds))
 
     def resolve(self, text: str) -> QuantityKind:
-        """Resolve a quantity reference: a kind name, a unit expression, or a
-        unit expression under a ``point``/``interval`` role marker."""
-        words = text.split()
-        if words and words[0] in (POINT, INTERVAL):
-            role = words[0]
-            base = canonical_unit_text(" ".join(words[1:]))
-            if not base:
-                raise UnitError(f"missing unit expression after {role!r}")
-            name = f"{role} {base}"
-            if name in self._kinds:
-                return self._kinds[name]
-            dim, scale = parse_unit(base)
-            interval = self._kinds.get(f"interval {base}")
-            if interval is None:
-                interval = QuantityKind(f"interval {base}", dim, INTERVAL, scale)
-                self._kinds[interval.name] = interval
-            if role == INTERVAL:
-                return interval
-            kind = QuantityKind(name, dim, POINT, scale, interval_kind=interval)
-            self._kinds[name] = kind
-            return kind
-        stripped = canonical_unit_text(text)
-        if stripped in self._kinds:
-            return self._kinds[stripped]
-        dim, scale = parse_unit(stripped)
-        kind = QuantityKind(stripped, dim, PLAIN, scale)
-        self._kinds[stripped] = kind
-        return kind
+        return resolve_kind(self._kinds, text)
 
     def check_op(self, op: str, lhs: QuantityKind, rhs: QuantityKind) -> "OpVerdict":
         for kind in (lhs, rhs):

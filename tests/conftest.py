@@ -28,3 +28,9 @@ def aircraft_model(aircraft_path):
 @pytest.fixture(scope="session")
 def aircraft_graph(aircraft_model):
     return compiler.compile_model(aircraft_model)
+
+
+def short_id(value) -> str:
+    """Test id of a parameter: its text, or its length when the text is long."""
+    text = str(value)
+    return text if len(text) <= 24 else f"{len(text)}-chars"

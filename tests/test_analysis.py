@@ -1,4 +1,9 @@
+import hashlib
+import json
 import random
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,8 +22,11 @@ from domcalc.analysis import (
 )
 from domcalc.dsl import parse_model
 from domcalc.model import DomainModel, EndurantDecl, MereoEmpty
+from domcalc.simulator import trace_from_jsonl
+from domcalc.units import typecheck_expr
 
-from modelgen import composite_chain, random_model
+from conftest import GOLDEN
+from modelgen import composite_chain, pairs_model, random_model
 
 
 def parse_ok(text):
@@ -150,6 +158,101 @@ def test_registry_shadowing_builtin_warns():
     assert registry.get("Temp").scale.denominator == 2
 
 
+# Models reaching each branch of the registry construction.
+REGISTRY_SNIPPETS = {
+    "shadow": "conversion c : K -> Temp = affine(2, 0);",
+    "same-as-builtin": "conversion c : interval K -> TempInterval = affine(1, 0);",
+    "redefined": "conversion c : m -> Z = affine(2, 0); conversion d : km -> Z = affine(3, 0);",
+    "unit-target": "conversion c : m -> km = affine(1/1000, 0);"
+                   " conversion d : s -> km = affine(1, 0);",
+    "degenerate": "conversion c : m -> Z = affine(0, 0);",
+    "unknown": "conversion c : nosuch -> Z = affine(1, 0);",
+    "forward": "conversion b : Y -> Z = affine(2, 0); conversion a : point K -> Y = affine(1, 5);"
+               " conversion c : interval K -> W = affine(3, 0);",
+    "roles": """
+        part A { id AI; mereo empty; attr X : point km / h reactive; attr Y : interval  K inert;
+                 attr V : km / h reactive; attr T : Temp inert; attr Q : nosuch reactive; }
+        channel attr_X_ch : point km/h;
+        channel c : N x point s x interval h;
+    """,
+    "bounds": """
+        part A { id AI; mereo A -> empty; attr X : km^10000 reactive; }
+        channel c : ((kdeg^99)^99)^99;
+        conversion big : km^5000 -> Z = affine(1, 0);
+    """,
+}
+
+
+def registry_kinds_text(aircraft_model) -> str:
+    """sha256 of each model's registry: every kind, as name and value, then
+    the construction diagnostics in order.  The golden file was written by
+    the registry as it was before ``resolve`` stopped storing kinds."""
+    models = [("aircraft", aircraft_model)]
+    models += [(f"random_model seed={seed}", random_model(random.Random(seed)))
+               for seed in range(40)]
+    models += [(f"pairs_model n={n} seed={seed}", pairs_model(random.Random(seed), n))
+               for n in (2, 12) for seed in range(6)]
+    models += [(f"snippet {name}", parse_model(text)[0])
+               for name, text in REGISTRY_SNIPPETS.items()]
+    lines = []
+    for label, model in models:
+        registry, diagnostics = registry_for_model(model)
+        document = repr([(k.name, k) for k in registry.kinds()]) + repr(
+            [(d.code, d.message) for d in diagnostics])
+        lines.append(f"{label} {hashlib.sha256(document.encode()).hexdigest()}\n")
+    return "".join(lines)
+
+
+def test_registry_kinds_golden(aircraft_model):
+    assert registry_kinds_text(aircraft_model) == (GOLDEN / "registry_kinds.txt").read_text()
+
+
+UNSEEN_KINDS = ("N/m^2", "point K", "interval h", "point  km / h", "kPa")
+
+
+def test_registry_is_not_written_by_reads(aircraft_model):
+    registry, _ = registry_for_model(aircraft_model)
+    before = registry.kinds()
+    for text in UNSEEN_KINDS:
+        assert text not in registry
+        assert registry.resolve(text) == registry.resolve(text)
+    assert registry.resolve("point K").interval_kind == registry.resolve("interval K")
+    line = json.dumps({"channel": "c", "kind": "send", "process": "p", "step": 0,
+                       "payload": [{"kind": "kPa", "value": "3/2"},
+                                   {"kind": "point K", "value": "-1"}]})
+    payload = trace_from_jsonl(line + "\n", registry).events[0].payload
+    assert [q.kind.name for q in payload] == ["kPa", "point K"]
+    assert typecheck_expr("kPa * m / N", {}, registry).kind.name == "kPa*m/N"
+    assert registry.kinds() == before
+
+
+def test_registry_shared_between_threads(aircraft_model):
+    registry, _ = registry_for_model(aircraft_model)
+    before = registry.kinds()
+    texts = UNSEEN_KINDS + ("rLO", "dLO", "Temp", "point deg")
+
+    def resolve_all(_):
+        return [registry.resolve(text) for _ in range(200) for text in texts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(resolve_all, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 and all(result == results[0] for result in results)
+    assert registry.kinds() == before
+
+
+def test_registry_target_with_spaces_conflict_is_e205():
+    model = parse_ok("conversion c : m -> foo bar = affine(1, 0);"
+                     " conversion d : s -> foo bar = affine(1, 0);")
+    registry, diagnostics = registry_for_model(model)
+    assert [d.code for d in diagnostics] == ["E205"]
+    assert registry.resolve("foo bar").dimension == registry.resolve("m").dimension
+
+
 # -- well-formedness ---------------------------------------------------------
 
 def test_aircraft_is_wellformed(aircraft_model):
@@ -204,6 +307,16 @@ def test_unit_size_bound_in_model_is_e208():
     """)
     codes = [d.code for d in registry_for_model(model)[1]]
     assert codes == ["E208", "E208", "E208"]
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e10000000 m", "-1e-5000"])
+def test_init_literal_beyond_bound_is_e206(literal):
+    model = parse_ok(f"part A {{ id AI; mereo empty; attr X : m static init {literal}; }}")
+    started = time.perf_counter()
+    diagnostics = check_wellformed(model)
+    assert time.perf_counter() - started < 0.5
+    assert [d.code for d in diagnostics] == ["E206"]
+    assert "beyond 4096 bits" in diagnostics[0].message
 
 
 def test_cycle_oracle_agrees_on_acyclic(aircraft_model):

@@ -136,6 +136,8 @@ def _with_lo_track(track):
     pytest.param(None, _with_lo_track([[0, "10 deg"], [-5, "11 deg"]]),
                  id="negative-step"),
     pytest.param(b"part \xff\xfe {}", json.dumps, id="dom-not-utf8"),
+    pytest.param(None, _with_lo_track([[0, "10 deg"], [2.7, "11 deg"]]), id="step-float"),
+    pytest.param(None, _with_lo_track([[0, "1e5000 deg"]]), id="value-beyond-bound"),
 ])
 def test_simulate_bad_input_exits_1_without_traceback(
         capsys, tmp_path, aircraft_path, aircraft_script_path, dom, make_script):
@@ -149,6 +151,21 @@ def test_simulate_bad_input_exits_1_without_traceback(
                            "--steps", "5", "--seed", "0")
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "compile"])
+def test_output_path_errors_exit_1_without_traceback(
+        capsys, tmp_path, aircraft_path, aircraft_script_path, command, target):
+    path = str(tmp_path / "nodir" / "out" if target == "missing-dir" else tmp_path)
+    if command == "simulate":
+        args = ("simulate", str(aircraft_path), "--script", str(aircraft_script_path),
+                "--steps", "5", "--seed", "0", "--trace", path)
+    else:
+        args = ("compile", str(aircraft_path), "--json", path)
+    code, _, err = run_cli(capsys, *args)
+    assert code == 1
+    assert err.startswith("error: ") and path in err
 
 
 def test_simulate_negative_steps_exits_1(capsys, aircraft_path, aircraft_script_path):

@@ -1,11 +1,14 @@
 import random
+import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from domcalc import analysis
 from domcalc.dsl import parse_model, print_model
 from domcalc.model import MereoEmpty, MereoId, MereoProduct
 
+from conftest import short_id
 from modelgen import random_model
 
 
@@ -178,3 +181,18 @@ def test_rational_affine_coefficients_roundtrip():
     assert conv.scale == Fraction(5, 18) and conv.offset == Fraction(-1, 3)
     reparsed, _ = parse_model(print_model(model))
     assert reparsed == model
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e10000000", "1e-5000", "1" * 2000,
+                                     "1/1e5000"], ids=short_id)
+def test_affine_coefficient_beyond_bound_is_e208(literal):
+    started = time.perf_counter()
+    _, diagnostics = parse_model(f"conversion c : m -> q = affine({literal}, 0);")
+    assert time.perf_counter() - started < 0.5
+    assert [d.code for d in diagnostics] == ["E208"]
+    assert "beyond 4096 bits" in diagnostics[0].message
+
+
+def test_affine_zero_denominator_is_e001():
+    _, diagnostics = parse_model("conversion c : m -> q = affine(5/0, 0);")
+    assert [d.code for d in diagnostics] == ["E001"]

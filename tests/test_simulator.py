@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from domcalc.simulator import (
     trace_to_jsonl,
 )
 from domcalc.units import DIMENSIONLESS, KindRegistry, Quantity, QuantityKind, fraction_str
-from conftest import GOLDEN
+from conftest import GOLDEN, short_id
 from modelgen import pairs_model, perturb_recursion_payload, random_model, random_script
 
 
@@ -414,6 +415,35 @@ def test_script_value_beyond_unit_bounds_is_script_error(aircraft_graph):
         EnvironmentScript.from_json({"attr_AL_ch": [[0, "1 km^100000000"]]}, aircraft_graph)
 
 
+@pytest.mark.parametrize("step", [2.7, "3", True, False, None, [1]])
+def test_script_step_must_be_a_json_integer(aircraft_graph, step):
+    with pytest.raises(ScriptError, match="not an integer"):
+        EnvironmentScript.from_json(
+            {"attr_AL_ch": [[0, "1 m"], [step, "2 m"]]}, aircraft_graph)
+
+
+@pytest.mark.parametrize("value", ["1e5000 m", "1e10000000 m", "1e-5000", "1" * 5000],
+                         ids=short_id)
+def test_script_value_literal_beyond_bound_is_script_error(aircraft_graph, value):
+    started = time.perf_counter()
+    with pytest.raises(ScriptError, match="beyond 4096 bits"):
+        EnvironmentScript.from_json({"attr_AL_ch": [[0, value]]}, aircraft_graph)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_jsonl_writer_formats_each_message_once(aircraft_graph, aircraft_script,
+                                                monkeypatch):
+    trace = run(instantiate(aircraft_graph, aircraft_script, seed=0), 30)
+    expected = trace_to_jsonl(trace)
+    calls = []
+    monkeypatch.setattr(simulator, "fraction_str",
+                        lambda value: calls.append(value) or fraction_str(value))
+    assert trace_to_jsonl(trace) == expected
+    messages = [event.payload for event in trace]
+    distinct = [m for i, m in enumerate(messages) if i == 0 or m is not messages[i - 1]]
+    assert len(calls) == sum(len(m) for m in distinct) < sum(len(m) for m in messages)
+
+
 def test_instantiate_rejects_wrong_kind_values(aircraft_graph):
     from fractions import Fraction
     from domcalc.units import Quantity
@@ -467,9 +497,8 @@ _coefficients = st.one_of(
 def test_composed_chain_equals_stepwise_apply(links, start):
     # Oracle: apply each declared conversion in turn, resolving every link's
     # target kind, as the chain reads in the source.
-    registry = KindRegistry()
-    for i in range(len(links) + 1):
-        registry.register(QuantityKind(f"q{i}", DIMENSIONLESS))
+    registry = KindRegistry(QuantityKind(f"q{i}", DIMENSIONLESS)
+                            for i in range(len(links) + 1))
     convs = tuple(ConversionDecl(f"c{i}", f"q{i}", f"q{i + 1}", scale, offset)
                   for i, (scale, offset) in enumerate(links))
     model = DomainModel(conversions=convs)

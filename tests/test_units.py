@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from domcalc.units import (
     rate_of_change,
     typecheck_expr,
 )
+
+from conftest import short_id
 
 # Independent oracle: resolve base symbols only, sum exponent vectors term by
 # term.  Derived units are given directly as their base decompositions, taken
@@ -375,6 +378,24 @@ def test_unknown_name_has_span(flight_env):
 def test_fraction_str_roundtrip_decimals(mantissa, exponent):
     value = Fraction(mantissa, 10 ** exponent)
     assert parse_fraction(fraction_str(value)) == value
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e1300", Fraction(10) ** 1300), ("-2.5E-3", Fraction(-1, 400)),
+    ("1e+0005", Fraction(100000)), ("9" * 1365, Fraction(int("9" * 1365))),
+    ("12/1" + "0" * 1300, Fraction(12, 10 ** 1300))], ids=short_id)
+def test_parse_fraction_within_bound(text, value):
+    assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1E-5000", "1e10000000", "1e1_000_000",
+                                  "9" * 1366, "1/1" + "0" * 1400,
+                                  "1e" + "9" * 5000], ids=short_id)
+def test_parse_fraction_beyond_bound_refused_before_it_is_built(text):
+    started = time.perf_counter()
+    with pytest.raises(units.UnitBoundError, match="beyond 4096 bits"):
+        parse_fraction(text)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_fraction_str_forms():

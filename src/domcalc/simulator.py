@@ -13,16 +13,19 @@ shorter runs are prefixes of longer ones.
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .analysis import parse_value, registry_for_model
 from .model import DomainModel, ProcessDef, ProcessGraph
 from .units import KindRegistry, Quantity, fraction_str, parse_fraction
+
+T = TypeVar("T")
 
 SEND = "send"
 RECEIVE = "receive"
@@ -111,8 +114,10 @@ class EnvironmentScript:
         return EnvironmentScript(tracks)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace record, an immutable named tuple.  Equal payload values in
+    one trace may be one shared ``Quantity`` object."""
+
     step: int
     kind: str
     channel: Optional[str]
@@ -193,7 +198,6 @@ class _ProcState:
     pc: int = 0
     received: dict = field(default_factory=dict)
     controllables: dict = field(default_factory=dict)
-    recursed_in_phase: bool = False
     # One core cycle: every receive, then every send, then the recursion.
     program: tuple = field(init=False)
 
@@ -201,9 +205,6 @@ class _ProcState:
         body = self.process.body
         self.program = (*(("recv", name) for name in body.receives),
                         *(("send", spec) for spec in body.sends), ("recurse", None))
-
-    def action(self):
-        return self.program[self.pc]
 
 
 def chain_map(model: DomainModel, registry: KindRegistry,
@@ -230,6 +231,33 @@ def chain_map(model: DomainModel, registry: KindRegistry,
     return lambda value: Quantity(scale * value.magnitude + offset, kind)
 
 
+def _by_identity(fn: Callable[[Any], T]) -> Callable[[Any], T]:
+    """``fn`` memoised on the identity of its argument, for the lifetime of
+    the returned function.  Each entry keeps its argument alive, so the
+    ``id`` cannot be reused, and nothing but the ``id`` is hashed; an equal
+    but distinct argument is simply computed again."""
+    seen: dict[int, tuple[Any, T]] = {}
+
+    def memo(value):
+        hit = seen.get(id(value))
+        if hit is None:
+            hit = seen[id(value)] = (value, fn(value))
+        return hit[1]
+    return memo
+
+
+def chain_maps(model: DomainModel, registry: KindRegistry
+               ) -> Callable[[tuple[str, ...]], Callable[[Quantity], Quantity]]:
+    """Chain -> its ``chain_map``, built on first use and memoised by
+    identity; each call returns fresh memos, one per caller.
+
+    ``ScriptTrack.value_at`` hands out the same point objects every cycle,
+    so a run feeds each map a few objects over and over and its payloads
+    share one result per (object, chain).
+    """
+    return cache(lambda chain: _by_identity(chain_map(model, registry, chain)))
+
+
 def run(config: RunConfig, max_steps: int) -> Trace:
     """Execute until ``max_steps`` rendezvous or quiescence.
 
@@ -252,7 +280,7 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                    if c.name not in external and c.receivers[0] in state_of}
     events: list[TraceEvent] = []
     steps = 0
-    map_of = cache(partial(chain_map, model, registry))  # filled on first use
+    map_of = chain_maps(model, registry)
 
     def recurse(state: _ProcState) -> None:
         for update in state.process.body.updates:
@@ -264,19 +292,17 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                         for a in state.process.signature.controllable_params)
         events.append(TraceEvent(steps, RECURSION, None, state.process.name, payload))
         state.pc = 0
-        state.recursed_in_phase = True
+
+    tracks = config.script.tracks
 
     def advance_phase() -> None:
         for state in states:
-            state.recursed_in_phase = False
-        for state in states:
+            recursed = False
             while True:
-                op, arg = state.action()
+                op, arg = state.program[state.pc]
                 if op == "recv" and arg in external:
-                    value = None
-                    track = config.script.tracks.get(arg)
-                    if track is not None:
-                        value = track.value_at(steps)
+                    track = tracks.get(arg)
+                    value = None if track is None else track.value_at(steps)
                     if value is None:
                         break  # script exhausted: blocked for good
                     events.append(TraceEvent(steps, RECEIVE, arg,
@@ -284,20 +310,21 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                     state.received[arg] = (value,)
                     state.pc += 1
                 elif op == "recurse":
-                    if state.recursed_in_phase:
+                    if recursed:
                         break  # one cycle per phase for channel-free spinners
                     recurse(state)
+                    recursed = True
                 else:
                     break  # blocked on an inter-behaviour action
 
     def enabled_pairs():
         pairs = []
         for sender in states:
-            op, arg = sender.action()
+            op, arg = sender.program[sender.pc]
             if op != "send":
                 continue
             receiver = receiver_of.get(arg.channel)
-            if receiver is not None and receiver.action() == ("recv", arg.channel):
+            if receiver is not None and receiver.program[receiver.pc] == ("recv", arg.channel):
                 pairs.append((arg.channel, sender, receiver, arg))
         return sorted(pairs, key=lambda p: (p[0], p[1].process.name))
 
@@ -344,7 +371,10 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
     registry: KindRegistry = graph.registry
     processes = {p.name: p for p in graph.processes()}
     verdicts: list[Verdict] = []
-    map_of = cache(partial(chain_map, model, registry))  # filled on first use
+    map_of = chain_maps(model, registry)
+    # Payload values are shared objects, so each (expected, actual) pair of
+    # objects is compared once: equal_to(expected)(actual).
+    equal_to = _by_identity(lambda expected: _by_identity(partial(operator.eq, expected)))
     for axiom in model.axioms:
         target = model.endurant(axiom.target_sort)
         process = processes.get(target.behaviour_name) if target else None
@@ -356,10 +386,12 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
         last: dict[str, tuple[Quantity, ...]] = {}
         verdict = None
         checked = 0
-        for event in trace:
-            if event.kind == RECEIVE and event.process == process.name:
-                last[event.channel] = event.payload
-            if event.kind != RECURSION or event.process != process.name:
+        for step, kind, channel, name, payload in trace:
+            if name != process.name:
+                continue
+            if kind == RECEIVE:
+                last[channel] = payload
+            if kind != RECURSION:
                 continue
             expected: list[Quantity] = []
             actual: list[Quantity] = []
@@ -370,12 +402,12 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
                     complete = False
                     break
                 expected.append(map_of(update.chain)(last[update.channel][update.index]))
-                actual.append(event.payload[order.index(attr)])
+                actual.append(payload[order.index(attr)])
             if not complete:
                 continue
             checked += 1
-            if expected != actual:
-                verdict = Verdict(axiom.name, "fail", event.step,
+            if not all(equal_to(e)(a) for e, a in zip(expected, actual)):
+                verdict = Verdict(axiom.name, "fail", step,
                                   tuple(expected), tuple(actual), checked)
                 break
         verdicts.append(verdict or Verdict(axiom.name, "pass", checked=checked))
@@ -431,19 +463,20 @@ def trace_to_jsonl(trace: Trace) -> str:
             literal = strings[text] = encode_basestring_ascii(text)
         return literal
 
+    text_of = _by_identity(lambda q: f'{{"kind": {string(q.kind.name)}, '
+                                    f'"value": "{fraction_str(q.magnitude)}"}}')
+
+    # The text around the payload, per (channel, kind, process).
+    frames: dict[tuple, tuple[str, str]] = {}
     lines = []
-    message: tuple[Quantity, ...] = ()
-    payload = ""
-    for event in trace:
-        if event.payload is not message:  # a send and its receive share one tuple
-            message = event.payload
-            payload = ", ".join(
-                f'{{"kind": {string(q.kind.name)}, "value": "{fraction_str(q.magnitude)}"}}'
-                for q in message)
-        lines.append(
-            f'{{"channel": {string(event.channel)}, "kind": {string(event.kind)}, '
-            f'"payload": [{payload}], "process": {string(event.process)}, '
-            f'"step": {int.__repr__(event.step)}}}\n')
+    for step, kind, channel, process, payload in trace:
+        frame = frames.get((channel, kind, process))
+        if frame is None:
+            frame = frames[channel, kind, process] = (
+                f'{{"channel": {string(channel)}, "kind": {string(kind)}, "payload": [',
+                f'], "process": {string(process)}, "step": ')
+        lines.append(f"{frame[0]}{', '.join(map(text_of, payload))}{frame[1]}"
+                     f"{int.__repr__(step)}}}\n")
     return "".join(lines)
 
 

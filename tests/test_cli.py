@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -151,6 +154,26 @@ def test_simulate_bad_input_exits_1_without_traceback(
                            "--steps", "5", "--seed", "0")
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_simulate_into_closed_pipe_exits_1_without_traceback(
+        aircraft_path, aircraft_script_path):
+    # As ``domcalc simulate … | head -1`` when head has already exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from domcalc.cli import main; sys.exit(main())",
+             "simulate", str(aircraft_path), "--script", str(aircraft_script_path),
+             "--steps", "5", "--seed", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "BrokenPipeError" not in done.stderr
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])

@@ -289,6 +289,35 @@ def test_trace_jsonl_roundtrip(aircraft_graph, aircraft_script):
     assert trace_from_jsonl(text, aircraft_graph.registry) == trace
 
 
+def test_trace_event_surface():
+    kind = QuantityKind("q", DIMENSIONLESS)
+    payload = (Quantity(Fraction(3, 2), kind),)
+    event = TraceEvent(4, "send", "ch", "proc", payload)
+    twin = TraceEvent(step=4, kind="send", channel="ch", process="proc",
+                      payload=(Quantity(Fraction(3, 2), kind),))
+    assert event == twin
+    assert hash(event) == hash(twin)
+    assert event != TraceEvent(5, "send", "ch", "proc", payload)
+    assert TraceEvent(0, "deadlock", None, "").payload == ()
+    # The reads the benchmark's independent checker makes.
+    assert (event.step, event.kind, event.channel, event.process,
+            tuple(q.magnitude for q in event.payload)) == (4, "send", "ch", "proc",
+                                                            (Fraction(3, 2),))
+    for field_name in ("step", "kind", "channel", "process", "payload"):
+        with pytest.raises(AttributeError):
+            setattr(event, field_name, None)
+
+
+def test_aircraft_trace_shares_payload_quantities(aircraft_graph, aircraft_script):
+    # Every payload value is a chain map applied to a script point or an init
+    # value, so the distinct objects are bounded by points x chains, not steps.
+    def distinct_quantities(steps):
+        trace = run(instantiate(aircraft_graph, aircraft_script, seed=0), steps)
+        return len({id(q) for event in trace for q in event.payload})
+
+    assert distinct_quantities(1200) == distinct_quantities(2400)
+
+
 def test_generated_models_run_and_pass(aircraft_model):
     for seed in range(30):
         rng = random.Random(seed)
@@ -431,17 +460,15 @@ def test_script_value_literal_beyond_bound_is_script_error(aircraft_graph, value
     assert time.perf_counter() - started < 0.5
 
 
-def test_jsonl_writer_formats_each_message_once(aircraft_graph, aircraft_script,
-                                                monkeypatch):
+def test_jsonl_writer_formats_each_quantity_once(aircraft_graph, aircraft_script,
+                                                 monkeypatch):
     trace = run(instantiate(aircraft_graph, aircraft_script, seed=0), 30)
     expected = trace_to_jsonl(trace)
     calls = []
     monkeypatch.setattr(simulator, "fraction_str",
                         lambda value: calls.append(value) or fraction_str(value))
     assert trace_to_jsonl(trace) == expected
-    messages = [event.payload for event in trace]
-    distinct = [m for i, m in enumerate(messages) if i == 0 or m is not messages[i - 1]]
-    assert len(calls) == sum(len(m) for m in distinct) < sum(len(m) for m in messages)
+    assert len(calls) == len({id(q) for event in trace for q in event.payload})
 
 
 def test_instantiate_rejects_wrong_kind_values(aircraft_graph):
@@ -510,6 +537,14 @@ def test_composed_chain_equals_stepwise_apply(links, start):
     assert actual.magnitude == expected.magnitude
     assert actual.kind is expected.kind
     assert actual == expected
+    # The identity-memoised map: the same object twice, then an equal but
+    # distinct one, which is mapped again.
+    shared = simulator.chain_maps(model, registry)(tuple(c.name for c in convs))
+    first, again, twin = shared(value), shared(value), shared(Quantity(start, value.kind))
+    assert again is first
+    for result in (first, twin):
+        assert result == expected
+        assert result.kind is expected.kind
 
 
 def test_composed_identity_chain_relabels_kind(aircraft_model, aircraft_graph):

@@ -300,7 +300,11 @@ def compile_model(model: DomainModel, always_core: bool = False) -> ProcessGraph
     """Compile from the root part (the unique part that is nobody's child)."""
     parts = model.parts()
     if not parts:
-        return ProcessGraph(None, (), registry_for_model(model)[0], model)
+        registry, diagnostics = registry_for_model(model)
+        errors = [d for d in diagnostics if d.is_error]
+        if errors:
+            raise CompileError(errors)
+        return ProcessGraph(None, (), registry, model)
     child_names = {c for p in parts for c in (p.children or ())}
     roots = [p.name for p in parts if p.name not in child_names]
     if len(roots) != 1:

@@ -65,6 +65,7 @@ _TOKEN_RE = re.compile(
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>[{}();:,.=^*/x-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -91,30 +92,25 @@ class _ParseError(Exception):
 
 
 def _tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
+    """One ``finditer`` pass: every character falls in some token, ``bad``
+    (E001) last.  Only ``ws`` and ``string`` tokens span lines; the pattern is
+    not DOTALL, so ``\\.`` in a string escapes no newline."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            diagnostics.append(error(
-                "E001", f"unexpected character {text[pos]!r}",
-                SourceSpan.point(file, line, col)))
-            pos += 1
-            col += 1
-            continue
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         value = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = match.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            diagnostics.append(error(
+                "E001", f"unexpected character {value!r}",
+                SourceSpan.point(file, line, match.start() - line_start + 1)))
+        elif kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, value, line, match.start() - line_start + 1))
+        if (kind == "ws" or kind == "string") and "\n" in value:
+            line += value.count("\n")
+            line_start = match.start() + value.rfind("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens, diagnostics
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .analysis import parse_value, registry_for_model
 from .model import DomainModel, ProcessDef, ProcessGraph
@@ -107,7 +107,7 @@ class EnvironmentScript:
                     raise ScriptError(f"{name!r}: point at negative step {step}")
                 try:
                     value = parse_value(text, kind, registry)
-                except (ValueError, ZeroDivisionError) as exc:
+                except ValueError as exc:
                     raise ScriptError(f"{name!r} at step {step}: {exc}") from None
                 parsed.append((step, value))
             tracks[name] = ScriptTrack(tuple(sorted(parsed, key=lambda p: p[0])), cycle)
@@ -207,30 +207,6 @@ class _ProcState:
                         *(("send", spec) for spec in body.sends), ("recurse", None))
 
 
-def chain_map(model: DomainModel, registry: KindRegistry,
-              chain: Iterable[str]) -> Callable[[Quantity], Quantity]:
-    """Compose the named conversions, first to last, into one exact map.
-
-    Links ``x -> s1*x + o1`` then ``x -> s2*x + o2`` compose to
-    ``x -> (s2*s1)*x + (s2*o1 + o2)`` over ``Fraction``s, so the result equals
-    applying each link in turn; the kind is the last link's target.  An empty
-    chain returns the value unchanged, and a composed identity (such as
-    ``a2rLO ; r2dLO``, 10 then 0.1) only relabels the kind.
-    """
-    scale, offset, last = Fraction(1), Fraction(0), None
-    for name in chain:
-        last = model.conversion(name)
-        scale, offset = last.scale * scale, last.scale * offset + last.offset
-    if last is None:
-        return lambda value: value
-    kind = registry.resolve(last.to_kind)
-    if offset == 0:
-        if scale == 1:
-            return lambda value: Quantity(value.magnitude, kind)
-        return lambda value: Quantity(scale * value.magnitude, kind)
-    return lambda value: Quantity(scale * value.magnitude + offset, kind)
-
-
 def _by_identity(fn: Callable[[Any], T]) -> Callable[[Any], T]:
     """``fn`` memoised on the identity of its argument, for the lifetime of
     the returned function.  Each entry keeps its argument alive, so the
@@ -248,14 +224,25 @@ def _by_identity(fn: Callable[[Any], T]) -> Callable[[Any], T]:
 
 def chain_maps(model: DomainModel, registry: KindRegistry
                ) -> Callable[[tuple[str, ...]], Callable[[Quantity], Quantity]]:
-    """Chain -> its ``chain_map``, built on first use and memoised by
-    identity; each call returns fresh memos, one per caller.
+    """Chain -> its map, which applies each named conversion in turn, first
+    to last, each into its own resolved target kind; an empty chain returns
+    its input.  Maps are built on first use and memoised by identity; each
+    call returns fresh memos, one per caller.
 
     ``ScriptTrack.value_at`` hands out the same point objects every cycle,
     so a run feeds each map a few objects over and over and its payloads
     share one result per (object, chain).
     """
-    return cache(lambda chain: _by_identity(chain_map(model, registry, chain)))
+    def stepwise(chain: tuple[str, ...]) -> Callable[[Quantity], Quantity]:
+        links = [(conv, registry.resolve(conv.to_kind))
+                 for conv in map(model.conversion, chain)]
+
+        def apply(value: Quantity) -> Quantity:
+            for conv, kind in links:
+                value = conv.apply(value, kind)
+            return value
+        return _by_identity(apply)
+    return cache(stepwise)
 
 
 def run(config: RunConfig, max_steps: int) -> Trace:
@@ -359,7 +346,7 @@ def run(config: RunConfig, max_steps: int) -> Trace:
 # ---------------------------------------------------------------------------
 
 def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
-    """One verdict per declared axiom.
+    """One verdict per declared axiom, from one walk over the trace.
 
     At every recursion event of the axiom's target behaviour the controllable
     values must equal the declared conversion chains applied to the most
@@ -368,50 +355,53 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
     from .compiler import compile_model
 
     graph = compile_model(model)
-    registry: KindRegistry = graph.registry
     processes = {p.name: p for p in graph.processes()}
-    verdicts: list[Verdict] = []
-    map_of = chain_maps(model, registry)
+    map_of = chain_maps(model, graph.registry)
     # Payload values are shared objects, so each (expected, actual) pair of
     # objects is compared once: equal_to(expected)(actual).
     equal_to = _by_identity(lambda expected: _by_identity(partial(operator.eq, expected)))
-    for axiom in model.axioms:
+    # Process -> its axioms, each as (index, sources, slots): the expected
+    # values come from sources (channel, payload index, chain map), the
+    # actual ones from the recursion payload's slots.  An axiom with a target
+    # attribute that nothing updates is never checked.
+    watched: dict[str, list[tuple[int, list, list[int]]]] = {}
+    for index, axiom in enumerate(model.axioms):
         target = model.endurant(axiom.target_sort)
         process = processes.get(target.behaviour_name) if target else None
         if process is None:
-            verdicts.append(Verdict(axiom.name, "pass", checked=0))
             continue
         updates = {u.attr: u for u in process.body.updates}
-        order = process.signature.controllable_params
-        last: dict[str, tuple[Quantity, ...]] = {}
-        verdict = None
-        checked = 0
-        for step, kind, channel, name, payload in trace:
-            if name != process.name:
-                continue
-            if kind == RECEIVE:
-                last[channel] = payload
-            if kind != RECURSION:
-                continue
-            expected: list[Quantity] = []
-            actual: list[Quantity] = []
-            complete = True
-            for attr in axiom.target_attrs:
-                update = updates.get(attr)
-                if update is None or update.channel not in last:
-                    complete = False
-                    break
-                expected.append(map_of(update.chain)(last[update.channel][update.index]))
-                actual.append(payload[order.index(attr)])
-            if not complete:
-                continue
-            checked += 1
-            if not all(equal_to(e)(a) for e, a in zip(expected, actual)):
-                verdict = Verdict(axiom.name, "fail", step,
-                                  tuple(expected), tuple(actual), checked)
-                break
-        verdicts.append(verdict or Verdict(axiom.name, "pass", checked=checked))
-    return verdicts
+        if all(attr in updates for attr in axiom.target_attrs):
+            order = process.signature.controllable_params
+            watched.setdefault(process.name, []).append((
+                index, [(u.channel, u.index, map_of(u.chain))
+                        for u in map(updates.get, axiom.target_attrs)],
+                [order.index(attr) for attr in axiom.target_attrs]))
+    # The last payload per channel of each watched process.
+    last: dict[str, dict[str, tuple[Quantity, ...]]] = {name: {} for name in watched}
+    checked = [0] * len(model.axioms)
+    failed: dict[int, Verdict] = {}
+    for step, kind, channel, name, payload in trace:
+        received = last.get(name)
+        if received is None:
+            continue
+        if kind == RECEIVE:
+            received[channel] = payload
+        elif kind == RECURSION:
+            for index, sources, slots in watched[name]:
+                if index in failed:
+                    continue
+                try:
+                    expected = [to(received[on][at]) for on, at, to in sources]
+                except KeyError:
+                    continue  # a source channel has not delivered yet
+                checked[index] += 1
+                actual = [payload[slot] for slot in slots]
+                if not all(map(lambda e, a: equal_to(e)(a), expected, actual)):
+                    failed[index] = Verdict(model.axioms[index].name, "fail", step,
+                                            tuple(expected), tuple(actual), checked[index])
+    return [failed.get(index) or Verdict(axiom.name, "pass", checked=checked[index])
+            for index, axiom in enumerate(model.axioms)]
 
 
 def conversion_roundtrip_check(model: DomainModel, samples: int, seed: int) -> list[Verdict]:
@@ -455,15 +445,7 @@ def trace_to_jsonl(trace: Trace) -> str:
     writes it: keys in sorted order (``channel``, ``kind``, ``payload`` of
     ``kind``/``value`` objects, ``process``, ``step``), strings ASCII-escaped,
     and each magnitude as an exact decimal or ``p/q`` string."""
-    strings: dict[Optional[str], str] = {None: "null"}
-
-    def string(text: Optional[str]) -> str:
-        literal = strings.get(text)
-        if literal is None:
-            literal = strings[text] = encode_basestring_ascii(text)
-        return literal
-
-    text_of = _by_identity(lambda q: f'{{"kind": {string(q.kind.name)}, '
+    text_of = _by_identity(lambda q: f'{{"kind": {encode_basestring_ascii(q.kind.name)}, '
                                     f'"value": "{fraction_str(q.magnitude)}"}}')
 
     # The text around the payload, per (channel, kind, process).
@@ -473,8 +455,9 @@ def trace_to_jsonl(trace: Trace) -> str:
         frame = frames.get((channel, kind, process))
         if frame is None:
             frame = frames[channel, kind, process] = (
-                f'{{"channel": {string(channel)}, "kind": {string(kind)}, "payload": [',
-                f'], "process": {string(process)}, "step": ')
+                f'{{"channel": {"null" if channel is None else encode_basestring_ascii(channel)}, '
+                f'"kind": {encode_basestring_ascii(kind)}, "payload": [',
+                f'], "process": {encode_basestring_ascii(process)}, "step": ')
         lines.append(f"{frame[0]}{', '.join(map(text_of, payload))}{frame[1]}"
                      f"{int.__repr__(step)}}}\n")
     return "".join(lines)

@@ -257,7 +257,8 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
     Grammar: products ``*``, quotients ``/``, integer powers ``^n``,
     parentheses, the literal ``1`` for dimensionless, unit symbols with
     standard prefixes.  Raises ``UnknownUnitSymbol`` / ``UnknownPrefix`` /
-    ``UnitBoundError`` / ``UnitError`` on bad input.
+    ``UnitBoundError`` / ``UnitError`` on bad input, a zero number factor
+    (``m/0``, ``0*m``) included.
     """
     tokens: list[str] = []
     pos = 0
@@ -295,7 +296,10 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
             take()
         elif tok.isdigit():
             take()
-            dim, scale = _bounded(DIMENSIONLESS, Fraction(_int_token(tok)))
+            number = _int_token(tok)
+            if number == 0:
+                raise UnitError("zero factor in unit expression")
+            dim, scale = _bounded(DIMENSIONLESS, Fraction(number))
         else:
             take()
             dim, scale = _resolve_symbol(tok)
@@ -410,7 +414,8 @@ def parse_fraction(text: str) -> Fraction:
     """Inverse of ``fraction_str``: decimal, exponent and 'p/q' forms.
 
     A literal spelling out more digits, its exponent included, than the
-    scale bound allows raises ``UnitBoundError`` before any number is built.
+    scale bound allows raises ``UnitBoundError`` before any number is built;
+    a zero denominator raises ``ValueError``.
     """
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -419,7 +424,10 @@ def parse_fraction(text: str) -> Fraction:
         digits += int(exponent[:5])  # five digits already pass the bound
     if digits * 3 > MAX_SCALE_BITS:
         raise UnitBoundError(f"number literal beyond {MAX_SCALE_BITS} bits")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in number literal {text.strip()!r}") from None
 
 
 # Built-in named kinds.
@@ -501,12 +509,6 @@ class KindRegistry:
 
     def resolve(self, text: str) -> QuantityKind:
         return resolve_kind(self._kinds, text)
-
-    def check_op(self, op: str, lhs: QuantityKind, rhs: QuantityKind) -> "OpVerdict":
-        for kind in (lhs, rhs):
-            if self._kinds.get(kind.name) != kind:
-                raise UnregisteredKind(kind.name)
-        return check_op(op, lhs, rhs)
 
 
 def builtin_registry() -> KindRegistry:

@@ -206,6 +206,36 @@ def test_units_check_size_bound_exits_2(capsys, expr):
     assert out.startswith("E208: ")
 
 
+_PART = "part A {{ id AI; mereo empty; attr x : {attr}; }}\n"
+
+
+@pytest.mark.parametrize("argv, source, diagnostic", [
+    (("check",), _PART.format(attr="m/0 reactive"), "1:35: E205"),
+    (("check",), _PART.format(attr="m static init 5 m/0"), "1:35: E206"),
+    (("check",), _PART.format(attr="Real static init 1/0"), "1:35: E206"),
+    (("check",), _PART.format(attr="0*m static init 5 m"), "1:35: E205"),
+    (("check",), "channel k : 0^-1;\n", "1:1: E205"),
+    (("units", "check", "1/0"), None, None),
+    (("units", "check", "0^-1"), None, None),
+    (("units", "check", "m/0"), None, None),
+], ids=["unit", "init-unit", "init-literal", "zero-scale", "channel",
+        "units-1/0", "units-0^-1", "units-m/0"])
+def test_zero_divisors_are_diagnosed_without_traceback(
+        capsys, tmp_path, argv, source, diagnostic):
+    # Each of these ended in ZeroDivisionError: the declaration is reported
+    # instead, and the units fallback may type the expression.
+    if source is not None:
+        path = tmp_path / "zero.dom"
+        path.write_text(source)
+        argv = (*argv, str(path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if diagnostic is not None:
+        assert code == 2
+        assert f"zero.dom:{diagnostic}: " in err
+
+
 def test_units_check_newton(capsys):
     code, out, _ = run_cli(capsys, "units", "check", "kg*m/s^2")
     assert code == 0

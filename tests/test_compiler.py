@@ -295,6 +295,14 @@ def test_empty_model_compiles_to_empty_graph():
     assert graph.processes() == ()
 
 
+@pytest.mark.parametrize("parts", ["", "part A { id AI; mereo empty; }"])
+def test_registry_errors_raise_with_or_without_parts(parts):
+    model = parse_ok(parts + " conversion c : nonsense_unit -> q = affine(0, 1);")
+    with pytest.raises(CompileError) as err:
+        compile_model(model)
+    assert [d.code for d in err.value.diagnostics] == ["E205"]
+
+
 def test_single_atomic_root_prints_core_only():
     model = parse_ok("part A { id AI; mereo empty; attr X : m reactive; }")
     text = print_process(compile_model(model))

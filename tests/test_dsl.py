@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domcalc import analysis
-from domcalc.dsl import parse_model, print_model
+from domcalc.diagnostics import SourceSpan, error
+from domcalc.dsl import _tokenize, parse_model, print_model
 from domcalc.model import MereoEmpty, MereoId, MereoProduct
 
 from conftest import short_id
@@ -196,3 +197,38 @@ def test_affine_coefficient_beyond_bound_is_e208(literal):
 def test_affine_zero_denominator_is_e001():
     _, diagnostics = parse_model("conversion c : m -> q = affine(5/0, 0);")
     assert [d.code for d in diagnostics] == ["E001"]
+
+
+_TOKENIZER_CASES = {
+    "multi-line string": ('doc "one\ntwo\n  three" x\n;', [
+        ("ident", "doc", 1, 1), ("string", '"one\ntwo\n  three"', 1, 5),
+        ("ident", "x", 3, 10), ("punct", ";", 4, 1), ("eof", "", 4, 2)], []),
+    "crlf": ("part A {\r\n  id AI;\r\n}\r\n", [
+        ("ident", "part", 1, 1), ("ident", "A", 1, 6), ("punct", "{", 1, 8),
+        ("ident", "id", 2, 3), ("ident", "AI", 2, 6), ("punct", ";", 2, 8),
+        ("punct", "}", 3, 1), ("eof", "", 4, 1)], []),
+    "tab": ("attr\tx : m;", [
+        ("ident", "attr", 1, 1), ("ident", "x", 1, 6), ("punct", ":", 1, 8),
+        ("ident", "m", 1, 10), ("punct", ";", 1, 11), ("eof", "", 1, 12)], []),
+    "unterminated string": ('doc "open\nx', [
+        ("ident", "doc", 1, 1), ("ident", "open", 1, 6), ("ident", "x", 2, 1),
+        ("eof", "", 2, 2)], [(1, 5, '"')]),
+    "micro sign": ("attr x : µs;", [
+        ("ident", "attr", 1, 1), ("ident", "x", 1, 6), ("punct", ":", 1, 8),
+        ("ident", "s", 1, 11), ("punct", ";", 1, 12), ("eof", "", 1, 13)], [(1, 10, "µ")]),
+    # A backslash escapes no newline, so the string does not match.
+    "backslash-newline in string": ('doc "a\\\nb" y', [
+        ("ident", "doc", 1, 1), ("ident", "a", 1, 6), ("ident", "b", 2, 1),
+        ("ident", "y", 2, 4), ("eof", "", 2, 5)], [(1, 5, '"'), (1, 7, "\\"), (2, 2, '"')]),
+    "empty": ("", [("eof", "", 1, 1)], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TOKENIZER_CASES))
+def test_tokenizer_positions_and_diagnostics(case):
+    text, tokens, bad = _TOKENIZER_CASES[case]
+    got_tokens, diagnostics = _tokenize(text, "f.dom")
+    assert [(t.type, t.value, t.line, t.col) for t in got_tokens] == tokens
+    assert diagnostics == [error("E001", f"unexpected character {char!r}",
+                                 SourceSpan.point("f.dom", line, col))
+                           for line, col, char in bad]

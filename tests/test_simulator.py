@@ -244,6 +244,62 @@ def test_axioms_fail_with_witness_on_tampered_trace(
     assert verdict.expected != verdict.actual
 
 
+TWO_DISPLAYS = """
+part RT composite(A, B, C, D) { id RTI; mereo empty; }
+part A { id AI; mereo BI; attr X : m reactive; attr Y : s reactive; }
+part B { id BI; mereo AI; attr dX : rX programmable init 0; attr dY : s programmable init 0; }
+part C { id CI; mereo DI; attr Z : m reactive; }
+part D { id DI; mereo CI; attr dZ : rZ programmable init 0; }
+conversion a2rX : m -> rX = affine(10, 0);
+conversion a2rZ : m -> rZ = affine(0.5, 3);
+axiom ax { display(B.dX) tracks (A.X via a2rX); }
+axiom ay { display(B.dY) tracks (A.Y); }
+axiom az { display(D.dZ) tracks (C.Z via a2rZ); }
+"""
+
+
+def two_displays_trace():
+    model = parse_ok(TWO_DISPLAYS)
+    graph = compiler.compile_model(model)
+    script = random_script(random.Random(3), graph)
+    return model, run(instantiate(graph, script, seed=1), 12)
+
+
+def test_verdicts_of_three_axioms_on_two_displays():
+    # Bump dY in display b's third and fifth recursions (steps 6 and 10):
+    # only ``ay`` fails, at its first failure, and the other two axioms go on
+    # to the end of the trace.
+    model, trace = two_displays_trace()
+    events = list(trace.events)
+    recursions = [i for i, e in enumerate(events)
+                  if e.kind == "recursion" and e.process == "b"]
+    for index in recursions[2], recursions[4]:
+        event = events[index]
+        dx, dy = event.payload
+        events[index] = event._replace(payload=(dx, Quantity(dy.magnitude + 1, dy.kind)))
+    verdicts = check_axioms(model, Trace(tuple(events)))
+    assert [(v.name, v.status, v.failing_step, [str(q) for q in v.expected],
+             [str(q) for q in v.actual], v.checked) for v in verdicts] == [
+        ("ax", "pass", None, [], [], 6),
+        ("ay", "fail", 6, ["-521 s"], ["-520 s"], 3),
+        ("az", "pass", None, [], [], 6),
+    ]
+
+
+def test_check_axioms_walks_the_trace_once():
+    class CountingTrace(Trace):
+        walks = 0
+
+        def __iter__(self):
+            CountingTrace.walks += 1
+            return super().__iter__()
+
+    model, trace = two_displays_trace()
+    verdicts = check_axioms(model, CountingTrace(trace.events))
+    assert len(verdicts) == 3 and all(v.passed for v in verdicts)
+    assert CountingTrace.walks == 1
+
+
 def test_no_axioms_no_verdicts():
     model = parse_ok("part A { id AI; mereo empty; attr X : m reactive; }")
     graph = compiler.compile_model(model)
@@ -444,6 +500,13 @@ def test_script_value_beyond_unit_bounds_is_script_error(aircraft_graph):
         EnvironmentScript.from_json({"attr_AL_ch": [[0, "1 km^100000000"]]}, aircraft_graph)
 
 
+@pytest.mark.parametrize("value, cause", [("1/0", "zero denominator"),
+                                          ("5 m/0", "zero factor")])
+def test_script_zero_divisor_is_script_error(aircraft_graph, value, cause):
+    with pytest.raises(ScriptError, match=cause):
+        EnvironmentScript.from_json({"attr_AL_ch": [[0, value]]}, aircraft_graph)
+
+
 @pytest.mark.parametrize("step", [2.7, "3", True, False, None, [1]])
 def test_script_step_must_be_a_json_integer(aircraft_graph, step):
     with pytest.raises(ScriptError, match="not an integer"):
@@ -533,26 +596,24 @@ def test_composed_chain_equals_stepwise_apply(links, start):
     expected = value
     for conv in convs:
         expected = conv.apply(expected, registry.resolve(conv.to_kind))
-    actual = simulator.chain_map(model, registry, tuple(c.name for c in convs))(value)
-    assert actual.magnitude == expected.magnitude
-    assert actual.kind is expected.kind
-    assert actual == expected
     # The identity-memoised map: the same object twice, then an equal but
     # distinct one, which is mapped again.
     shared = simulator.chain_maps(model, registry)(tuple(c.name for c in convs))
     first, again, twin = shared(value), shared(value), shared(Quantity(start, value.kind))
     assert again is first
     for result in (first, twin):
-        assert result == expected
+        assert result.magnitude == expected.magnitude
         assert result.kind is expected.kind
+        assert result == expected
 
 
 def test_composed_identity_chain_relabels_kind(aircraft_model, aircraft_graph):
     registry = aircraft_graph.registry
     value = Quantity(Fraction("10.2"), registry.resolve("point deg"))
-    shown = simulator.chain_map(aircraft_model, registry, ("a2rLO", "r2dLO"))(value)
+    map_of = simulator.chain_maps(aircraft_model, registry)
+    shown = map_of(("a2rLO", "r2dLO"))(value)
     assert shown == Quantity(Fraction("10.2"), registry.resolve("dLO"))
-    assert simulator.chain_map(aircraft_model, registry, ())(value) is value
+    assert map_of(())(value) is value
 
 
 def reference_jsonl(trace):

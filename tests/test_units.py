@@ -251,12 +251,6 @@ def test_affine_offset_never_used_twice(reg):
         assert sub.result.role == "interval"
 
 
-def test_registry_check_op_rejects_unregistered(reg):
-    foreign = units.QuantityKind("Foreign", Dimension.of(m=1))
-    with pytest.raises(units.UnregisteredKind):
-        reg.check_op("add", foreign, foreign)
-
-
 # -- mean --------------------------------------------------------------------
 
 def test_mean_celsius():
@@ -386,6 +380,17 @@ def test_fraction_str_roundtrip_decimals(mantissa, exponent):
     ("12/1" + "0" * 1300, Fraction(12, 10 ** 1300))], ids=short_id)
 def test_parse_fraction_within_bound(text, value):
     assert parse_fraction(text) == value
+
+
+def test_parse_fraction_zero_denominator_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
+
+
+@pytest.mark.parametrize("text", ["m/0", "0^-1", "0*m", "km/(0*s)", "00"])
+def test_zero_unit_factor_is_unit_error(text):
+    with pytest.raises(units.UnitError, match="zero factor"):
+        parse_unit(text)
 
 
 @pytest.mark.parametrize("text", ["1e5000", "1E-5000", "1e10000000", "1e1_000_000",

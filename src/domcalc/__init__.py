@@ -46,9 +46,6 @@ from .units import (
     QuantityKind,
     builtin_registry,
     check_op,
-    dim_div,
-    dim_mul,
-    dim_pow,
     mean,
     parse_unit,
     rate_of_change,

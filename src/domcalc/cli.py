@@ -156,8 +156,8 @@ def cmd_units(args) -> int:
     text = args.expr
     try:
         dimension, scale = units.parse_unit(text)
-    except units.UnitBoundError as exc:
-        print(f"E208: {exc}")
+    except (units.UnitBoundError, units.ZeroUnitFactor) as exc:
+        print(f"{'E208' if isinstance(exc, units.UnitBoundError) else 'E205'}: {exc}")
         return 2
     except units.UnitError:
         result = units.typecheck_expr(text, {}, units.builtin_registry())

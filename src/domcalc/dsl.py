@@ -33,9 +33,9 @@ from typing import Optional
 from .diagnostics import Diagnostic, SourceSpan, error
 from .model import (
     CATEGORIES,
-    COMPONENT,
     CONTINUOUS,
     DISCRETE,
+    ENDURANT_KINDS,
     MATERIAL,
     PART,
     STATIC,
@@ -204,12 +204,8 @@ class _Parser:
         while self.peek().type != "eof":
             tok = self.peek()
             try:
-                if tok.value == PART:
-                    endurants.append(self.parse_endurant(PART))
-                elif tok.value == MATERIAL:
-                    endurants.append(self.parse_endurant(MATERIAL))
-                elif tok.value == COMPONENT:
-                    endurants.append(self.parse_endurant(COMPONENT))
+                if tok.value in ENDURANT_KINDS:
+                    endurants.append(self.parse_endurant(tok.value))
                 elif tok.value == "conversion":
                     conversions.append(self.parse_conversion())
                 elif tok.value == "channel":

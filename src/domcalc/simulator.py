@@ -1,13 +1,14 @@
 """Deterministic execution of compiled process graphs.
 
 Processes run logically in parallel but on one thread under a deterministic
-scheduler: the enabled inter-behaviour rendezvous are sorted by (channel,
-sender) and the list is rotated by the seed, advancing one position per step
-so nothing enabled is starved.  External-attribute channels are fed from a
-step-indexed environment script (hold-last-value between points); reading
-them does not count against the step budget, only inter-behaviour rendezvous
-do.  Every run with equal graph, script and seed is bit-identical, and
-shorter runs are prefixes of longer ones.
+scheduler: the enabled inter-behaviour rendezvous are taken in channel-name
+order (a compiled graph has one sender per channel) and the list is rotated
+by the seed, advancing one position per step so nothing enabled is starved.
+External-attribute channels are fed from a step-indexed environment script
+(hold-last-value between points); reading them does not count against the
+step budget, only inter-behaviour rendezvous do.  Every run with equal
+graph, script and seed is bit-identical, and shorter runs are prefixes of
+longer ones.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
 
+from . import compiler
 from .analysis import parse_value, registry_for_model
 from .model import DomainModel, ProcessDef, ProcessGraph
 from .units import KindRegistry, Quantity, fraction_str, parse_fraction
@@ -29,6 +31,7 @@ T = TypeVar("T")
 
 SEND = "send"
 RECEIVE = "receive"
+READ = "read"  # a program step only: reads are recorded as receives
 RENDEZVOUS = "rendezvous"
 RECURSION = "recursion"
 DEADLOCK = "deadlock"
@@ -194,17 +197,13 @@ def instantiate(graph: ProcessGraph, script: EnvironmentScript, seed: int) -> Ru
 
 @dataclass
 class _ProcState:
-    process: ProcessDef
+    name: str
+    # One core cycle, resolved for the run: every receive, then every send,
+    # then the recursion; each entry is (op, channel, operand).
+    program: tuple
     pc: int = 0
     received: dict = field(default_factory=dict)
     controllables: dict = field(default_factory=dict)
-    # One core cycle: every receive, then every send, then the recursion.
-    program: tuple = field(init=False)
-
-    def __post_init__(self) -> None:
-        body = self.process.body
-        self.program = (*(("recv", name) for name in body.receives),
-                        *(("send", spec) for spec in body.sends), ("recurse", None))
 
 
 def _by_identity(fn: Callable[[Any], T]) -> Callable[[Any], T]:
@@ -226,8 +225,9 @@ def chain_maps(model: DomainModel, registry: KindRegistry
                ) -> Callable[[tuple[str, ...]], Callable[[Quantity], Quantity]]:
     """Chain -> its map, which applies each named conversion in turn, first
     to last, each into its own resolved target kind; an empty chain returns
-    its input.  Maps are built on first use and memoised by identity; each
-    call returns fresh memos, one per caller.
+    its input.  Each chain's map is built once, when first asked for (``run``
+    asks for all of them when it starts), and memoised by identity; each call
+    returns fresh memos, one per caller.
 
     ``ScriptTrack.value_at`` hands out the same point objects every cycle,
     so a run feeds each map a few objects over and over and its payloads
@@ -251,93 +251,86 @@ def run(config: RunConfig, max_steps: int) -> Trace:
     The step counter advances once per inter-behaviour rendezvous; environment
     reads and recursions are recorded at the current step without advancing
     it.  Quiescence (no rendezvous can ever fire again) terminates the trace
-    with a deadlock event.
+    with a deadlock event.  Each process's program and the table of possible
+    rendezvous are resolved once, when the run starts, so a chain naming an
+    unknown conversion (E112) fails here rather than at its first use.
     """
     graph = config.graph
-    model: DomainModel = graph.model
-    registry: KindRegistry = graph.registry
+    map_of = chain_maps(graph.model, graph.registry)
+    tracks = config.script.tracks
     external = {c.name for c in graph.channels if c.external}
-    states = [_ProcState(p, controllables=dict(p.init_values))
+
+    def program(process: ProcessDef) -> tuple:
+        body = process.body
+        receives = [(READ, name, tracks.get(name)) if name in external else (RECEIVE, name, None)
+                    for name in body.receives]
+        # A send's payload slot: (the sender's attribute channel, its chain map).
+        sends = [(SEND, spec.channel, tuple(
+                     (f"attr_{attr}_ch", map_of(() if conv is None else (conv,)))
+                     for attr, conv in spec.parts)) for spec in body.sends]
+        updates = tuple((u.attr, u.channel, u.index, map_of(u.chain)) for u in body.updates)
+        return (*receives, *sends,
+                (RECURSION, None, (process.signature.controllable_params, updates)))
+
+    states = [_ProcState(p.name, program(p), controllables=dict(p.init_values))
               for p in sorted(graph.processes(), key=lambda p: p.name)]
     if not states:
         return Trace(())
-    # The one receiver of each channel that can rendezvous; absent when elided.
-    state_of = {state.process.name: state for state in states}
-    receiver_of = {c.name: state_of[c.receivers[0]] for c in graph.channels
-                   if c.name not in external and c.receivers[0] in state_of}
+    # One entry (channel, sender, send pc, receiver, receive pc) per channel
+    # with both ends running, in channel-name order: one sender per channel.
+    receiving = {channel: (state, pc) for state in states
+                 for pc, (op, channel, _) in enumerate(state.program) if op == RECEIVE}
+    table = sorted(((channel, sender, pc, *receiving[channel]) for sender in states
+                    for pc, (op, channel, _) in enumerate(sender.program)
+                    if op == SEND and channel in receiving), key=operator.itemgetter(0))
     events: list[TraceEvent] = []
     steps = 0
-    map_of = chain_maps(model, registry)
-
-    def recurse(state: _ProcState) -> None:
-        for update in state.process.body.updates:
-            payload = state.received.get(update.channel)
-            if payload is None:
-                continue
-            state.controllables[update.attr] = map_of(update.chain)(payload[update.index])
-        payload = tuple(state.controllables[a]
-                        for a in state.process.signature.controllable_params)
-        events.append(TraceEvent(steps, RECURSION, None, state.process.name, payload))
-        state.pc = 0
-
-    tracks = config.script.tracks
 
     def advance_phase() -> None:
         for state in states:
             recursed = False
             while True:
-                op, arg = state.program[state.pc]
-                if op == "recv" and arg in external:
-                    track = tracks.get(arg)
-                    value = None if track is None else track.value_at(steps)
+                op, channel, operand = state.program[state.pc]
+                if op == READ:
+                    value = None if operand is None else operand.value_at(steps)
                     if value is None:
-                        break  # script exhausted: blocked for good
-                    events.append(TraceEvent(steps, RECEIVE, arg,
-                                             state.process.name, (value,)))
-                    state.received[arg] = (value,)
+                        break  # no track, or the script is exhausted: blocked for good
+                    events.append(TraceEvent(steps, RECEIVE, channel, state.name, (value,)))
+                    state.received[channel] = (value,)
                     state.pc += 1
-                elif op == "recurse":
+                elif op == RECURSION:
                     if recursed:
                         break  # one cycle per phase for channel-free spinners
-                    recurse(state)
+                    order, updates = operand
+                    for attr, source, index, to in updates:
+                        payload = state.received.get(source)
+                        if payload is not None:
+                            state.controllables[attr] = to(payload[index])
+                    events.append(TraceEvent(steps, RECURSION, None, state.name,
+                                             tuple(map(state.controllables.__getitem__, order))))
+                    state.pc = 0
                     recursed = True
                 else:
                     break  # blocked on an inter-behaviour action
 
-    def enabled_pairs():
-        pairs = []
-        for sender in states:
-            op, arg = sender.program[sender.pc]
-            if op != "send":
-                continue
-            receiver = receiver_of.get(arg.channel)
-            if receiver is not None and receiver.program[receiver.pc] == ("recv", arg.channel):
-                pairs.append((arg.channel, sender, receiver, arg))
-        return sorted(pairs, key=lambda p: (p[0], p[1].process.name))
-
-    settled = False
     while steps < max_steps:
         advance_phase()
-        pairs = enabled_pairs()
+        pairs = [pair for pair in table if pair[1].pc == pair[2] and pair[3].pc == pair[4]]
         if not pairs:
             events.append(TraceEvent(steps, DEADLOCK, None, ""))
-            settled = True
-            break
-        # Rotate the sorted pair list by the seed, walking one position per
-        # step so no enabled channel is starved forever.
-        channel, sender, receiver, send_spec = pairs[(config.seed + steps) % len(pairs)]
-        message = tuple(
-            map_of(() if conv_name is None else (conv_name,))(
-                sender.received[f"attr_{attr}_ch"][0])
-            for attr, conv_name in send_spec.parts)
-        events.append(TraceEvent(steps, SEND, channel, sender.process.name, message))
-        events.append(TraceEvent(steps, RECEIVE, channel, receiver.process.name, message))
+            return Trace(tuple(events))
+        # Rotate the enabled list by the seed, walking one position per step
+        # so no enabled channel is starved forever.
+        channel, sender, pc, receiver, _ = pairs[(config.seed + steps) % len(pairs)]
+        message = tuple(to(sender.received[source][0]) for source, to in sender.program[pc][2])
+        events.append(TraceEvent(steps, SEND, channel, sender.name, message))
+        events.append(TraceEvent(steps, RECEIVE, channel, receiver.name, message))
         sender.pc += 1
         receiver.received[channel] = message
         receiver.pc += 1
         steps += 1
-    if not settled and max_steps > 0:
-        advance_phase()
+    if steps:
+        advance_phase()  # the reads and recursions after the last rendezvous
     return Trace(tuple(events))
 
 
@@ -350,11 +343,10 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
 
     At every recursion event of the axiom's target behaviour the controllable
     values must equal the declared conversion chains applied to the most
-    recent payloads received on the corresponding channels.
+    recent payloads received on the corresponding channels.  An axiom whose
+    target is not a controllable attribute (E110) raises ``ValueError``.
     """
-    from .compiler import compile_model
-
-    graph = compile_model(model)
+    graph = compiler.compile_model(model)
     processes = {p.name: p for p in graph.processes()}
     map_of = chain_maps(model, graph.registry)
     # Payload values are shared objects, so each (expected, actual) pair of
@@ -373,6 +365,10 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
         updates = {u.attr: u for u in process.body.updates}
         if all(attr in updates for attr in axiom.target_attrs):
             order = process.signature.controllable_params
+            for attr in axiom.target_attrs:
+                if attr not in order:
+                    raise ValueError(f"axiom {axiom.name!r}: target {axiom.target_sort}.{attr} "
+                                     "is not a controllable attribute (E110)")
             watched.setdefault(process.name, []).append((
                 index, [(u.channel, u.index, map_of(u.chain))
                         for u in map(updates.get, axiom.target_attrs)],

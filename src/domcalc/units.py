@@ -62,6 +62,10 @@ class UnitBoundError(UnitError):
     """A unit expression beyond the size bounds below; diagnosed as E208."""
 
 
+class ZeroUnitFactor(UnitError):
+    """A zero number factor (``m/0``, ``0*m``): a unit scale is never zero."""
+
+
 class UnregisteredKind(KeyError):
     pass
 
@@ -120,18 +124,6 @@ class Dimension:
 
 
 DIMENSIONLESS = Dimension()
-
-
-def dim_mul(a: Dimension, b: Dimension) -> Dimension:
-    return a * b
-
-
-def dim_div(a: Dimension, b: Dimension) -> Dimension:
-    return a / b
-
-
-def dim_pow(a: Dimension, n: int) -> Dimension:
-    return a ** n
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +249,8 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
     Grammar: products ``*``, quotients ``/``, integer powers ``^n``,
     parentheses, the literal ``1`` for dimensionless, unit symbols with
     standard prefixes.  Raises ``UnknownUnitSymbol`` / ``UnknownPrefix`` /
-    ``UnitBoundError`` / ``UnitError`` on bad input, a zero number factor
-    (``m/0``, ``0*m``) included.
+    ``UnitBoundError`` / ``ZeroUnitFactor`` (a zero number factor: ``m/0``,
+    ``0*m``) / ``UnitError`` on bad input.
     """
     tokens: list[str] = []
     pos = 0
@@ -298,7 +290,7 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
             take()
             number = _int_token(tok)
             if number == 0:
-                raise UnitError("zero factor in unit expression")
+                raise ZeroUnitFactor("zero factor in unit expression")
             dim, scale = _bounded(DIMENSIONLESS, Fraction(number))
         else:
             take()
@@ -737,8 +729,6 @@ def typecheck_expr(text: str, env: Mapping[str, QuantityKind],
         if ttype == "name":
             if value in env:
                 return env[value]
-            if value in registry:
-                return registry.get(value)
             try:
                 return registry.resolve(value)
             except (UnitError, KeyError):

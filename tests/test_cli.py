@@ -222,8 +222,8 @@ _PART = "part A {{ id AI; mereo empty; attr x : {attr}; }}\n"
         "units-1/0", "units-0^-1", "units-m/0"])
 def test_zero_divisors_are_diagnosed_without_traceback(
         capsys, tmp_path, argv, source, diagnostic):
-    # Each of these ended in ZeroDivisionError: the declaration is reported
-    # instead, and the units fallback may type the expression.
+    # Each of these ended in ZeroDivisionError: the declaration or the unit
+    # expression is reported instead.
     if source is not None:
         path = tmp_path / "zero.dom"
         path.write_text(source)
@@ -234,6 +234,21 @@ def test_zero_divisors_are_diagnosed_without_traceback(
     if diagnostic is not None:
         assert code == 2
         assert f"zero.dom:{diagnostic}: " in err
+
+
+@pytest.mark.parametrize("expr", ["m/0", "0*m", "1/0", "0^-1"])
+def test_units_check_zero_factor_is_e205(capsys, expr):
+    code, out, _ = run_cli(capsys, "units", "check", expr)
+    assert code == 2
+    assert out == "E205: zero factor in unit expression\n"
+
+
+@pytest.mark.parametrize("expr, line", [("m/2", "m/2: m^1, scale 0.5"),
+                                        ("km/h", "km/h: m^1 s^-1, scale 5/18")])
+def test_units_check_scaled_units(capsys, expr, line):
+    code, out, _ = run_cli(capsys, "units", "check", expr)
+    assert code == 0
+    assert out == line + "\n"
 
 
 def test_units_check_newton(capsys):

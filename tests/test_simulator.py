@@ -308,6 +308,15 @@ def test_no_axioms_no_verdicts():
     assert check_axioms(model, trace) == []
 
 
+def test_axiom_on_static_target_names_axiom_and_attribute(aircraft_path):
+    text = aircraft_path.read_text(encoding="utf-8")
+    model = parse_ok(text.replace("attr dLO : dLO programmable init 0;",
+                                  "attr dLO : dLO static;"))
+    assert [d.code for d in check_wellformed(model)] == ["E110"]
+    with pytest.raises(ValueError, match=r"'displays_track_recordings'.* DP\.dLO .*E110"):
+        check_axioms(model, Trace(()))
+
+
 def test_conversion_roundtrip_aircraft(aircraft_model):
     verdicts = conversion_roundtrip_check(aircraft_model, samples=25, seed=7)
     # Ten conversions declare inverses (r2d/d2r pairs); a2r ones are skipped.

@@ -11,9 +11,6 @@ from domcalc.units import (
     Quantity,
     builtin_registry,
     check_op,
-    dim_div,
-    dim_mul,
-    dim_pow,
     fraction_str,
     mean,
     parse_fraction,
@@ -79,7 +76,7 @@ PREFIX_FACTORS = {
 def oracle_dimension(decomposition: dict) -> Dimension:
     result = Dimension()
     for symbol, exponent in decomposition.items():
-        result = dim_mul(result, dim_pow(BASE_VECTORS[symbol], exponent))
+        result = result * BASE_VECTORS[symbol] ** exponent
     return result
 
 
@@ -89,27 +86,27 @@ def test_pascal_from_newton_per_square_meter():
     newton, _ = parse_unit("N")
     metre, _ = parse_unit("m")
     pascal, _ = parse_unit("Pa")
-    assert dim_div(newton, dim_pow(metre, 2)) == pascal
+    assert newton / metre ** 2 == pascal
 
 
 def test_dimensionless_is_identity():
     force, _ = parse_unit("N")
-    assert dim_mul(force, Dimension()) == force
+    assert force * Dimension() == force
 
 
 def test_cube_of_length_is_volume():
     metre, _ = parse_unit("m")
-    assert dim_pow(metre, 3) == Dimension.of(m=3)
+    assert metre ** 3 == Dimension.of(m=3)
 
 
 @given(st.tuples(*[st.integers(-6, 6)] * 7), st.tuples(*[st.integers(-6, 6)] * 7),
        st.tuples(*[st.integers(-6, 6)] * 7))
 def test_dimension_abelian_group(a, b, c):
     da, db, dc = Dimension(a), Dimension(b), Dimension(c)
-    assert dim_mul(da, db) == dim_mul(db, da)
-    assert dim_mul(dim_mul(da, db), dc) == dim_mul(da, dim_mul(db, dc))
-    assert dim_mul(da, Dimension()) == da
-    assert dim_mul(da, dim_div(Dimension(), da)) == Dimension()
+    assert da * db == db * da
+    assert (da * db) * dc == da * (db * dc)
+    assert da * Dimension() == da
+    assert da * (Dimension() / da) == Dimension()
 
 
 # -- unit parsing ------------------------------------------------------------

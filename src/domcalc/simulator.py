@@ -227,15 +227,21 @@ def chain_maps(model: DomainModel, registry: KindRegistry
     to last, each into its own resolved target kind; an empty chain returns
     its input.  Each chain's map is built once, when first asked for (``run``
     asks for all of them when it starts), and memoised by identity; each call
-    returns fresh memos, one per caller.
+    returns fresh memos, one per caller.  A chain naming an unknown
+    conversion (E112) raises ``ValueError`` when its map is built.
 
     ``ScriptTrack.value_at`` hands out the same point objects every cycle,
     so a run feeds each map a few objects over and over and its payloads
     share one result per (object, chain).
     """
     def stepwise(chain: tuple[str, ...]) -> Callable[[Quantity], Quantity]:
-        links = [(conv, registry.resolve(conv.to_kind))
-                 for conv in map(model.conversion, chain)]
+        links = []
+        for name in chain:
+            conv = model.conversion(name)
+            if conv is None:
+                raise ValueError(
+                    f"unknown conversion {name!r} in chain ({', '.join(chain)}) (E112)")
+            links.append((conv, registry.resolve(conv.to_kind)))
 
         def apply(value: Quantity) -> Quantity:
             for conv, kind in links:
@@ -284,6 +290,8 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                     for pc, (op, channel, _) in enumerate(sender.program)
                     if op == SEND and channel in receiving), key=operator.itemgetter(0))
     events: list[TraceEvent] = []
+    # Records are built without the named tuple's Python-level __new__.
+    new = tuple.__new__
     steps = 0
 
     def advance_phase() -> None:
@@ -295,7 +303,7 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                     value = None if operand is None else operand.value_at(steps)
                     if value is None:
                         break  # no track, or the script is exhausted: blocked for good
-                    events.append(TraceEvent(steps, RECEIVE, channel, state.name, (value,)))
+                    events.append(new(TraceEvent, (steps, RECEIVE, channel, state.name, (value,))))
                     state.received[channel] = (value,)
                     state.pc += 1
                 elif op == RECURSION:
@@ -306,8 +314,8 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                         payload = state.received.get(source)
                         if payload is not None:
                             state.controllables[attr] = to(payload[index])
-                    events.append(TraceEvent(steps, RECURSION, None, state.name,
-                                             tuple(map(state.controllables.__getitem__, order))))
+                    events.append(new(TraceEvent, (steps, RECURSION, None, state.name, tuple(
+                        map(state.controllables.__getitem__, order)))))
                     state.pc = 0
                     recursed = True
                 else:
@@ -323,8 +331,8 @@ def run(config: RunConfig, max_steps: int) -> Trace:
         # so no enabled channel is starved forever.
         channel, sender, pc, receiver, _ = pairs[(config.seed + steps) % len(pairs)]
         message = tuple(to(sender.received[source][0]) for source, to in sender.program[pc][2])
-        events.append(TraceEvent(steps, SEND, channel, sender.name, message))
-        events.append(TraceEvent(steps, RECEIVE, channel, receiver.name, message))
+        events.append(new(TraceEvent, (steps, SEND, channel, sender.name, message)))
+        events.append(new(TraceEvent, (steps, RECEIVE, channel, receiver.name, message)))
         sender.pc += 1
         receiver.received[channel] = message
         receiver.pc += 1
@@ -460,25 +468,90 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 def trace_from_jsonl(text: str, registry: KindRegistry) -> Trace:
+    """Read a trace back from JSON lines: one JSON object per line with the
+    keys ``step``, ``kind``, ``channel``, ``process`` and ``payload``, in any
+    order and spacing; blank lines are skipped.  A malformed line raises
+    ``ValueError("line N: ...")``, N counted from 1.
+
+    A line that repeats an earlier one but for its step is not decoded
+    again.  The writer ends every line in ``, "step": N}``, and the text
+    before it, the head, is fixed by the event's other fields.  A line
+    ending so, with N in plain digits, whose head an earlier such line had,
+    takes that line's event with its own step: in valid JSON this key is
+    the top-level object's last ``step``, the one ``json.loads`` keeps, so
+    the event is the one it would give.  Events read this way share their
+    payload tuple.
+    """
     events = []
+    new = tuple.__new__
+    # Head -> the event of the first line with that head and a plain step.
+    firsts: dict[str, TraceEvent] = {}
     # A trace repeats a handful of (kind, value) pairs; equal ones share a Quantity.
     quantities: dict[tuple[str, str], Quantity] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        payload = []
-        for p in data["payload"]:
-            key = (p["kind"], p["value"])
-            try:
-                quantity = quantities[key]
-            except (KeyError, TypeError):  # TypeError: a JSON array or object, refused below
-                quantity = Quantity(parse_fraction(key[1]), registry.resolve(key[0]))
-                quantities[key] = quantity
-            payload.append(quantity)
-        events.append(TraceEvent(data["step"], data["kind"], data["channel"],
-                                 data["process"], tuple(payload)))
+    lines = text.splitlines()
+    count = len(lines)
+    lines.reverse()  # popped from the end, so each line is freed once read
+    while lines:
+        line = lines.pop()
+        head, _, tail = line.rpartition(', "step": ')
+        digits = tail[:-1]
+        # JSON integer digits: ASCII, and no leading zero.
+        plain = (tail[-1:] == "}" and digits.isdigit() and digits.isascii()
+                 and (digits[0] != "0" or digits == "0"))
+        try:
+            if plain:
+                first = firsts.get(head)
+                if first is not None:
+                    events.append(new(TraceEvent, (int(digits), *first[1:])))
+                    continue
+            elif not line.strip():
+                continue
+            event = _decode_event(line, registry, quantities)
+        except ValueError as exc:
+            raise ValueError(f"line {count - len(lines)}: {exc}") from None
+        if plain:  # it decoded, so its tail followed the separator
+            firsts[head] = event
+        events.append(event)
     return Trace(tuple(events))
+
+
+def _decode_event(line: str, registry: KindRegistry,
+                  quantities: dict[tuple[str, str], Quantity]) -> TraceEvent:
+    """One trace line through ``json.loads``, each field checked.  Payload
+    values are looked up in, and added to, ``quantities``."""
+    data = json.loads(line)
+    try:
+        step, kind, channel, process, items = (
+            data["step"], data["kind"], data["channel"], data["process"], data["payload"])
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except TypeError:  # a JSON array, string, number or null
+        raise ValueError("not a JSON object") from None
+    if type(step) is not int or step < 0:
+        raise ValueError(f"step {step!r} is not a non-negative integer")
+    if type(kind) is not str:
+        raise ValueError(f"kind {kind!r} is not a string")
+    if type(process) is not str:
+        raise ValueError(f"process {process!r} is not a string")
+    if channel is not None and type(channel) is not str:
+        raise ValueError(f"channel {channel!r} is neither a string nor null")
+    if type(items) is not list:
+        raise ValueError(f"payload {items!r} is not a list")
+    payload = []
+    for item in items:
+        try:
+            key = item["kind"], item["value"]
+            # Only pairs of strings are stored, so a hit is a checked pair.
+            quantity = quantities.get(key)
+        except (KeyError, TypeError):  # TypeError: not an object, or unhashable
+            quantity = key = None
+        if quantity is None:
+            if key is None or type(key[0]) is not str or type(key[1]) is not str:
+                raise ValueError(f'payload item {item!r} is not {{"kind": str, "value": str}}')
+            quantity = quantities[key] = Quantity(parse_fraction(key[1]),
+                                                  registry.resolve(key[0]))
+        payload.append(quantity)
+    return tuple.__new__(TraceEvent, (step, kind, channel, process, tuple(payload)))
 
 
 def verdicts_to_json(verdicts: Sequence[Verdict]) -> dict:

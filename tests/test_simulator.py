@@ -26,7 +26,8 @@ from domcalc.simulator import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from domcalc.units import DIMENSIONLESS, KindRegistry, Quantity, QuantityKind, fraction_str
+from domcalc.units import (
+    DIMENSIONLESS, KindRegistry, Quantity, QuantityKind, fraction_str, parse_fraction)
 from conftest import GOLDEN, short_id
 from modelgen import pairs_model, perturb_recursion_payload, random_model, random_script
 
@@ -314,6 +315,22 @@ def test_axiom_on_static_target_names_axiom_and_attribute(aircraft_path):
                                   "attr dLO : dLO static;"))
     assert [d.code for d in check_wellformed(model)] == ["E110"]
     with pytest.raises(ValueError, match=r"'displays_track_recordings'.* DP\.dLO .*E110"):
+        check_axioms(model, Trace(()))
+
+
+def test_chain_with_unknown_conversion_names_chain_and_conversion(aircraft_path,
+                                                                  aircraft_script_path):
+    text = aircraft_path.read_text(encoding="utf-8")
+    model = parse_ok(text.replace("PP.LO via a2rLO, r2dLO", "PP.LO via a2rLO, nosuch"))
+    assert "E112" in [d.code for d in check_wellformed(model)]
+    graph = compiler.compile_model(model)
+    with open(aircraft_script_path, encoding="utf-8") as handle:
+        script = EnvironmentScript.from_json(json.load(handle), graph)
+    # The sender applies the chain's first link, so a run may name only the rest.
+    cause = r"unknown conversion 'nosuch' in chain \((a2rLO, )?nosuch\) \(E112\)"
+    with pytest.raises(ValueError, match=cause):
+        run(instantiate(graph, script, seed=0), 0)
+    with pytest.raises(ValueError, match=cause):
         check_axioms(model, Trace(()))
 
 
@@ -689,6 +706,159 @@ def test_jsonl_reader_raises_on_first_bad_value(aircraft_graph):
     with pytest.raises(ValueError, match="abc"):
         trace_from_jsonl(good % "1.5" + good % "1.5" + good % "abc",
                          aircraft_graph.registry)
+
+
+def oracle_trace_from_jsonl(text, registry):
+    # The reader as it was: one json.loads per line.
+    events = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        data = json.loads(line)
+        payload = tuple(Quantity(parse_fraction(p["value"]), registry.resolve(p["kind"]))
+                        for p in data["payload"])
+        events.append(TraceEvent(data["step"], data["kind"], data["channel"],
+                                 data["process"], payload))
+    return Trace(tuple(events))
+
+
+def _line(step, process="position", tail=""):
+    # A send line as the writer spells it, with ``tail`` after the step.
+    return ('{"channel": "po_di_ch", "kind": "send", "payload": [{"kind": "rLO", '
+            f'"value": "3/2"}}, {{"kind": "point deg", "value": "-1"}}], '
+            f'"process": {json.dumps(process)}, "step": {step}{tail}}}')
+
+
+def _raw(process, step):
+    # A recursion line with ``process`` put between the quotes as it is.
+    return f'{{"channel": null, "kind": "recursion", "payload": [], "process": "{process}", ' \
+           f'"step": {step}}}'
+
+
+READER_VALID_TEXTS = {
+    "repeated": "\n".join(_line(step) for step in (0, 1, 2, 10, 0, 2 ** 70)) + "\n",
+    "no final newline": _line(3) + "\n" + _line(4),
+    "keys reordered": '{"step": 4, "process": "p", "payload": [], "kind": "send", '
+                      '"channel": null}\n'
+                      '{"step": 5, "process": "p", "payload": [], "kind": "send", '
+                      '"channel": null}\n' + _line(6) + "\n" + _line(7),
+    "no spaces": '{"channel":null,"kind":"send","payload":[],"process":"p","step":3}\n' * 2,
+    "extra spaces": '  {"channel": null ,  "kind": "send", "payload": [ ], "process": "p" ,'
+                    ' "step": 3 }\n' + _line(1) + "\n" + _line(2).replace('"step": ',
+                                                                       '"step":  ') + "\n"
+                    + _line(8).replace("8}", "8 }"),
+    "trailing spaces": _line(4) + "\n" + _line(5) + "   \n" + _line(6) + "\t\n",
+    "crlf": _line(1) + "\r\n" + _line(2) + "\r\n" + _line(3) + "\r\n",
+    "blank lines": "\n\n" + _line(1) + "\n   \n\t\n" + _line(2) + "\n\n",
+    "duplicate step key": _line(3, tail=', "step": 5') + "\n" + _line(3, tail=', "step": 6')
+                          + "\n" + _line(4, tail=', "step": 0'),
+    "step text in a process name": _line(1, 'x, "step": 1}') + "\n" + _line(2, 'x, "step": 1}')
+                                   + "\n" + _raw('y, \\"step\\": 2}', 3)
+                                   + "\n" + _raw('y, \\"step\\": 2}', 4),
+    "a key after the step": _line(5, tail=', "process": "q"') + "\n" + _line(6) + "\n"
+                            + _line(7, tail=', "process": "q"'),
+    "escapes": "\n".join(_line(step, name) for name in ('say "hi"', "back\\slash", "µs",
+                                                         "line\u2028sep", "tab\t")
+                         for step in (1, 2)) + "\n",
+    "raw non-ascii": "\n".join(_raw(name, step) for name in ("µs", "Ωmega", "\\u00b5s")
+                               for step in (0, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_VALID_TEXTS))
+def test_jsonl_reader_matches_json_loads_oracle(aircraft_graph, name):
+    text = READER_VALID_TEXTS[name]
+    back = trace_from_jsonl(text, aircraft_graph.registry)
+    assert back == oracle_trace_from_jsonl(text, aircraft_graph.registry)
+    assert all(type(event) is TraceEvent for event in back)
+
+
+# Lines whose head repeats an earlier line's but whose step is not plain
+# digits or lacks its closing brace, and a raw U+2028, which splits its line.
+READER_ODD_TEXTS = {
+    f"step {step} after 7{label}": _line(7, process) + "\n" + _line(step, process) + "\n"
+    for step in ("07", "-7", "7.0", "1e3", "٣", "true", '"7"', "7}", "7, ", "0x7", "7_0", "+7")
+    for label, process in (("", "position"), (", U+2028 process", "\u2028"))}
+READER_ODD_TEXTS["no closing brace"] = _line(7) + "\n" + _line(71)[:-1] + "\n"
+READER_ODD_TEXTS["raw U+2028"] = _raw("a\u2028b", 1) + "\n" + _raw("a\u2028b", 2)
+
+
+@pytest.mark.parametrize("name", sorted(READER_ODD_TEXTS))
+def test_jsonl_reader_ends_as_under_oracle(aircraft_graph, name):
+    # The same events as json.loads gives, or a ValueError where the oracle
+    # raises or yields an event with a step that no trace can hold.
+    text = READER_ODD_TEXTS[name]
+
+    def ending(reader):
+        try:
+            return reader(text, aircraft_graph.registry)
+        except ValueError:
+            return ValueError
+
+    expected, back = ending(oracle_trace_from_jsonl), ending(trace_from_jsonl)
+    if back is ValueError:
+        assert expected is ValueError or not all(
+            type(event.step) is int and event.step >= 0 for event in expected)
+    else:
+        assert back == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       heads=st.lists(st.tuples(st.sampled_from(["send", "receive", "recursion", "deadlock"]),
+                                st.one_of(st.none(), st.text(max_size=6)),
+                                st.text(max_size=6),
+                                st.lists(st.fractions(), max_size=3)),
+                      min_size=1, max_size=5),
+       length=st.integers(min_value=0, max_value=30))
+def test_jsonl_roundtrip_with_repeated_and_distinct_heads(aircraft_graph, data, heads,
+                                                          length):
+    registry = aircraft_graph.registry
+    kinds = registry.kinds()
+    heads = [(kind, channel, process,
+              tuple(Quantity(m, data.draw(st.sampled_from(kinds))) for m in magnitudes))
+             for kind, channel, process, magnitudes in heads]
+    steps = st.one_of(st.integers(min_value=0, max_value=12), st.integers(min_value=0))
+    trace = Trace(tuple(
+        TraceEvent(data.draw(steps), *data.draw(st.sampled_from(heads)))
+        for _ in range(length)))
+    back = trace_from_jsonl(trace_to_jsonl(trace), registry)
+    assert back == trace
+    assert all(type(event) is TraceEvent for event in back)
+
+
+_GOOD = _line(0)
+READER_BAD_LINES = {
+    "array": "[1]",
+    "string": '"text"',
+    "not json": "{",
+    "missing payload": '{"channel": null, "kind": "send", "process": "p", "step": 0}',
+    "missing step": '{"channel": null, "kind": "send", "payload": [], "process": "p"}',
+    "payload string item": _GOOD.replace('[{"kind": "rLO", "value": "3/2"}, ', '["x", '),
+    "payload array item": _GOOD.replace('[{"kind": "rLO", "value": "3/2"}, ', "[[1], "),
+    "payload not a list": '{"channel": null, "kind": "send", "payload": {}, "process": "p", '
+                          '"step": 0}',
+    "value not a string": _GOOD.replace('"3/2"', "3"),
+    "kind of value not a string": _GOOD.replace('"rLO"', "7"),
+    "item without value": _GOOD.replace(', "value": "3/2"', ""),
+    "step string": _line('"abc"'),
+    "step negative": _line(-3),
+    "step float": _line(1.5),
+    "step bool": _line("true"),
+    "step leading zero": _line("07"),
+    "kind not a string": _GOOD.replace('"kind": "send"', '"kind": 7'),
+    "channel number": _GOOD.replace('"channel": "po_di_ch"', '"channel": 5'),
+    "process null": _line(0, None),
+    "bad value": _GOOD.replace('"3/2"', '"abc"'),
+    "unknown kind": _GOOD.replace('"rLO"', '"nosuch_kind"'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_BAD_LINES))
+def test_jsonl_reader_names_the_malformed_line(aircraft_graph, name):
+    text = f"{_GOOD}\n\n{READER_BAD_LINES[name]}\n{_GOOD}\n"
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        trace_from_jsonl(text, aircraft_graph.registry)
 
 
 @settings(max_examples=200, deadline=None)

@@ -23,6 +23,7 @@ from .model import (
     PROGRAMMABLE,
     STATIC,
     AttributeDecl,
+    AxiomDecl,
     BehaviourSignature,
     ChannelDecl,
     ConversionDecl,
@@ -66,22 +67,22 @@ def _controllable_attrs(decl: EndurantDecl) -> tuple[AttributeDecl, ...]:
     return decl.attributes_in(CONTROLLABLE_CATEGORIES)
 
 
+def _sent(attr: str, first_link: tuple[str, ...]) -> str:
+    return f"{first_link[0]}({attr})" if first_link else attr
+
+
 @dataclass(frozen=True)
 class _Relation:
     """A directed mereology channel: producer part -> consumer part."""
 
     sender: EndurantDecl
     receiver: EndurantDecl
-
-    @property
-    def channel_name(self) -> str:
-        return (f"{behaviour_prefix(self.sender.behaviour_name)}_"
-                f"{behaviour_prefix(self.receiver.behaviour_name)}_ch")
+    channel_name: str
 
 
 class _ModelIndex:
-    """Relations derived once from a model for one compile or print call;
-    names are looked up on the model itself.
+    """Relations and axiom wiring derived once from a model for one compile
+    or print call; names are looked up on the model itself.
 
     Parts are related when either mereology names the other's identifier
     type; each relation points at the part with controllable attributes
@@ -93,10 +94,6 @@ class _ModelIndex:
         self.from_kind: dict[str, list[ConversionDecl]] = {}
         for conv in model.conversions:
             self.from_kind.setdefault(conv.from_kind, []).append(conv)
-        self.source_chains: dict[tuple[str, str], tuple[str, ...]] = {}
-        for axiom in model.axioms:
-            for source in axiom.sources:
-                self.source_chains.setdefault((source.sort, source.attr), source.chain)
 
         self.parts = model.parts()
         self.id_owner = {p.id_type: p.name for p in self.parts if p.id_type}
@@ -111,7 +108,9 @@ class _ModelIndex:
             left, right = model_lookup(model, left_name), model_lookup(model, right_name)
             for sender, receiver in ((left, right), (right, left)):
                 if _controllable_attrs(receiver):
-                    self.relations.append(_Relation(sender, receiver))
+                    self.relations.append(_Relation(sender, receiver, (
+                        f"{behaviour_prefix(sender.behaviour_name)}_"
+                        f"{behaviour_prefix(receiver.behaviour_name)}_ch")))
         self.by_channel: dict[str, _Relation] = {}
         self.by_pair: dict[tuple[str, str], _Relation] = {}
         self.outgoing: dict[str, list[_Relation]] = {}
@@ -122,6 +121,52 @@ class _ModelIndex:
             self.outgoing.setdefault(relation.sender.name, []).append(relation)
             self.incoming.setdefault(relation.receiver.name, []).append(relation)
 
+        # One pass wires the axioms: each source attribute's first chain link
+        # (the first recorded wins), each target part's updates in declaration
+        # order, and a diagnostic for each wiring no channel can carry.
+        self.first_links: dict[tuple[str, str], tuple[str, ...]] = {}
+        self.updates: dict[str, list[UpdateSpec]] = {}
+        self.axiom_diagnostics: list[Diagnostic] = []
+        driven: dict[tuple[str, str], str] = {}
+
+        def refuse(axiom: AxiomDecl, code: str, message: str) -> None:
+            self.axiom_diagnostics.append(
+                error(code, f"axiom {axiom.name!r}: {message}", axiom.span))
+
+        for axiom in model.axioms:
+            for source in axiom.sources:
+                first = source.chain[:1]
+                recorded = self.first_links.setdefault((source.sort, source.attr), first)
+                if recorded != first:
+                    refuse(axiom, "E308", f"source {source.sort}.{source.attr} already goes "
+                                          f"on the wire as {_sent(source.attr, recorded)}, "
+                                          f"not {_sent(source.attr, first)}")
+            target = model.endurant(axiom.target_sort)
+            for attr, source in zip(axiom.target_attrs, axiom.sources) if target else ():
+                if (target.name, attr) in driven:
+                    refuse(axiom, "E307", f"{target.name}.{attr} is already driven by "
+                                          f"axiom {driven[target.name, attr]!r}")
+                    continue
+                driven[target.name, attr] = axiom.name
+                src = model.endurant(source.sort)
+                if src is None:
+                    continue
+                relation = self.by_pair.get((src.name, target.name))
+                slots = [a.name for a in _external_attrs(src)]
+                if src is target:
+                    refuse(axiom, "E305", f"source {source.sort}.{source.attr} and the "
+                                          "target are the same part; no channel carries it")
+                elif relation is None:
+                    refuse(axiom, "E305", f"source {source.sort} has no channel to target "
+                                          f"{axiom.target_sort}; relate them in a mereology")
+                elif source.attr not in slots:
+                    refuse(axiom, "E305", f"source {source.sort}.{source.attr} is not an "
+                                          "external attribute; no channel carries it")
+                else:
+                    self.updates.setdefault(target.name, []).append(UpdateSpec(
+                        attr, relation.channel_name, slots.index(source.attr),
+                        source.chain[1:]))
+
     def wire(self, part: EndurantDecl
              ) -> list[tuple[AttributeDecl, Optional[ConversionDecl]]]:
         """Each external attribute of ``part`` with the conversion applied
@@ -130,9 +175,9 @@ class _ModelIndex:
         from the attribute's kind, else none."""
         out = []
         for attr in _external_attrs(part):
-            chain = self.source_chains.get((part.name, attr.name))
-            if chain is not None:
-                conv = self.model.conversion(chain[0]) if chain else None
+            first = self.first_links.get((part.name, attr.name))
+            if first is not None:
+                conv = self.model.conversion(first[0]) if first else None
             else:
                 candidates = self.from_kind.get(attr.quantity, ())
                 conv = candidates[0] if len(candidates) == 1 else None
@@ -193,8 +238,11 @@ def compile_preflight(model: DomainModel) -> list[Diagnostic]:
 
     E301 an inter-behaviour channel with nothing derivable to send and no
     declaration, E303 a programmable attribute without an initial value,
-    E305 an axiom whose source part has no channel to the target part,
-    E306 name collisions among behaviours or derived channels.
+    E305 an axiom source that no channel carries to its target (no relating
+    mereology, the target's own part, or an attribute that is not external),
+    E306 name collisions among behaviours or derived channels, E307 a display
+    attribute that is the target of a second axiom source, E308 a source
+    attribute whose first conversion differs from an earlier source's.
     """
     return _preflight(_ModelIndex(model))
 
@@ -215,19 +263,7 @@ def _preflight(index: _ModelIndex) -> list[Diagnostic]:
                         f"{relation.channel_name!r} ({relation.sender.name} -> "
                         f"{relation.receiver.name}) and none is declared",
                 relation.sender.span))
-    for axiom in index.model.axioms:
-        target = index.model.endurant(axiom.target_sort)
-        if target is None:
-            continue
-        for source in axiom.sources:
-            src = index.model.endurant(source.sort)
-            if src is None or src.name == target.name:
-                continue
-            if (src.name, target.name) not in index.by_pair:
-                out.append(error(
-                    "E305", f"axiom {axiom.name!r}: source {source.sort} has no "
-                            f"channel to target {axiom.target_sort}; relate them "
-                            "in a mereology", axiom.span))
+    out += index.axiom_diagnostics
     behaviours: dict[str, str] = {}
     for part in index.parts:
         name = part.behaviour_name
@@ -320,20 +356,10 @@ def _core_process(index: _ModelIndex, registry: KindRegistry,
     sends = sorted((SendSpec(r.channel_name, wire) for r in index.outgoing.get(decl.name, ())),
                    key=lambda s: s.channel)
 
-    updates = []
-    for axiom in index.model.axioms:
-        if axiom.target_sort != decl.name:
-            continue
-        for target_attr, source in zip(axiom.target_attrs, axiom.sources):
-            relation = index.by_pair.get((source.sort, decl.name))
-            if relation is None:
-                continue
-            slot = [a.name for a in _external_attrs(relation.sender)].index(source.attr)
-            updates.append(UpdateSpec(target_attr, relation.channel_name,
-                                      slot, source.chain[1:]))
     controllable_order = {name: i for i, name in
                           enumerate(signature.controllable_params)}
-    updates.sort(key=lambda u: controllable_order.get(u.attr, len(controllable_order)))
+    updates = sorted(index.updates.get(decl.name, ()),
+                     key=lambda u: controllable_order.get(u.attr, len(controllable_order)))
 
     statics = []
     for attr in decl.attributes_in((STATIC,)):

@@ -693,7 +693,7 @@ def typecheck_expr(text: str, env: Mapping[str, QuantityKind],
     pos = 0
     while pos < len(text):
         match = _EXPR_TOKEN.match(text, pos)
-        if not match or match.end() == match.start():
+        if not match:
             rest = text[pos:].strip()
             if not rest:
                 break

@@ -4,17 +4,19 @@ import random
 import pytest
 
 from domcalc import compiler
-from domcalc.analysis import MAX_COMPOSITION_DEPTH, NotAPart
+from domcalc.analysis import MAX_COMPOSITION_DEPTH, NotAPart, check_wellformed
 from domcalc.compiler import (
     CompileError,
     behaviour_prefix,
     compile_model,
+    compile_preflight,
     compile_process,
     derive_channels,
     derive_signature,
     graph_to_json,
     print_process,
 )
+from domcalc.diagnostics import SourceSpan
 from domcalc.dsl import parse_model
 from domcalc.model import UnknownSort
 
@@ -374,3 +376,41 @@ def test_component_and_material_attrs_have_no_channels():
     material G { attr Y : kg inert; }
     """)
     assert derive_channels(model) == ()
+
+
+NO_MEREOLOGY = """part RT composite(A, B) { id RTI; mereo empty; }
+part A { id AI; mereo empty; attr X : m reactive; }
+part B { id BI; mereo empty; attr dX : rX programmable init 0; }
+conversion a2rX : m -> rX = affine(1, 0);
+axiom ax { display(B.dX) tracks (A.X via a2rX); }
+"""
+
+SHARED_BEHAVIOUR = """part RT composite(A, B) { id RTI; mereo empty; }
+part A { behaviour twin; id AI; mereo empty; attr X : m reactive; }
+part B { behaviour twin; id BI; mereo empty; attr Y : m reactive; }
+"""
+
+# sensor0 -> display and sensor1 -> display both derive 'se_di_ch'.
+AMBIGUOUS_CHANNEL = """part RT composite(sensor0, sensor1, display) { id RTI; mereo empty; }
+part sensor0 { id S0I; mereo DI; attr X : m reactive; }
+part sensor1 { id S1I; mereo DI; attr Y : m reactive; }
+part display { id DI; mereo S0I x S1I; attr dX : m programmable init 0; }
+"""
+
+
+@pytest.mark.parametrize("text, code, message, span", [
+    (NO_MEREOLOGY, "E305", "axiom 'ax': source A has no channel to target B; "
+                           "relate them in a mereology", (5, 1, 5, 50)),
+    (SHARED_BEHAVIOUR, "E306", "parts 'A' and 'B' share the behaviour name 'twin'",
+     (3, 1, 3, 68)),
+    (AMBIGUOUS_CHANNEL, "E306", "derived channel name 'se_di_ch' is ambiguous "
+                                "between two relations", (3, 1, 3, 56)),
+], ids=["no-mereology", "shared-behaviour", "ambiguous-channel"])
+def test_compile_refusal_code_message_and_span(text, code, message, span):
+    model = parse_ok(text)
+    expected = [(code, message, SourceSpan("<input>", *span))]
+    with pytest.raises(CompileError) as err:
+        compile_model(model)
+    assert [(d.code, d.message, d.span) for d in err.value.diagnostics] == expected
+    for diagnostics in (compile_preflight(model), check_wellformed(model)):
+        assert [(d.code, d.message, d.span) for d in diagnostics] == expected

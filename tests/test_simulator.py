@@ -540,6 +540,20 @@ def test_script_step_must_be_a_json_integer(aircraft_graph, step):
             {"attr_AL_ch": [[0, "1 m"], [step, "2 m"]]}, aircraft_graph)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"attr_NOPE_ch": [[0, "1 m"]]}, "script names unknown channel 'attr_NOPE_ch'"),
+    ({"po_di_ch": [[0, "1 m"]]}, "channel 'po_di_ch' is not an external-attribute channel"),
+    ({"attr_AL_ch": [[0]]}, "'attr_AL_ch': points must be [step, \"value\"] pairs"),
+    ({"attr_AL_ch": [[0, 5]]}, "'attr_AL_ch': points must be [step, \"value\"] pairs"),
+    ({"attr_AL_ch": {"cycle": 2}}, "'attr_AL_ch': points must be [step, \"value\"] pairs"),
+    ({"attr_AL_ch": "0 m"}, "'attr_AL_ch': points must be [step, \"value\"] pairs"),
+], ids=["unknown", "not-external", "short-point", "number-value", "no-points", "string"])
+def test_script_channel_and_points_are_checked(aircraft_graph, data, message):
+    with pytest.raises(ScriptError) as err:
+        EnvironmentScript.from_json(data, aircraft_graph)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("value", ["1e5000 m", "1e10000000 m", "1e-5000", "1" * 5000],
                          ids=short_id)
 def test_script_value_literal_beyond_bound_is_script_error(aircraft_graph, value):

@@ -363,6 +363,29 @@ def test_unknown_name_has_span(flight_env):
     assert diag.span.start_col == 6
 
 
+def test_parentheses_group_without_changing_the_kind(flight_env):
+    reg, env = flight_env
+    bare = typecheck_expr("VEL * TimeInterval", env, reg)
+    assert typecheck_expr("(VEL * TimeInterval)", env, reg) == bare
+    result = typecheck_expr("2 * (LO - LO)", env, reg)
+    assert result.kind is not None and not result.diagnostics
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("(VEL", "missing ')'", 1),
+    ("VEL * )", "unexpected token ')'", 7),
+    ("VEL *", "expression ends unexpectedly", 6),
+    ("VEL VEL", "trailing tokens after expression: 'VEL'", 5),
+    ("VEL # 2", "bad token '#' in expression", 4),
+])
+def test_malformed_expression_is_e200_with_span(flight_env, text, message, col):
+    reg, env = flight_env
+    result = typecheck_expr(text, env, reg)
+    assert result.kind is None
+    assert [(d.code, d.message, d.span.start_col) for d in result.diagnostics] == [
+        ("E200", message, col)]
+
+
 # -- exact scalars -----------------------------------------------------------
 
 @given(st.integers(-10 ** 12, 10 ** 12), st.integers(0, 12))

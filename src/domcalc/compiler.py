@@ -308,28 +308,32 @@ def compile_process(model: DomainModel, part_name: str,
     if any(d.is_error for d in diagnostics):
         raise CompileError([d for d in diagnostics if d.is_error])
 
-    visiting: list[str] = []
-
-    def build(name: str) -> ProcessNode:
-        if name in visiting:
-            raise CompileError([error("E302", f"composite cycle through {name!r}")])
-        if len(visiting) == MAX_COMPOSITION_DEPTH:
-            raise CompileError([error("E120", f"composition under {part_name!r} nests "
-                                              f"more than {MAX_COMPOSITION_DEPTH} parts deep")])
-        decl = model_lookup(model, name)
-        visiting.append(name)
-        children = tuple(build(child) for child in decl.children or ())
-        visiting.pop()
-        own_channels = name in index.outgoing or name in index.incoming
-        wants_core = (not decl.is_composite or always_core
-                      or bool(decl.attributes) or own_channels)
-        core = _core_process(index, registry, decl) if wants_core else None
-        return ProcessNode(name, core, children)
-
-    root = build(part_name)
+    root = _build_node(index, registry, part_name, always_core, [], part_name)
     process_names = {n.process.name for n in root.walk() if n.process}
     channels = _resolved_channels(index, process_names)
     return ProcessGraph(root, channels, registry, model)
+
+
+def _build_node(index: _ModelIndex, registry: KindRegistry, part_name: str,
+                always_core: bool, visiting: list[str], name: str) -> ProcessNode:
+    """The process node of part ``name`` under the compilation of ``part_name``;
+    ``visiting`` holds the parts above it.  A module-level function, so a
+    compile leaves no reference cycle for the cyclic collector."""
+    if name in visiting:
+        raise CompileError([error("E302", f"composite cycle through {name!r}")])
+    if len(visiting) == MAX_COMPOSITION_DEPTH:
+        raise CompileError([error("E120", f"composition under {part_name!r} nests "
+                                          f"more than {MAX_COMPOSITION_DEPTH} parts deep")])
+    decl = model_lookup(index.model, name)
+    visiting.append(name)
+    children = tuple(_build_node(index, registry, part_name, always_core, visiting, child)
+                     for child in decl.children or ())
+    visiting.pop()
+    own_channels = name in index.outgoing or name in index.incoming
+    wants_core = (not decl.is_composite or always_core
+                  or bool(decl.attributes) or own_channels)
+    core = _core_process(index, registry, decl) if wants_core else None
+    return ProcessNode(name, core, children)
 
 
 def compile_model(model: DomainModel, always_core: bool = False) -> ProcessGraph:

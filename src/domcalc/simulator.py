@@ -202,6 +202,7 @@ class _ProcState:
     # then the recursion; each entry is (op, channel, operand).
     program: tuple
     pc: int = 0
+    # Channel -> the value numbers of its last payload; attribute -> number.
     received: dict = field(default_factory=dict)
     controllables: dict = field(default_factory=dict)
 
@@ -221,34 +222,51 @@ def _by_identity(fn: Callable[[Any], T]) -> Callable[[Any], T]:
     return memo
 
 
+def _chain_apply(model: DomainModel, registry: KindRegistry,
+                 chain: tuple[str, ...]) -> Callable[[Quantity], Quantity]:
+    """One chain's map as ``chain_maps`` describes it, without the memo."""
+    links = []
+    for name in chain:
+        conv = model.conversion(name)
+        if conv is None:
+            raise ValueError(
+                f"unknown conversion {name!r} in chain ({', '.join(chain)}) (E112)")
+        links.append((conv, registry.resolve(conv.to_kind)))
+
+    def apply(value: Quantity) -> Quantity:
+        for conv, kind in links:
+            value = conv.apply(value, kind)
+        return value
+    return apply
+
+
 def chain_maps(model: DomainModel, registry: KindRegistry
                ) -> Callable[[tuple[str, ...]], Callable[[Quantity], Quantity]]:
     """Chain -> its map, which applies each named conversion in turn, first
     to last, each into its own resolved target kind; an empty chain returns
-    its input.  Each chain's map is built once, when first asked for (``run``
-    asks for all of them when it starts), and memoised by identity; each call
-    returns fresh memos, one per caller.  A chain naming an unknown
-    conversion (E112) raises ``ValueError`` when its map is built.
+    its input.  Each chain's map is built once, when first asked for, and
+    memoised on the identity of its input; each call returns fresh memos,
+    one per caller.  A chain naming an unknown conversion (E112) raises
+    ``ValueError`` when its map is built.
 
-    ``ScriptTrack.value_at`` hands out the same point objects every cycle,
-    so a run feeds each map a few objects over and over and its payloads
-    share one result per (object, chain).
+    A trace shares its payload values, so the monitor maps each object once.
+    ``run`` does not use these maps: it numbers its values and keeps one
+    table per chain from number to number.
     """
-    def stepwise(chain: tuple[str, ...]) -> Callable[[Quantity], Quantity]:
-        links = []
-        for name in chain:
-            conv = model.conversion(name)
-            if conv is None:
-                raise ValueError(
-                    f"unknown conversion {name!r} in chain ({', '.join(chain)}) (E112)")
-            links.append((conv, registry.resolve(conv.to_kind)))
+    return cache(lambda chain: _by_identity(_chain_apply(model, registry, chain)))
 
-        def apply(value: Quantity) -> Quantity:
-            for conv, kind in links:
-                value = conv.apply(value, kind)
-            return value
-        return _by_identity(apply)
-    return cache(stepwise)
+
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)``, once: a hit is a
+    plain subscript, with no Python-level call."""
+
+    def __init__(self, fill: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def run(config: RunConfig, max_steps: int) -> Trace:
@@ -260,85 +278,153 @@ def run(config: RunConfig, max_steps: int) -> Trace:
     with a deadlock event.  Each process's program and the table of possible
     rendezvous are resolved once, when the run starts, so a chain naming an
     unknown conversion (E112) fails here rather than at its first use.
+
+    The scheduler never looks at a value, so the run carries value numbers:
+    each script point read and each init value is numbered when the run
+    starts, and each chain maps numbers through a table filled on first use.
+    Events carry ``Quantity`` payloads, one shared tuple per distinct
+    message: a send and its receive carry one tuple, and so do the reads of
+    one point and the recursions that leave the controllables equal.
     """
     graph = config.graph
-    map_of = chain_maps(graph.model, graph.registry)
+    # Each value is numbered the first time the run sees its object.  Values
+    # are never hashed: equal values of two objects get two numbers, which
+    # only costs a second payload tuple.
+    values: list[Quantity] = []
+    numbers: dict[int, int] = {}  # id(value) -> its number; values keeps the object alive
+
+    def number(value: Quantity) -> int:
+        found = numbers.get(id(value))
+        if found is None:
+            found = numbers[id(value)] = len(values)
+            values.append(value)
+        return found
+
+    # A tuple of value numbers -> the one payload tuple of those values.
+    payloads = _Table(lambda key: tuple(map(values.__getitem__, key)))
+
+    @cache
+    def table(chain: tuple[str, ...]) -> _Table:
+        # Value number -> the number of its image under the chain.
+        apply = _chain_apply(graph.model, graph.registry, chain)
+        return _Table(lambda n: number(apply(values[n])))
+
     tracks = config.script.tracks
     external = {c.name for c in graph.channels if c.external}
 
+    def reading(track: Optional[ScriptTrack]) -> Optional[tuple]:
+        # A read's operand: the steps of the points, each point's
+        # (numbers, payload), the cycle and the last step of a finite track.
+        if track is None:
+            return None
+        keys = [(number(value),) for _, value in track.points]
+        return ([step for step, _ in track.points], [(key, payloads[key]) for key in keys],
+                track.cycle, track.points[-1][0] if track.points else -1)
+
     def program(process: ProcessDef) -> tuple:
         body = process.body
-        receives = [(READ, name, tracks.get(name)) if name in external else (RECEIVE, name, None)
-                    for name in body.receives]
-        # A send's payload slot: (the sender's attribute channel, its chain map).
+        receives = [(READ, name, reading(tracks.get(name))) if name in external
+                    else (RECEIVE, name, None) for name in body.receives]
+        # A send's payload slot: (the sender's attribute channel, its chain table).
         sends = [(SEND, spec.channel, tuple(
-                     (f"attr_{attr}_ch", map_of(() if conv is None else (conv,)))
+                     (f"attr_{attr}_ch", table(() if conv is None else (conv,)))
                      for attr, conv in spec.parts)) for spec in body.sends]
-        updates = tuple((u.attr, u.channel, u.index, map_of(u.chain)) for u in body.updates)
+        updates = tuple((u.attr, u.channel, u.index, table(u.chain)) for u in body.updates)
         return (*receives, *sends,
                 (RECURSION, None, (process.signature.controllable_params, updates)))
 
-    states = [_ProcState(p.name, program(p), controllables=dict(p.init_values))
+    states = [_ProcState(p.name, program(p), controllables={
+                  attr: number(value) for attr, value in p.init_values})
               for p in sorted(graph.processes(), key=lambda p: p.name)]
     if not states:
         return Trace(())
-    # One entry (channel, sender, send pc, receiver, receive pc) per channel
-    # with both ends running, in channel-name order: one sender per channel.
-    receiving = {channel: (state, pc) for state in states
+    # The states a phase must visit although no rendezvous moved them: those
+    # with no inter-behaviour action, and those reading a track that starts
+    # after step 0 (``instantiate`` refuses one), since they may wake later.
+    restless = {i for i, state in enumerate(states)
+                if all(op in (READ, RECURSION) for op, _, _ in state.program)
+                or any(op == READ and operand is not None and operand[0] and operand[0][0] > 0
+                       for op, _, operand in state.program)}
+    # One entry (channel, sender, send pc, receiver, receive pc, visit) per
+    # channel with both ends running, in channel-name order: one sender per
+    # channel.  Only the two states it moves and the restless ones can leave
+    # a phase moved, so the next phase visits just those, in name order.
+    receiving = {channel: (i, pc) for i, state in enumerate(states)
                  for pc, (op, channel, _) in enumerate(state.program) if op == RECEIVE}
-    table = sorted(((channel, sender, pc, *receiving[channel]) for sender in states
-                    for pc, (op, channel, _) in enumerate(sender.program)
-                    if op == SEND and channel in receiving), key=operator.itemgetter(0))
+    rendezvous = []
+    for s, sender in enumerate(states):
+        for pc, (op, channel, _) in enumerate(sender.program):
+            if op == SEND and channel in receiving:
+                r, rpc = receiving[channel]
+                rendezvous.append((channel, sender, pc, states[r], rpc,
+                                   [states[i] for i in sorted(restless | {s, r})]))
+    rendezvous.sort(key=operator.itemgetter(0))
     events: list[TraceEvent] = []
     # Records are built without the named tuple's Python-level __new__.
     new = tuple.__new__
     steps = 0
 
-    def advance_phase() -> None:
-        for state in states:
+    def advance_phase(visit: list[_ProcState]) -> None:
+        for state in visit:
+            program, pc, received, name = state.program, state.pc, state.received, state.name
             recursed = False
             while True:
-                op, channel, operand = state.program[state.pc]
+                op, channel, operand = program[pc]
                 if op == READ:
-                    value = None if operand is None else operand.value_at(steps)
-                    if value is None:
-                        break  # no track, or the script is exhausted: blocked for good
-                    events.append(new(TraceEvent, (steps, RECEIVE, channel, state.name, (value,))))
-                    state.received[channel] = (value,)
-                    state.pc += 1
+                    if operand is None:
+                        break  # no track: blocked for good
+                    points, reads, cycle, last = operand
+                    if cycle:
+                        at = steps % cycle
+                    elif steps > last:
+                        break  # the script is exhausted: blocked for good
+                    else:
+                        at = steps
+                    index = bisect_right(points, at)
+                    if not index:
+                        break  # before the track's first point
+                    key, payload = reads[index - 1]
+                    events.append(new(TraceEvent, (steps, RECEIVE, channel, name, payload)))
+                    received[channel] = key
+                    pc += 1
                 elif op == RECURSION:
                     if recursed:
                         break  # one cycle per phase for channel-free spinners
                     order, updates = operand
+                    controllables = state.controllables
                     for attr, source, index, to in updates:
-                        payload = state.received.get(source)
-                        if payload is not None:
-                            state.controllables[attr] = to(payload[index])
-                    events.append(new(TraceEvent, (steps, RECURSION, None, state.name, tuple(
-                        map(state.controllables.__getitem__, order)))))
-                    state.pc = 0
+                        key = received.get(source)
+                        if key is not None:
+                            controllables[attr] = to[key[index]]
+                    events.append(new(TraceEvent, (steps, RECURSION, None, name, payloads[
+                        tuple(map(controllables.__getitem__, order))])))
+                    pc = 0
                     recursed = True
                 else:
                     break  # blocked on an inter-behaviour action
+            state.pc = pc
 
+    visit = states
     while steps < max_steps:
-        advance_phase()
-        pairs = [pair for pair in table if pair[1].pc == pair[2] and pair[3].pc == pair[4]]
+        advance_phase(visit)
+        pairs = [pair for pair in rendezvous if pair[1].pc == pair[2] and pair[3].pc == pair[4]]
         if not pairs:
             events.append(TraceEvent(steps, DEADLOCK, None, ""))
             return Trace(tuple(events))
         # Rotate the enabled list by the seed, walking one position per step
         # so no enabled channel is starved forever.
-        channel, sender, pc, receiver, _ = pairs[(config.seed + steps) % len(pairs)]
-        message = tuple(to(sender.received[source][0]) for source, to in sender.program[pc][2])
+        channel, sender, pc, receiver, _, visit = pairs[(config.seed + steps) % len(pairs)]
+        received = sender.received
+        key = tuple([to[received[source][0]] for source, to in sender.program[pc][2]])
+        message = payloads[key]
         events.append(new(TraceEvent, (steps, SEND, channel, sender.name, message)))
         events.append(new(TraceEvent, (steps, RECEIVE, channel, receiver.name, message)))
         sender.pc += 1
-        receiver.received[channel] = message
+        receiver.received[channel] = key
         receiver.pc += 1
         steps += 1
     if steps:
-        advance_phase()  # the reads and recursions after the last rendezvous
+        advance_phase(visit)  # the reads and recursions after the last rendezvous
     return Trace(tuple(events))
 
 
@@ -448,23 +534,36 @@ def trace_to_jsonl(trace: Trace) -> str:
     """One JSON object per event and line, as ``json.dumps(..., sort_keys=True)``
     writes it: keys in sorted order (``channel``, ``kind``, ``payload`` of
     ``kind``/``value`` objects, ``process``, ``step``), strings ASCII-escaped,
-    and each magnitude as an exact decimal or ``p/q`` string."""
+    and each magnitude as an exact decimal or ``p/q`` string.
+
+    Everything before the step, the head, is formatted once per distinct
+    (kind, channel, process, payload object), and each distinct quantity
+    object once, when a head first needs it.  A trace from ``run`` shares
+    one payload tuple per distinct message, so most lines only add their
+    step; a trace of unshared tuples is written the same, only slower."""
     text_of = _by_identity(lambda q: f'{{"kind": {encode_basestring_ascii(q.kind.name)}, '
                                     f'"value": "{fraction_str(q.magnitude)}"}}')
-
-    # The text around the payload, per (channel, kind, process).
-    frames: dict[tuple, tuple[str, str]] = {}
-    lines = []
+    # (kind, channel, process, id(payload)) -> the head; ``payloads`` keeps
+    # each keyed payload alive, so its id cannot be reused.
+    heads: dict[tuple, str] = {}
+    payloads = []
+    # Three pieces per line, joined once at the end.
+    pieces: list[str] = []
+    add = pieces.append
     for step, kind, channel, process, payload in trace:
-        frame = frames.get((channel, kind, process))
-        if frame is None:
-            frame = frames[channel, kind, process] = (
+        key = (kind, channel, process, id(payload))
+        head = heads.get(key)
+        if head is None:
+            payloads.append(payload)
+            head = heads[key] = (
                 f'{{"channel": {"null" if channel is None else encode_basestring_ascii(channel)}, '
-                f'"kind": {encode_basestring_ascii(kind)}, "payload": [',
-                f'], "process": {encode_basestring_ascii(process)}, "step": ')
-        lines.append(f"{frame[0]}{', '.join(map(text_of, payload))}{frame[1]}"
-                     f"{int.__repr__(step)}}}\n")
-    return "".join(lines)
+                f'"kind": {encode_basestring_ascii(kind)}, '
+                f'"payload": [{", ".join(map(text_of, payload))}], '
+                f'"process": {encode_basestring_ascii(process)}, "step": ')
+        add(head)
+        add(int.__repr__(step))
+        add("}\n")
+    return "".join(pieces)
 
 
 def trace_from_jsonl(text: str, registry: KindRegistry) -> Trace:

@@ -265,64 +265,71 @@ def parse_unit(text: str) -> tuple[Dimension, Fraction]:
     if not tokens:
         raise UnitError("empty unit expression")
 
-    index = 0
+    parser = _UnitParser(tokens)
+    dim, scale = parser.expr()
+    if parser.index != len(tokens):
+        raise UnitError(f"trailing tokens in unit expression: {tokens[parser.index:]}")
+    return dim, scale
 
-    def peek() -> Optional[str]:
-        return tokens[index] if index < len(tokens) else None
 
-    def take() -> str:
-        nonlocal index
-        tok = tokens[index]
-        index += 1
+class _UnitParser:
+    """Recursive descent over one expression's tokens.  Methods, not nested
+    functions that call each other, so a parse leaves no reference cycle."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.index = 0
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
+
+    def take(self) -> str:
+        tok = self.tokens[self.index]
+        self.index += 1
         return tok
 
-    def parse_factor() -> tuple[Dimension, Fraction]:
-        tok = peek()
+    def factor(self) -> tuple[Dimension, Fraction]:
+        tok = self.peek()
         if tok is None:
             raise UnitError("unit expression ends unexpectedly")
         if tok == "(":
-            take()
-            dim, scale = parse_expr()
-            if peek() != ")":
+            self.take()
+            dim, scale = self.expr()
+            if self.peek() != ")":
                 raise UnitError("missing ')' in unit expression")
-            take()
+            self.take()
         elif tok.isdigit():
-            take()
+            self.take()
             number = _int_token(tok)
             if number == 0:
                 raise ZeroUnitFactor("zero factor in unit expression")
             dim, scale = _bounded(DIMENSIONLESS, Fraction(number))
         else:
-            take()
+            self.take()
             dim, scale = _resolve_symbol(tok)
-        if peek() == "^":
-            take()
+        if self.peek() == "^":
+            self.take()
             sign = 1
-            if peek() == "-":
-                take()
+            if self.peek() == "-":
+                self.take()
                 sign = -1
-            exp_tok = peek()
+            exp_tok = self.peek()
             if exp_tok is None or not exp_tok.lstrip("-").isdigit():
                 raise UnitError("expected integer exponent after '^'")
-            take()
+            self.take()
             dim, scale = _bounded(dim, scale, sign * _int_token(exp_tok))
         return dim, scale
 
-    def parse_expr() -> tuple[Dimension, Fraction]:
-        dim, scale = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rdim, rscale = parse_factor()
+    def expr(self) -> tuple[Dimension, Fraction]:
+        dim, scale = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rdim, rscale = self.factor()
             if op == "*":
                 dim, scale = _bounded(dim * rdim, scale * rscale)
             else:
                 dim, scale = _bounded(dim / rdim, scale / rscale)
         return dim, scale
-
-    dim, scale = parse_expr()
-    if index != len(tokens):
-        raise UnitError(f"trailing tokens in unit expression: {tokens[index:]}")
-    return dim, scale
 
 
 def canonical_unit_text(text: str) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -217,6 +218,20 @@ def test_compile_is_deterministic(aircraft_model):
     second = compile_process(aircraft_model, "AC")
     assert first == second
     assert graph_to_json(first) == graph_to_json(second)
+
+
+def test_compile_leaves_nothing_for_the_cyclic_collector(aircraft_model):
+    # Every object a compile makes is freed by reference counting, so peak
+    # memory does not wait on the cyclic collector.
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        graph = compile_model(aircraft_model)
+        assert gc.collect() == 0, gc.garbage[:10]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert graph == compile_model(aircraft_model)
 
 
 def test_missing_init_raises_compile_error():

@@ -400,6 +400,25 @@ def test_aircraft_trace_shares_payload_quantities(aircraft_graph, aircraft_scrip
     assert distinct_quantities(1200) == distinct_quantities(2400)
 
 
+def test_aircraft_trace_shares_payload_tuples(aircraft_graph, aircraft_script):
+    # One payload tuple per distinct message, however long the run; the
+    # writer formats each distinct (kind, channel, process, payload) once.
+    def run_events(steps):
+        return list(run(instantiate(aircraft_graph, aircraft_script, seed=0), steps))
+
+    short, events = run_events(1200), run_events(2400)
+    assert len({id(e.payload) for e in short}) == len({id(e.payload) for e in events})
+    assert len({id(e.payload) for e in events}) < len(events) // 100
+    # Each send is followed by its receive, which carries the very same tuple.
+    sends = [at for at, event in enumerate(events) if event.kind == "send"]
+    assert len(sends) == 2400
+    for at in sends:
+        send, receive = events[at], events[at + 1]
+        assert (receive.kind, receive.step, receive.channel) == ("receive", send.step,
+                                                                  send.channel)
+        assert receive.payload is send.payload
+
+
 def test_generated_models_run_and_pass(aircraft_model):
     for seed in range(30):
         rng = random.Random(seed)

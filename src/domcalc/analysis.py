@@ -234,7 +234,18 @@ def _slice_source(model: DomainModel, roots: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnostic]]:
-    """The model's kind registry: one table built in one pass.
+    """The model's kind registry and its construction diagnostics.
+
+    Built once per model object (``DomainModel.derived``) and shared by
+    ``check_wellformed``, the compiler and the monitor; each call returns a
+    fresh diagnostics list.
+    """
+    registry, diagnostics = model.derived(_build_registry)
+    return registry, list(diagnostics)
+
+
+def _build_registry(model: DomainModel) -> tuple[KindRegistry, tuple[Diagnostic, ...]]:
+    """The kind table, built in one pass.
 
     The table holds the built-in kinds; the kinds conversion declarations
     mint (same dimension as the source, scale divided by the affine factor),
@@ -320,7 +331,7 @@ def registry_for_model(model: DomainModel) -> tuple[KindRegistry, list[Diagnosti
             except (UnitError, KeyError) as exc:
                 diagnostics.append(error(
                     _unit_code(exc), f"channel {channel.name!r}: {exc}", channel.span))
-    return KindRegistry(kinds.values()), diagnostics
+    return KindRegistry(kinds.values()), tuple(diagnostics)
 
 
 def _unit_code(exc: Exception) -> str:

@@ -81,8 +81,10 @@ class _Relation:
 
 
 class _ModelIndex:
-    """Relations and axiom wiring derived once from a model for one compile
-    or print call; names are looked up on the model itself.
+    """Relations and axiom wiring derived from a model, built once per model
+    object (``_index``) and shared by the preflight, every compile of the
+    model and ``print_process``.  It keeps no reference to the model, which
+    holds it: names are looked up on the model, passed alongside.
 
     Parts are related when either mereology names the other's identifier
     type; each relation points at the part with controllable attributes
@@ -90,7 +92,6 @@ class _ModelIndex:
     """
 
     def __init__(self, model: DomainModel):
-        self.model = model
         self.from_kind: dict[str, list[ConversionDecl]] = {}
         for conv in model.conversions:
             self.from_kind.setdefault(conv.from_kind, []).append(conv)
@@ -167,7 +168,7 @@ class _ModelIndex:
                         attr, relation.channel_name, slots.index(source.attr),
                         source.chain[1:]))
 
-    def wire(self, part: EndurantDecl
+    def wire(self, model: DomainModel, part: EndurantDecl
              ) -> list[tuple[AttributeDecl, Optional[ConversionDecl]]]:
         """Each external attribute of ``part`` with the conversion applied
         before it goes on the wire: the first chain link of an axiom sourcing
@@ -177,7 +178,7 @@ class _ModelIndex:
         for attr in _external_attrs(part):
             first = self.first_links.get((part.name, attr.name))
             if first is not None:
-                conv = self.model.conversion(first[0]) if first else None
+                conv = model.conversion(first[0]) if first else None
             else:
                 candidates = self.from_kind.get(attr.quantity, ())
                 conv = candidates[0] if len(candidates) == 1 else None
@@ -185,14 +186,15 @@ class _ModelIndex:
         return out
 
 
+def _index(model: DomainModel) -> _ModelIndex:
+    return model.derived(_ModelIndex)
+
+
 def derive_channels(model: DomainModel) -> tuple[ChannelDecl, ...]:
     """The model's channel set: one ``attr_<A>_ch`` per external dynamic
     attribute of a part, plus one channel per directed mereology relation.
     Explicit declarations override the derived message kinds."""
-    return _derive_channels(_ModelIndex(model))
-
-
-def _derive_channels(index: _ModelIndex) -> tuple[ChannelDecl, ...]:
+    index = _index(model)
     kinds: dict[str, tuple[str, ...]] = {}
     for part in index.parts:
         for attr in _external_attrs(part):
@@ -200,8 +202,8 @@ def _derive_channels(index: _ModelIndex) -> tuple[ChannelDecl, ...]:
     for relation in index.relations:
         kinds.setdefault(relation.channel_name, tuple(
             conv.to_kind if conv else attr.quantity
-            for attr, conv in index.wire(relation.sender)))
-    for name, declared in index.model.channels_by_name.items():
+            for attr, conv in index.wire(model, relation.sender)))
+    for name, declared in model.channels_by_name.items():
         kinds[name] = declared.kinds
     return tuple(ChannelDecl(name, k) for name, k in kinds.items())
 
@@ -213,11 +215,8 @@ def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
     then incoming mereology channels by name; output channels are the
     outgoing mereology channels.
     """
-    return _derive_signature(_ModelIndex(model), part_name)
-
-
-def _derive_signature(index: _ModelIndex, part_name: str) -> BehaviourSignature:
-    decl = model_lookup(index.model, part_name)
+    index = _index(model)
+    decl = model_lookup(model, part_name)
     if decl.kind != "part":
         raise NotAPart(part_name)
     in_channels = [f"attr_{a.name}_ch" for a in _external_attrs(decl)]
@@ -243,11 +242,13 @@ def compile_preflight(model: DomainModel) -> list[Diagnostic]:
     E306 name collisions among behaviours or derived channels, E307 a display
     attribute that is the target of a second axiom source, E308 a source
     attribute whose first conversion differs from an earlier source's.
+    Computed once per model object; each call returns a fresh list.
     """
-    return _preflight(_ModelIndex(model))
+    return list(model.derived(_preflight))
 
 
-def _preflight(index: _ModelIndex) -> list[Diagnostic]:
+def _preflight(model: DomainModel) -> tuple[Diagnostic, ...]:
+    index = _index(model)
     out: list[Diagnostic] = []
     for part in index.parts:
         for attr in part.attributes:
@@ -257,7 +258,7 @@ def _preflight(index: _ModelIndex) -> list[Diagnostic]:
                             "has no init value", attr.span))
     for relation in index.relations:
         if (not _external_attrs(relation.sender)
-                and index.model.channel(relation.channel_name) is None):
+                and model.channel(relation.channel_name) is None):
             out.append(error(
                 "E301", f"no derivable message kind for channel "
                         f"{relation.channel_name!r} ({relation.sender.name} -> "
@@ -289,7 +290,7 @@ def _preflight(index: _ModelIndex) -> list[Diagnostic]:
             out.append(error(
                 "E306", f"derived channel name {relation.channel_name!r} is "
                         "ambiguous between two relations", relation.sender.span))
-    return out
+    return tuple(out)
 
 
 def compile_process(model: DomainModel, part_name: str,
@@ -301,20 +302,18 @@ def compile_process(model: DomainModel, part_name: str,
     compilations of their children; atomic parts entail no further
     compilations.
     """
-    registry, reg_diags = registry_for_model(model)
-    index = _ModelIndex(model)
-    diagnostics = [d for d in reg_diags if d.is_error]
-    diagnostics += _preflight(index)
-    if any(d.is_error for d in diagnostics):
-        raise CompileError([d for d in diagnostics if d.is_error])
+    registry, diagnostics = registry_for_model(model)
+    errors = [d for d in diagnostics + compile_preflight(model) if d.is_error]
+    if errors:
+        raise CompileError(errors)
 
-    root = _build_node(index, registry, part_name, always_core, [], part_name)
+    root = _build_node(model, registry, part_name, always_core, [], part_name)
     process_names = {n.process.name for n in root.walk() if n.process}
-    channels = _resolved_channels(index, process_names)
+    channels = _resolved_channels(model, process_names)
     return ProcessGraph(root, channels, registry, model)
 
 
-def _build_node(index: _ModelIndex, registry: KindRegistry, part_name: str,
+def _build_node(model: DomainModel, registry: KindRegistry, part_name: str,
                 always_core: bool, visiting: list[str], name: str) -> ProcessNode:
     """The process node of part ``name`` under the compilation of ``part_name``;
     ``visiting`` holds the parts above it.  A module-level function, so a
@@ -324,15 +323,16 @@ def _build_node(index: _ModelIndex, registry: KindRegistry, part_name: str,
     if len(visiting) == MAX_COMPOSITION_DEPTH:
         raise CompileError([error("E120", f"composition under {part_name!r} nests "
                                           f"more than {MAX_COMPOSITION_DEPTH} parts deep")])
-    decl = model_lookup(index.model, name)
+    decl = model_lookup(model, name)
     visiting.append(name)
-    children = tuple(_build_node(index, registry, part_name, always_core, visiting, child)
+    children = tuple(_build_node(model, registry, part_name, always_core, visiting, child)
                      for child in decl.children or ())
     visiting.pop()
+    index = _index(model)
     own_channels = name in index.outgoing or name in index.incoming
     wants_core = (not decl.is_composite or always_core
                   or bool(decl.attributes) or own_channels)
-    core = _core_process(index, registry, decl) if wants_core else None
+    core = _core_process(model, registry, decl) if wants_core else None
     return ProcessNode(name, core, children)
 
 
@@ -353,10 +353,12 @@ def compile_model(model: DomainModel, always_core: bool = False) -> ProcessGraph
     return compile_process(model, roots[0], always_core=always_core)
 
 
-def _core_process(index: _ModelIndex, registry: KindRegistry,
+def _core_process(model: DomainModel, registry: KindRegistry,
                   decl: EndurantDecl) -> ProcessDef:
-    signature = _derive_signature(index, decl.name)
-    wire = tuple((attr.name, conv.name if conv else None) for attr, conv in index.wire(decl))
+    index = _index(model)
+    signature = derive_signature(model, decl.name)
+    wire = tuple((attr.name, conv.name if conv else None)
+                 for attr, conv in index.wire(model, decl))
     sends = sorted((SendSpec(r.channel_name, wire) for r in index.outgoing.get(decl.name, ())),
                    key=lambda s: s.channel)
 
@@ -387,9 +389,10 @@ def _core_process(index: _ModelIndex, registry: KindRegistry,
     )
 
 
-def _resolved_channels(index: _ModelIndex,
+def _resolved_channels(model: DomainModel,
                        process_names: set[str]) -> tuple[ResolvedChannel, ...]:
-    derived = {c.name: c for c in _derive_channels(index)}
+    index = _index(model)
+    derived = {c.name: c for c in derive_channels(model)}
     env: dict[str, ResolvedChannel] = {}
     for part in index.parts:
         behaviour = part.behaviour_name
@@ -423,9 +426,10 @@ def _uid_var(part_name: str) -> str:
     return stem.lower() + "π"
 
 
-def _mereo_vars(index: _ModelIndex, decl: EndurantDecl) -> str:
+def _mereo_vars(model: DomainModel, decl: EndurantDecl) -> str:
     expr = decl.mereology if decl.mereology is not None else MereoEmpty()
-    names = [_uid_var(index.id_owner.get(leaf, leaf)) for leaf in expr.leaves()]
+    id_owner = _index(model).id_owner
+    names = [_uid_var(id_owner.get(leaf, leaf)) for leaf in expr.leaves()]
     if not names:
         return "()"
     if len(names) == 1:
@@ -441,7 +445,7 @@ def _recv_var(channel: str) -> str:
 
 def print_process(graph: ProcessGraph) -> str:
     """CSP/RSL-flavoured rendering of a compiled process graph."""
-    index = _ModelIndex(_model_of(graph))
+    model = _model_of(graph)
     times = " × "
     lines: list[str] = []
     for channel in graph.channels:
@@ -456,7 +460,7 @@ def print_process(graph: ProcessGraph) -> str:
         process = node.process
         if process is None:
             continue
-        lines.extend(_print_definition(index, process))
+        lines.extend(_print_definition(model, process))
         lines.append("")
 
     for node in graph.root.walk():
@@ -464,15 +468,16 @@ def print_process(graph: ProcessGraph) -> str:
             values = ",".join(fraction_str(v.magnitude)
                               for _, v in node.process.init_values)
             lines.append(f"init_{node.part} : DA_{node.process.name} = ({values})")
-    composition = _composition_text(index, graph.root)
+    composition = _composition_text(model, graph.root)
     lines.append(f"compile({graph.root.part}) ≡ {composition}")
     return "\n".join(lines) + "\n"
 
 
-def _print_definition(index: _ModelIndex, process: ProcessDef) -> list[str]:
-    decl = model_lookup(index.model, process.part)
+def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
+    index = _index(model)
+    decl = model_lookup(model, process.part)
     sig = process.signature
-    head_args = f"({_uid_var(process.part)},{_mereo_vars(index, decl)})"
+    head_args = f"({_uid_var(process.part)},{_mereo_vars(model, decl)})"
     groups: dict[str, list[UpdateSpec]] = {}
     for update in process.body.updates:
         groups.setdefault(update.channel, []).append(update)
@@ -528,7 +533,7 @@ def _print_definition(index: _ModelIndex, process: ProcessDef) -> list[str]:
     for channel, updates in groups.items():
         conv_name = f"conv_{channel[:-len('_ch')]}"
         slots = [conv.to_kind.lower() if conv else attr.name.lower()
-                 for attr, conv in index.wire(index.by_channel[channel].sender)]
+                 for attr, conv in index.wire(model, index.by_channel[channel].sender)]
         exprs = []
         for update in updates:
             expr = slots[update.index]
@@ -539,16 +544,16 @@ def _print_definition(index: _ModelIndex, process: ProcessDef) -> list[str]:
     return out
 
 
-def _composition_text(index: _ModelIndex, node: ProcessNode) -> str:
+def _composition_text(model: DomainModel, node: ProcessNode) -> str:
     parts = []
     if node.process is not None:
-        decl = model_lookup(index.model, node.part)
-        text = f"{node.process.name}({_uid_var(node.part)},{_mereo_vars(index, decl)})"
+        decl = model_lookup(model, node.part)
+        text = f"{node.process.name}({_uid_var(node.part)},{_mereo_vars(model, decl)})"
         if node.process.signature.controllable_params:
             text += f"(init_{node.part})"
         parts.append(text)
     for child in node.children:
-        parts.append(_composition_text(index, child))
+        parts.append(_composition_text(model, child))
     return " ∥ ".join(parts)
 
 
@@ -560,13 +565,6 @@ def _model_of(graph: ProcessGraph) -> DomainModel:
 
 def graph_to_json(graph: ProcessGraph) -> dict:
     """Machine-readable process-graph document with stable field names."""
-    def node_json(node: ProcessNode) -> dict:
-        return {
-            "part": node.part,
-            "process": node.process.name if node.process else None,
-            "children": [node_json(c) for c in node.children],
-        }
-
     processes = []
     for node in graph.root.walk() if graph.root else ():
         process = node.process
@@ -597,8 +595,17 @@ def graph_to_json(graph: ProcessGraph) -> dict:
         "channel": c.name,
     } for c in graph.channels for receiver in c.receivers]
     return {
-        "composition": node_json(graph.root) if graph.root else None,
+        "composition": _node_json(graph.root) if graph.root else None,
         "processes": processes,
         "channels": channels,
         "edges": edges,
+    }
+
+
+def _node_json(node: ProcessNode) -> dict:
+    # Module level: a nested recursive function would be a reference cycle.
+    return {
+        "part": node.part,
+        "process": node.process.name if node.process else None,
+        "children": [_node_json(c) for c in node.children],
     }

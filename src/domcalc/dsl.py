@@ -21,14 +21,17 @@ Files are UTF-8 with ``--`` line comments.  Parsing is total: errors are
 reported as diagnostics and recovery resumes at the next block boundary, so
 one run can report several problems.  ``print_model`` emits canonical text
 with ``parse_model(print_model(m)) == m`` structurally.
+
+One ``finditer`` pass turns the text into a list of ``Token``s: immutable
+named tuples, built with ``tuple.__new__`` to skip the generated
+constructor.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagnostics import Diagnostic, SourceSpan, error
 from .model import (
@@ -52,7 +55,7 @@ from .model import (
     MereoProduct,
     MereoSet,
 )
-from .units import UnitBoundError, fraction_str, parse_fraction
+from .units import MAX_SCALE_BITS, UnitBoundError, fraction_str, parse_fraction
 
 _TOP_KEYWORDS = ("part", "material", "component", "conversion", "channel", "axiom")
 
@@ -71,8 +74,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+# ``_join_ref`` puts a space between two adjacent pieces that are word-ish.
+_WORDISH = re.compile(r"[A-Za-z_0-9µΩ°]")
+# A number literal without an exponent and at most this long spells out no
+# more digits than ``parse_fraction``'s bound (three bits a digit) admits.
+_SHORT_LITERAL = MAX_SCALE_BITS // 3
+
+
+class Token(NamedTuple):
     type: str  # ident | number | string | punct | arrow | eof
     value: str
     line: int
@@ -97,6 +106,7 @@ def _tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     not DOTALL, so ``\\.`` in a string escapes no newline."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
+    make = tuple.__new__
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
@@ -106,7 +116,7 @@ def _tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
                 "E001", f"unexpected character {value!r}",
                 SourceSpan.point(file, line, match.start() - line_start + 1)))
         elif kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, value, line, match.start() - line_start + 1))
+            tokens.append(make(Token, (kind, value, line, match.start() - line_start + 1)))
         if (kind == "ws" or kind == "string") and "\n" in value:
             line += value.count("\n")
             line_start = match.start() + value.rfind("\n") + 1
@@ -118,9 +128,8 @@ def _join_ref(parts: list[str]) -> str:
     """Canonical text for a quantity reference or value literal: spaces only
     between adjacent word-ish tokens ('point deg', 'km/h', 'm/s^2')."""
     out: list[str] = []
-    wordish = re.compile(r"[A-Za-z_0-9µΩ°]")
     for piece in parts:
-        if out and wordish.match(out[-1][-1]) and wordish.match(piece[0]):
+        if out and _WORDISH.match(out[-1][-1]) and _WORDISH.match(piece[0]):
             out.append(" ")
         out.append(piece)
     return "".join(out)
@@ -386,8 +395,13 @@ class _Parser:
         if tok.type != "number":
             raise self.fail(f"expected {what}, found {tok.value!r}", tok)
         self.next()
+        text = tok.value
+        if len(text) <= _SHORT_LITERAL and "e" not in text and "E" not in text:
+            # Within the bound, so parse_fraction's digit count is skipped;
+            # the token pattern makes a literal without '.' an integer.
+            return Fraction(text) if "." in text else Fraction(int(text))
         try:
-            return parse_fraction(tok.value)
+            return parse_fraction(text)
         except UnitBoundError as exc:
             raise _ParseError(str(exc), tok, "E208") from None
 

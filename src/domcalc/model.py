@@ -9,10 +9,10 @@ pretty-print compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .diagnostics import SourceSpan
 from .units import KindRegistry, Quantity
@@ -40,6 +40,9 @@ CATEGORIES = (STATIC, INERT, REACTIVE, AUTONOMOUS, BIDDABLE, PROGRAMMABLE)
 EXTERNAL_CATEGORIES = (INERT, REACTIVE, AUTONOMOUS)
 # Categories carried as recursion arguments of the part's behaviour.
 CONTROLLABLE_CATEGORIES = (BIDDABLE, PROGRAMMABLE)
+
+
+T = TypeVar("T")
 
 
 class UnknownSort(KeyError):
@@ -230,6 +233,23 @@ class DomainModel:
     @cached_property
     def channels_by_name(self) -> Mapping[str, ChannelDecl]:
         return _first_by_name(self.channels)
+
+    def derived(self, build: Callable[["DomainModel"], T]) -> T:
+        """``build(self)``, computed on the first call for this model object.
+
+        The result is kept in the instance dict, as the by-name indexes are,
+        so it takes no part in equality, hash or repr; copies and pickles
+        leave it behind.  ``build`` must not keep the model in its result:
+        the pair would be a reference cycle that only the cyclic collector
+        frees.  Threads that race may each build it; the results are equal.
+        """
+        cache = self.__dict__.setdefault("_derived", {})
+        if build not in cache:
+            cache[build] = build(self)
+        return cache[build]
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def endurant(self, name: str) -> Optional[EndurantDecl]:
         return self.endurants_by_name.get(name)

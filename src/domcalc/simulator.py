@@ -184,7 +184,7 @@ def instantiate(graph: ProcessGraph, script: EnvironmentScript, seed: int) -> Ru
                 continue
             track = script.tracks.get(name)
             if track is None:
-                raise UncoveredChannel(name)
+                raise UncoveredChannel(f"the script has no track for external channel {name!r}")
             if not track.points or min(s for s, _ in track.points) > 0:
                 raise ScriptError(f"script for {name!r} must define a value at step 0")
             kind = registry.resolve(channel.kinds[0])

@@ -125,6 +125,16 @@ def test_simulate_uncovered_channel(capsys, tmp_path, aircraft_path):
     assert "error" in err
 
 
+def test_simulate_uncovered_channel_names_the_channel(capsys, tmp_path, aircraft_path):
+    script = tmp_path / "partial.json"
+    script.write_text(json.dumps({"attr_LO_ch": [[0, "1 deg"]]}))
+    code, out, err = run_cli(
+        capsys, "simulate", str(aircraft_path),
+        "--script", str(script), "--steps", "5", "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: the script has no track for external channel 'attr_LA_ch'\n"
+
+
 def _with_lo_track(track):
     return lambda raw: json.dumps(dict(raw, attr_LO_ch=track))
 

@@ -30,6 +30,7 @@ from .model import (
     MereoProduct,
     MereoSet,
     UnknownSort,
+    channel_attr,
     id_types_of,
     model_lookup,
 )
@@ -614,8 +615,8 @@ def _check_channels(model: DomainModel) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     attr_names = {a.name for e in model.endurants for a in e.attributes}
     for channel in model.channels:
-        if channel.is_external:
-            base = channel.name[len("attr_"):-len("_ch")]
+        base = channel_attr(channel.name)
+        if base is not None:
             if len(channel.kinds) != 1:
                 out.append(error(
                     "E304", f"channel {channel.name!r} has external-attribute form "

@@ -37,6 +37,8 @@ from .model import (
     ResolvedChannel,
     SendSpec,
     UpdateSpec,
+    attr_channel,
+    channel_attr,
     model_lookup,
 )
 from .units import KindRegistry, fraction_str
@@ -198,7 +200,7 @@ def derive_channels(model: DomainModel) -> tuple[ChannelDecl, ...]:
     kinds: dict[str, tuple[str, ...]] = {}
     for part in index.parts:
         for attr in _external_attrs(part):
-            kinds.setdefault(f"attr_{attr.name}_ch", (attr.quantity,))
+            kinds.setdefault(attr_channel(attr.name), (attr.quantity,))
     for relation in index.relations:
         kinds.setdefault(relation.channel_name, tuple(
             conv.to_kind if conv else attr.quantity
@@ -219,7 +221,7 @@ def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
     decl = model_lookup(model, part_name)
     if decl.kind != "part":
         raise NotAPart(part_name)
-    in_channels = [f"attr_{a.name}_ch" for a in _external_attrs(decl)]
+    in_channels = [attr_channel(a.name) for a in _external_attrs(decl)]
     incoming = sorted(r.channel_name for r in index.incoming.get(decl.name, ()))
     outgoing = sorted(r.channel_name for r in index.outgoing.get(decl.name, ()))
     return BehaviourSignature(
@@ -279,7 +281,7 @@ def _preflight(model: DomainModel) -> tuple[Diagnostic, ...]:
             seen = attr_kinds.get(attr.name)
             if seen is not None and seen[1] != attr.quantity:
                 out.append(error(
-                    "E306", f"attribute channel 'attr_{attr.name}_ch' is shared by "
+                    "E306", f"attribute channel '{attr_channel(attr.name)}' is shared by "
                             f"{seen[0]!r} and {part.name!r} with different kinds",
                     attr.span))
             attr_kinds[attr.name] = (part.name, attr.quantity)
@@ -399,7 +401,7 @@ def _resolved_channels(model: DomainModel,
         if behaviour not in process_names:
             continue
         for attr in _external_attrs(part):
-            name = f"attr_{attr.name}_ch"
+            name = attr_channel(attr.name)
             existing = env.get(name)
             receivers = (tuple(sorted(set(existing.receivers) | {behaviour}))
                          if existing else (behaviour,))
@@ -438,9 +440,8 @@ def _mereo_vars(model: DomainModel, decl: EndurantDecl) -> str:
 
 
 def _recv_var(channel: str) -> str:
-    if channel.startswith("attr_") and channel.endswith("_ch"):
-        return channel[len("attr_"):-len("_ch")].lower()
-    return channel[:-len("_ch")].split("_")[0] + "_d′"
+    attr = channel_attr(channel)
+    return channel[:-len("_ch")].split("_")[0] + "_d′" if attr is None else attr.lower()
 
 
 def print_process(graph: ProcessGraph) -> str:

@@ -184,6 +184,17 @@ class ConversionDecl:
         return Quantity(self.scale * value.magnitude + self.offset, to_kind)
 
 
+def attr_channel(attr: str) -> str:
+    """The external channel of attribute ``attr``: ``attr_<A>_ch``."""
+    return f"attr_{attr}_ch"
+
+
+def channel_attr(channel: str) -> Optional[str]:
+    """The ``<A>`` of a channel named in the ``attr_<A>_ch`` form, else None."""
+    is_attr = channel.startswith("attr_") and channel.endswith("_ch")
+    return channel[len("attr_"):-len("_ch")] if is_attr else None
+
+
 @dataclass(frozen=True)
 class ChannelDecl:
     name: str
@@ -192,7 +203,7 @@ class ChannelDecl:
 
     @property
     def is_external(self) -> bool:
-        return self.name.startswith("attr_") and self.name.endswith("_ch")
+        return channel_attr(self.name) is not None
 
 
 @dataclass(frozen=True)

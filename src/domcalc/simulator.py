@@ -18,16 +18,14 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import compiler
 from .analysis import parse_value, registry_for_model
-from .model import DomainModel, ProcessDef, ProcessGraph
+from .model import DomainModel, ProcessDef, ProcessGraph, attr_channel
 from .units import KindRegistry, Quantity, fraction_str, parse_fraction
-
-T = TypeVar("T")
 
 SEND = "send"
 RECEIVE = "receive"
@@ -207,24 +205,14 @@ class _ProcState:
     controllables: dict = field(default_factory=dict)
 
 
-def _by_identity(fn: Callable[[Any], T]) -> Callable[[Any], T]:
-    """``fn`` memoised on the identity of its argument, for the lifetime of
-    the returned function.  Each entry keeps its argument alive, so the
-    ``id`` cannot be reused, and nothing but the ``id`` is hashed; an equal
-    but distinct argument is simply computed again."""
-    seen: dict[int, tuple[Any, T]] = {}
-
-    def memo(value):
-        hit = seen.get(id(value))
-        if hit is None:
-            hit = seen[id(value)] = (value, fn(value))
-        return hit[1]
-    return memo
-
-
 def _chain_apply(model: DomainModel, registry: KindRegistry,
                  chain: tuple[str, ...]) -> Callable[[Quantity], Quantity]:
-    """One chain's map as ``chain_maps`` describes it, without the memo."""
+    """The chain's map: each named conversion in turn, first to last, each
+    into its own resolved target kind; an empty chain returns its input.  A
+    chain naming an unknown conversion (E112) raises ``ValueError`` when its
+    map is built.  Each call maps afresh: ``run`` keeps one table per chain
+    from value number to number, and the monitor decides each distinct
+    combination of payload objects once."""
     links = []
     for name in chain:
         conv = model.conversion(name)
@@ -238,22 +226,6 @@ def _chain_apply(model: DomainModel, registry: KindRegistry,
             value = conv.apply(value, kind)
         return value
     return apply
-
-
-def chain_maps(model: DomainModel, registry: KindRegistry
-               ) -> Callable[[tuple[str, ...]], Callable[[Quantity], Quantity]]:
-    """Chain -> its map, which applies each named conversion in turn, first
-    to last, each into its own resolved target kind; an empty chain returns
-    its input.  Each chain's map is built once, when first asked for, and
-    memoised on the identity of its input; each call returns fresh memos,
-    one per caller.  A chain naming an unknown conversion (E112) raises
-    ``ValueError`` when its map is built.
-
-    A trace shares its payload values, so the monitor maps each object once.
-    ``run`` does not use these maps: it numbers its values and keeps one
-    table per chain from number to number.
-    """
-    return cache(lambda chain: _by_identity(_chain_apply(model, registry, chain)))
 
 
 class _Table(dict):
@@ -327,7 +299,7 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                     else (RECEIVE, name, None) for name in body.receives]
         # A send's payload slot: (the sender's attribute channel, its chain table).
         sends = [(SEND, spec.channel, tuple(
-                     (f"attr_{attr}_ch", table(() if conv is None else (conv,)))
+                     (attr_channel(attr), table(() if conv is None else (conv,)))
                      for attr, conv in spec.parts)) for spec in body.sends]
         updates = tuple((u.attr, u.channel, u.index, table(u.chain)) for u in body.updates)
         return (*receives, *sends,
@@ -432,25 +404,28 @@ def run(config: RunConfig, max_steps: int) -> Trace:
 # Axiom monitoring
 # ---------------------------------------------------------------------------
 
-def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
+def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdict]:
     """One verdict per declared axiom, from one walk over the trace.
 
     At every recursion event of the axiom's target behaviour the controllable
     values must equal the declared conversion chains applied to the most
     recent payloads received on the corresponding channels.  An axiom whose
     target is not a controllable attribute (E110) raises ``ValueError``.
+
+    A check is decided once per distinct combination of objects: the
+    recursion payload and the last payload on each source channel.  A trace
+    from ``run`` or ``trace_from_jsonl`` shares its payload tuples, so most
+    checks are a dict hit; a trace of unshared tuples, or events from a
+    one-shot iterator, get the same verdicts, only slower.
     """
     graph = compiler.compile_model(model)
     processes = {p.name: p for p in graph.processes()}
-    map_of = chain_maps(model, graph.registry)
-    # Payload values are shared objects, so each (expected, actual) pair of
-    # objects is compared once: equal_to(expected)(actual).
-    equal_to = _by_identity(lambda expected: _by_identity(partial(operator.eq, expected)))
-    # Process -> its axioms, each as (index, sources, slots): the expected
-    # values come from sources (channel, payload index, chain map), the
-    # actual ones from the recursion payload's slots.  An axiom with a target
-    # attribute that nothing updates is never checked.
-    watched: dict[str, list[tuple[int, list, list[int]]]] = {}
+    # Process -> its axioms, each as (index, channels, sources, slots): the
+    # distinct source channels; the expected values from sources (channel,
+    # payload index, chain map); the actual ones from the recursion payload's
+    # slots.  An axiom with a target attribute that nothing updates is never
+    # checked.
+    watched: dict[str, list[tuple[int, tuple[str, ...], list, list[int]]]] = {}
     for index, axiom in enumerate(model.axioms):
         target = model.endurant(axiom.target_sort)
         process = processes.get(target.behaviour_name) if target else None
@@ -463,12 +438,17 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
                 if attr not in order:
                     raise ValueError(f"axiom {axiom.name!r}: target {axiom.target_sort}.{attr} "
                                      "is not a controllable attribute (E110)")
+            sources = [updates[attr] for attr in axiom.target_attrs]
             watched.setdefault(process.name, []).append((
-                index, [(u.channel, u.index, map_of(u.chain))
-                        for u in map(updates.get, axiom.target_attrs)],
+                index, tuple(dict.fromkeys(u.channel for u in sources)),
+                [(u.channel, u.index, _chain_apply(model, graph.registry, u.chain))
+                 for u in sources],
                 [order.index(attr) for attr in axiom.target_attrs]))
     # The last payload per channel of each watched process.
     last: dict[str, dict[str, tuple[Quantity, ...]]] = {name: {} for name in watched}
+    # (axiom index, id(recursion payload), *ids of the source payloads) of
+    # each passed check -> those objects, kept alive so no id is reused.
+    passed: dict[tuple[int, ...], tuple] = {}
     checked = [0] * len(model.axioms)
     failed: dict[int, Verdict] = {}
     for step, kind, channel, name, payload in trace:
@@ -478,18 +458,24 @@ def check_axioms(model: DomainModel, trace: Trace) -> list[Verdict]:
         if kind == RECEIVE:
             received[channel] = payload
         elif kind == RECURSION:
-            for index, sources, slots in watched[name]:
+            for index, channels, sources, slots in watched[name]:
                 if index in failed:
                     continue
                 try:
-                    expected = [to(received[on][at]) for on, at, to in sources]
+                    inputs = [received[on] for on in channels]
                 except KeyError:
                     continue  # a source channel has not delivered yet
                 checked[index] += 1
-                actual = [payload[slot] for slot in slots]
-                if not all(map(lambda e, a: equal_to(e)(a), expected, actual)):
+                key = (index, id(payload), *map(id, inputs))
+                if key in passed:
+                    continue
+                expected = tuple([to(received[on][at]) for on, at, to in sources])
+                actual = tuple([payload[slot] for slot in slots])
+                if expected == actual:
+                    passed[key] = (payload, inputs)
+                else:
                     failed[index] = Verdict(model.axioms[index].name, "fail", step,
-                                            tuple(expected), tuple(actual), checked[index])
+                                            expected, actual, checked[index])
     return [failed.get(index) or Verdict(axiom.name, "pass", checked=checked[index])
             for index, axiom in enumerate(model.axioms)]
 
@@ -538,14 +524,15 @@ def trace_to_jsonl(trace: Trace) -> str:
 
     Everything before the step, the head, is formatted once per distinct
     (kind, channel, process, payload object), and each distinct quantity
-    object once, when a head first needs it.  A trace from ``run`` shares
-    one payload tuple per distinct message, so most lines only add their
-    step; a trace of unshared tuples is written the same, only slower."""
-    text_of = _by_identity(lambda q: f'{{"kind": {encode_basestring_ascii(q.kind.name)}, '
-                                    f'"value": "{fraction_str(q.magnitude)}"}}')
-    # (kind, channel, process, id(payload)) -> the head; ``payloads`` keeps
-    # each keyed payload alive, so its id cannot be reused.
+    object once, when a head first needs it; both are plain dicts keyed on
+    object ids.  A trace from ``run`` shares one payload tuple per distinct
+    message, so most lines only add their step; a trace of unshared tuples
+    is written the same, only slower."""
+    # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
+    # its text; ``payloads`` keeps each keyed payload, and so each keyed
+    # quantity, alive, so no id can be reused.
     heads: dict[tuple, str] = {}
+    texts: dict[int, str] = {}
     payloads = []
     # Three pieces per line, joined once at the end.
     pieces: list[str] = []
@@ -555,10 +542,14 @@ def trace_to_jsonl(trace: Trace) -> str:
         head = heads.get(key)
         if head is None:
             payloads.append(payload)
+            for q in payload:
+                if id(q) not in texts:
+                    texts[id(q)] = (f'{{"kind": {encode_basestring_ascii(q.kind.name)}, '
+                                    f'"value": "{fraction_str(q.magnitude)}"}}')
             head = heads[key] = (
                 f'{{"channel": {"null" if channel is None else encode_basestring_ascii(channel)}, '
                 f'"kind": {encode_basestring_ascii(kind)}, '
-                f'"payload": [{", ".join(map(text_of, payload))}], '
+                f'"payload": [{", ".join([texts[id(q)] for q in payload])}], '
                 f'"process": {encode_basestring_ascii(process)}, "step": ')
         add(head)
         add(int.__repr__(step))

@@ -509,6 +509,10 @@ class KindRegistry:
     def resolve(self, text: str) -> QuantityKind:
         return resolve_kind(self._kinds, text)
 
+    def __reduce__(self):
+        # The read-only table cannot be pickled; its kinds rebuild it.
+        return KindRegistry, (self.kinds(),)
+
 
 def builtin_registry() -> KindRegistry:
     return KindRegistry()

@@ -5,11 +5,14 @@ import pytest
 from domcalc import analysis
 from domcalc.model import (
     AttributeDecl,
+    ChannelDecl,
     DomainModel,
     EndurantDecl,
     MereoEmpty,
     MereoId,
     UnknownSort,
+    attr_channel,
+    channel_attr,
     id_types_of,
     model_lookup,
 )
@@ -20,6 +23,16 @@ from modelgen import random_model
 def atomic_part(name, id_type=None, mereology=MereoEmpty(), **kw):
     return EndurantDecl(name, "part", "discrete", id_type=id_type or f"{name}I",
                         mereology=mereology, **kw)
+
+
+@pytest.mark.parametrize("name, attr", [
+    ("attr_LO_ch", "LO"), ("attr_VEL_ch", "VEL"), ("attr__ch", ""), ("attr_ch", ""),
+    ("po_di_ch", None), ("attr_LO", None), ("xattr_LO_ch", None)])
+def test_attribute_channel_names(name, attr):
+    assert channel_attr(name) == attr
+    assert ChannelDecl(name, ("m",)).is_external == (attr is not None)
+    if attr:
+        assert attr_channel(attr) == name
 
 
 def test_lookup_composite_aircraft(aircraft_model):

@@ -1,8 +1,8 @@
 """``run`` against the scheduler it replaced, kept here as the oracle.
 
 ``oracle_run`` is the run that carried ``Quantity`` objects and mapped them
-through ``chain_maps``' identity memos, and visited every process in every
-phase; ``oracle_jsonl`` is the writer that formatted every line's payload.
+through one chain map per chain, and visited every process in every phase;
+``oracle_jsonl`` is the writer that formatted every line's payload.
 The run under test numbers its values, maps numbers through chain tables,
 visits only the processes a rendezvous can have moved, and writes one head
 per distinct event: same events, same bytes.
@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from domcalc import compiler
 from domcalc.simulator import (
     DEADLOCK, READ, RECEIVE, RECURSION, SEND, EnvironmentScript, RunConfig, ScriptTrack,
-    Trace, TraceEvent, _by_identity, chain_maps, instantiate, run, trace_to_jsonl)
+    Trace, TraceEvent, _chain_apply, instantiate, run, trace_to_jsonl)
 from domcalc.units import Quantity, fraction_str
 from modelgen import pairs_model, random_model, random_script
 
@@ -36,7 +37,7 @@ class _OracleState:
 
 def oracle_run(config: RunConfig, max_steps: int) -> Trace:
     graph = config.graph
-    map_of = chain_maps(graph.model, graph.registry)
+    map_of = cache(lambda chain: _chain_apply(graph.model, graph.registry, chain))
     tracks = config.script.tracks
     external = {c.name for c in graph.channels if c.external}
 
@@ -110,8 +111,10 @@ def oracle_run(config: RunConfig, max_steps: int) -> Trace:
 
 
 def oracle_jsonl(trace: Trace) -> str:
-    text_of = _by_identity(lambda q: f'{{"kind": {encode_basestring_ascii(q.kind.name)}, '
-                                    f'"value": "{fraction_str(q.magnitude)}"}}')
+    def text_of(q):
+        return (f'{{"kind": {encode_basestring_ascii(q.kind.name)}, '
+                f'"value": "{fraction_str(q.magnitude)}"}}')
+
     frames = {}
     lines = []
     for step, kind, channel, process, payload in trace:

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -301,6 +303,65 @@ def test_check_axioms_walks_the_trace_once():
     assert CountingTrace.walks == 1
 
 
+def unshared(events):
+    """Each event rebuilt when asked for, with a fresh payload tuple of fresh
+    ``Quantity`` objects: nothing in it is shared with any other event."""
+    for event in events:
+        yield event._replace(payload=tuple(Quantity(q.magnitude, q.kind) for q in event.payload))
+
+
+def monitored_traces(aircraft_model, aircraft_graph, aircraft_script):
+    """(model, trace) pairs: the aircraft at seeds 0-3 and a pairs model,
+    each as run and with one display recursion tampered."""
+    pairs = pairs_model(random.Random(5), 6)
+    pairs_graph = compiler.compile_model(pairs)
+    runs = [(aircraft_model, run(instantiate(aircraft_graph, aircraft_script, seed), 300),
+             "display") for seed in range(4)]
+    runs.append((pairs, run(instantiate(pairs_graph, random_script(random.Random(5), pairs_graph),
+                                        seed=1), 200), "display_a_b"))
+    for seed, (model, trace, display) in enumerate(runs):
+        yield model, trace
+        yield model, perturb_recursion_payload(trace, random.Random(seed), display)[0]
+
+
+def test_monitor_verdicts_do_not_depend_on_shared_payloads(aircraft_model, aircraft_graph,
+                                                           aircraft_script):
+    statuses = set()
+    for model, trace in monitored_traces(aircraft_model, aircraft_graph, aircraft_script):
+        shared = simulator.verdicts_to_json(check_axioms(model, trace))
+        assert shared["verdicts"] and all(v["checked"] for v in shared["verdicts"])
+        assert simulator.verdicts_to_json(
+            check_axioms(model, Trace(tuple(unshared(trace))))) == shared
+        statuses.update(v["status"] for v in shared["verdicts"])
+    assert statuses == {"pass", "fail"}
+
+
+def test_monitor_verdicts_of_a_one_shot_event_generator(aircraft_model, aircraft_graph,
+                                                        aircraft_script):
+    # Events built on demand and dropped once checked: an id seen earlier in
+    # the walk may belong to a new object by the time it is seen again.
+    for model, trace in monitored_traces(aircraft_model, aircraft_graph, aircraft_script):
+        assert check_axioms(model, unshared(trace)) == check_axioms(model, trace)
+
+
+def test_reused_recursion_payload_after_its_source_changed_fails(
+        aircraft_model, aircraft_graph, aircraft_script):
+    # A display recursion payload object, checked once, reappears after a
+    # receive has changed the value it must track: the check is decided
+    # again, on the new source payload, and fails there.
+    events = list(run(instantiate(aircraft_graph, aircraft_script, seed=0), 120))
+    recursions = [i for i, e in enumerate(events)
+                  if e.kind == "recursion" and e.process == "display"]
+    reused = events[recursions[0]].payload
+    later = next(i for i in recursions if events[i].payload != reused)
+    stale = events[:later] + [events[later]._replace(payload=reused)] + events[later + 1:]
+    copied = events[:later] + list(unshared([stale[later]])) + events[later + 1:]
+    (verdict,) = check_axioms(aircraft_model, Trace(tuple(stale)))
+    assert (verdict.status, verdict.failing_step) == ("fail", events[later].step)
+    assert verdict.expected == events[later].payload and verdict.actual == reused
+    assert check_axioms(aircraft_model, Trace(tuple(copied))) == [verdict]
+
+
 def test_no_axioms_no_verdicts():
     model = parse_ok("part A { id AI; mereo empty; attr X : m reactive; }")
     graph = compiler.compile_model(model)
@@ -593,6 +654,24 @@ def test_jsonl_writer_formats_each_quantity_once(aircraft_graph, aircraft_script
     assert len(calls) == len({id(q) for event in trace for q in event.payload})
 
 
+def test_compiled_graph_deep_copies_and_pickles(aircraft_model, aircraft_script_path):
+    graph = compiler.compile_model(aircraft_model)
+    graph.channel("po_di_ch")  # fills the graph's by-name index
+    with open(aircraft_script_path, encoding="utf-8") as handle:
+        data = json.load(handle)
+
+    def trace_of(graph):
+        script = EnvironmentScript.from_json(data, graph)
+        return run(instantiate(graph, script, seed=1), 200)
+
+    expected = trace_of(graph)
+    for twin in copy.deepcopy(graph), pickle.loads(pickle.dumps(graph)):
+        assert twin == graph and twin.model == aircraft_model
+        assert twin.registry.kinds() == graph.registry.kinds()
+        trace = trace_of(twin)
+        assert trace == expected and trace_to_jsonl(trace) == trace_to_jsonl(expected)
+
+
 def test_instantiate_rejects_wrong_kind_values(aircraft_graph):
     from fractions import Fraction
     from domcalc.units import Quantity
@@ -655,12 +734,10 @@ def test_composed_chain_equals_stepwise_apply(links, start):
     expected = value
     for conv in convs:
         expected = conv.apply(expected, registry.resolve(conv.to_kind))
-    # The identity-memoised map: the same object twice, then an equal but
-    # distinct one, which is mapped again.
-    shared = simulator.chain_maps(model, registry)(tuple(c.name for c in convs))
-    first, again, twin = shared(value), shared(value), shared(Quantity(start, value.kind))
-    assert again is first
-    for result in (first, twin):
+    # The chain's map: the same object twice, then an equal but distinct one.
+    apply = simulator._chain_apply(model, registry, tuple(c.name for c in convs))
+    first, again, twin = apply(value), apply(value), apply(Quantity(start, value.kind))
+    for result in (first, again, twin):
         assert result.magnitude == expected.magnitude
         assert result.kind is expected.kind
         assert result == expected
@@ -669,10 +746,9 @@ def test_composed_chain_equals_stepwise_apply(links, start):
 def test_composed_identity_chain_relabels_kind(aircraft_model, aircraft_graph):
     registry = aircraft_graph.registry
     value = Quantity(Fraction("10.2"), registry.resolve("point deg"))
-    map_of = simulator.chain_maps(aircraft_model, registry)
-    shown = map_of(("a2rLO", "r2dLO"))(value)
+    shown = simulator._chain_apply(aircraft_model, registry, ("a2rLO", "r2dLO"))(value)
     assert shown == Quantity(Fraction("10.2"), registry.resolve("dLO"))
-    assert map_of(())(value) is value
+    assert simulator._chain_apply(aircraft_model, registry, ())(value) is value
 
 
 def reference_jsonl(trace):

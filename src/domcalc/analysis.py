@@ -4,7 +4,7 @@ The prompts are deterministic queries over a parsed model: each one yields a
 ``DescriptionText`` holding a narrative sentence, the formal observer
 declarations, and a self-contained ``.dom`` fragment that re-parses and
 re-validates.  ``check_wellformed`` is the single gate before compilation:
-an empty diagnostic list guarantees that compilation succeeds.
+the compiler refuses every model it reports an error for, with those errors.
 """
 
 from __future__ import annotations
@@ -371,11 +371,17 @@ def parse_value(text: str, kind: QuantityKind, registry: KindRegistry) -> Quanti
 def check_wellformed(model: DomainModel) -> list[Diagnostic]:
     """Validate a parsed model.
 
-    Empty result means: the endurant quality matrix holds, composite children
+    No error means: the endurant quality matrix holds, composite children
     form a tree, every mereology leaf resolves to a declared identifier type,
     all quantity kinds resolve, conversions and axioms type-check end to end,
-    and compilation preconditions (message kinds, initial values) hold.
+    and compilation preconditions (message kinds, initial values, axiom
+    wiring) hold, so ``compile_process`` succeeds for every part.  Computed
+    once per model object; each call returns a fresh list.
     """
+    return list(model.derived(_check_wellformed))
+
+
+def _check_wellformed(model: DomainModel) -> tuple[Diagnostic, ...]:
     diagnostics: list[Diagnostic] = []
     id_types = id_types_of(model)
     part_ids = {e.id_type for e in model.parts() if e.id_type}
@@ -417,7 +423,7 @@ def check_wellformed(model: DomainModel) -> list[Diagnostic]:
         if not any(d.is_error for d in diagnostics):
             from .compiler import compile_preflight  # late import, avoids a cycle
             diagnostics.extend(compile_preflight(model))
-    return diagnostics
+    return tuple(diagnostics)
 
 
 def _check_matrix(decl: EndurantDecl) -> list[Diagnostic]:

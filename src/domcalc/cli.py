@@ -54,6 +54,18 @@ def _load_model(path: str):
     return model, None
 
 
+def _compile_model(path: str, always_core: bool = False):
+    """Parse, validate and compile; returns (model, graph, exit_code or None)."""
+    model, code = _load_model(path)
+    if code is not None:
+        return None, None, code
+    try:
+        return model, compiler.compile_model(model, always_core=always_core), None
+    except compiler.CompileError as exc:
+        _emit_diagnostics(exc.diagnostics)
+        return None, None, 2
+
+
 def _write_output(path: str, text: str) -> int:
     """Write an output file: 0, or 1 after ``error: …`` when it cannot be written."""
     try:
@@ -109,14 +121,9 @@ def cmd_describe(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    model, code = _load_model(args.file)
+    _, graph, code = _compile_model(args.file, args.always_core)
     if code is not None:
         return code
-    try:
-        graph = compiler.compile_model(model, always_core=args.always_core)
-    except compiler.CompileError as exc:
-        _emit_diagnostics(exc.diagnostics)
-        return 2
     sys.stdout.write(compiler.print_process(graph))
     if args.json:
         return _write_output(args.json, json.dumps(
@@ -128,11 +135,10 @@ def cmd_simulate(args) -> int:
     if args.steps < 0:
         print(f"error: --steps must be >= 0, not {args.steps}", file=sys.stderr)
         return 1
-    model, code = _load_model(args.file)
+    model, graph, code = _compile_model(args.file)
     if code is not None:
         return code
     try:
-        graph = compiler.compile_model(model)
         with open(args.script, encoding="utf-8") as handle:
             data = json.load(handle)
         script = simulator.EnvironmentScript.from_json(data, graph)
@@ -140,8 +146,8 @@ def cmd_simulate(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {args.script}: not a JSON script: {exc}", file=sys.stderr)
         return 1
-    except (compiler.CompileError, simulator.ScriptError,
-            simulator.UncoveredChannel, simulator.MissingInit, OSError) as exc:
+    except (simulator.ScriptError, simulator.UncoveredChannel, simulator.MissingInit,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     trace = simulator.run(config, args.steps)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import MAX_COMPOSITION_DEPTH, NotAPart, parse_value, registry_for_model
+from .analysis import NotAPart, _check_wellformed, parse_value, registry_for_model
 from .diagnostics import Diagnostic, error
 from .model import (
     CONTROLLABLE_CATEGORIES,
@@ -302,34 +302,33 @@ def compile_process(model: DomainModel, part_name: str,
     Composite parts become their core behaviour (elided when the part has no
     qualities of its own, unless ``always_core``) in parallel with the
     compilations of their children; atomic parts entail no further
-    compilations.
+    compilations.  A model that ``check_wellformed`` rejects raises
+    ``CompileError`` with its errors.
     """
-    registry, diagnostics = registry_for_model(model)
-    errors = [d for d in diagnostics + compile_preflight(model) if d.is_error]
-    if errors:
-        raise CompileError(errors)
-
-    root = _build_node(model, registry, part_name, always_core, [], part_name)
+    registry = _gate(model)
+    root = _build_node(model, registry, always_core, part_name)
     process_names = {n.process.name for n in root.walk() if n.process}
     channels = _resolved_channels(model, process_names)
     return ProcessGraph(root, channels, registry, model)
 
 
-def _build_node(model: DomainModel, registry: KindRegistry, part_name: str,
-                always_core: bool, visiting: list[str], name: str) -> ProcessNode:
-    """The process node of part ``name`` under the compilation of ``part_name``;
-    ``visiting`` holds the parts above it.  A module-level function, so a
-    compile leaves no reference cycle for the cyclic collector."""
-    if name in visiting:
-        raise CompileError([error("E302", f"composite cycle through {name!r}")])
-    if len(visiting) == MAX_COMPOSITION_DEPTH:
-        raise CompileError([error("E120", f"composition under {part_name!r} nests "
-                                          f"more than {MAX_COMPOSITION_DEPTH} parts deep")])
+def _gate(model: DomainModel) -> KindRegistry:
+    """The kind registry of a model ``check_wellformed`` accepts, else
+    ``CompileError`` with its errors (read from the cache, not re-checked)."""
+    errors = [d for d in model.derived(_check_wellformed) if d.is_error]
+    if errors:
+        raise CompileError(errors)
+    return registry_for_model(model)[0]
+
+
+def _build_node(model: DomainModel, registry: KindRegistry, always_core: bool,
+                name: str) -> ProcessNode:
+    """The process node of part ``name``; the gate refused cycles (E102) and
+    deep trees (E120).  A module-level function, so a compile leaves no
+    reference cycle for the cyclic collector."""
     decl = model_lookup(model, name)
-    visiting.append(name)
-    children = tuple(_build_node(model, registry, part_name, always_core, visiting, child)
+    children = tuple(_build_node(model, registry, always_core, child)
                      for child in decl.children or ())
-    visiting.pop()
     index = _index(model)
     own_channels = name in index.outgoing or name in index.incoming
     wants_core = (not decl.is_composite or always_core
@@ -339,13 +338,11 @@ def _build_node(model: DomainModel, registry: KindRegistry, part_name: str,
 
 
 def compile_model(model: DomainModel, always_core: bool = False) -> ProcessGraph:
-    """Compile from the root part (the unique part that is nobody's child)."""
+    """Compile from the root part (the unique part that is nobody's child);
+    after the gate, a model without exactly one root is refused (E302)."""
+    registry = _gate(model)
     parts = model.parts()
     if not parts:
-        registry, diagnostics = registry_for_model(model)
-        errors = [d for d in diagnostics if d.is_error]
-        if errors:
-            raise CompileError(errors)
         return ProcessGraph(None, (), registry, model)
     child_names = {c for p in parts for c in (p.children or ())}
     roots = [p.name for p in parts if p.name not in child_names]

@@ -55,7 +55,7 @@ from .model import (
     MereoProduct,
     MereoSet,
 )
-from .units import MAX_SCALE_BITS, UnitBoundError, fraction_str, parse_fraction
+from .units import UnitBoundError, fraction_str, parse_fraction
 
 _TOP_KEYWORDS = ("part", "material", "component", "conversion", "channel", "axiom")
 
@@ -76,9 +76,6 @@ _TOKEN_RE = re.compile(
 
 # ``_join_ref`` puts a space between two adjacent pieces that are word-ish.
 _WORDISH = re.compile(r"[A-Za-z_0-9µΩ°]")
-# A number literal without an exponent and at most this long spells out no
-# more digits than ``parse_fraction``'s bound (three bits a digit) admits.
-_SHORT_LITERAL = MAX_SCALE_BITS // 3
 
 
 class Token(NamedTuple):
@@ -395,13 +392,8 @@ class _Parser:
         if tok.type != "number":
             raise self.fail(f"expected {what}, found {tok.value!r}", tok)
         self.next()
-        text = tok.value
-        if len(text) <= _SHORT_LITERAL and "e" not in text and "E" not in text:
-            # Within the bound, so parse_fraction's digit count is skipped;
-            # the token pattern makes a literal without '.' an integer.
-            return Fraction(text) if "." in text else Fraction(int(text))
         try:
-            return parse_fraction(text)
+            return parse_fraction(tok.value)
         except UnitBoundError as exc:
             raise _ParseError(str(exc), tok, "E208") from None
 

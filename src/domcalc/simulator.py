@@ -208,18 +208,13 @@ class _ProcState:
 def _chain_apply(model: DomainModel, registry: KindRegistry,
                  chain: tuple[str, ...]) -> Callable[[Quantity], Quantity]:
     """The chain's map: each named conversion in turn, first to last, each
-    into its own resolved target kind; an empty chain returns its input.  A
-    chain naming an unknown conversion (E112) raises ``ValueError`` when its
-    map is built.  Each call maps afresh: ``run`` keeps one table per chain
-    from value number to number, and the monitor decides each distinct
-    combination of payload objects once."""
-    links = []
-    for name in chain:
-        conv = model.conversion(name)
-        if conv is None:
-            raise ValueError(
-                f"unknown conversion {name!r} in chain ({', '.join(chain)}) (E112)")
-        links.append((conv, registry.resolve(conv.to_kind)))
+    into its own resolved target kind; an empty chain returns its input.  The
+    chains come from a compiled graph, so every name is a declared conversion
+    (E112 refuses the rest).  Each call maps afresh: ``run`` keeps one table
+    per chain from value number to number, and the monitor decides each
+    distinct combination of payload objects once."""
+    links = [(conv, registry.resolve(conv.to_kind))
+             for conv in map(model.conversion, chain)]
 
     def apply(value: Quantity) -> Quantity:
         for conv, kind in links:
@@ -248,8 +243,7 @@ def run(config: RunConfig, max_steps: int) -> Trace:
     reads and recursions are recorded at the current step without advancing
     it.  Quiescence (no rendezvous can ever fire again) terminates the trace
     with a deadlock event.  Each process's program and the table of possible
-    rendezvous are resolved once, when the run starts, so a chain naming an
-    unknown conversion (E112) fails here rather than at its first use.
+    rendezvous are resolved once, when the run starts.
 
     The scheduler never looks at a value, so the run carries value numbers:
     each script point read and each init value is numbered when the run
@@ -409,8 +403,11 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
 
     At every recursion event of the axiom's target behaviour the controllable
     values must equal the declared conversion chains applied to the most
-    recent payloads received on the corresponding channels.  An axiom whose
-    target is not a controllable attribute (E110) raises ``ValueError``.
+    recent payloads received on the corresponding channels.  The model is
+    compiled first, so a model that ``check_wellformed`` rejects raises
+    ``CompileError`` with its errors; in one it accepts, E305 and E307 have
+    wired each target attribute to exactly one source.  A recursion before
+    every source channel of an axiom has delivered is not checked.
 
     A check is decided once per distinct combination of objects: the
     recursion payload and the last payload on each source channel.  A trace
@@ -423,27 +420,18 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     # Process -> its axioms, each as (index, channels, sources, slots): the
     # distinct source channels; the expected values from sources (channel,
     # payload index, chain map); the actual ones from the recursion payload's
-    # slots.  An axiom with a target attribute that nothing updates is never
-    # checked.
+    # slots.
     watched: dict[str, list[tuple[int, tuple[str, ...], list, list[int]]]] = {}
     for index, axiom in enumerate(model.axioms):
-        target = model.endurant(axiom.target_sort)
-        process = processes.get(target.behaviour_name) if target else None
-        if process is None:
-            continue
+        process = processes[model.endurant(axiom.target_sort).behaviour_name]
         updates = {u.attr: u for u in process.body.updates}
-        if all(attr in updates for attr in axiom.target_attrs):
-            order = process.signature.controllable_params
-            for attr in axiom.target_attrs:
-                if attr not in order:
-                    raise ValueError(f"axiom {axiom.name!r}: target {axiom.target_sort}.{attr} "
-                                     "is not a controllable attribute (E110)")
-            sources = [updates[attr] for attr in axiom.target_attrs]
-            watched.setdefault(process.name, []).append((
-                index, tuple(dict.fromkeys(u.channel for u in sources)),
-                [(u.channel, u.index, _chain_apply(model, graph.registry, u.chain))
-                 for u in sources],
-                [order.index(attr) for attr in axiom.target_attrs]))
+        order = process.signature.controllable_params
+        sources = [updates[attr] for attr in axiom.target_attrs]
+        watched.setdefault(process.name, []).append((
+            index, tuple(dict.fromkeys(u.channel for u in sources)),
+            [(u.channel, u.index, _chain_apply(model, graph.registry, u.chain))
+             for u in sources],
+            [order.index(attr) for attr in axiom.target_attrs]))
     # The last payload per channel of each watched process.
     last: dict[str, dict[str, tuple[Quantity, ...]]] = {name: {} for name in watched}
     # (axiom index, id(recursion payload), *ids of the source payloads) of

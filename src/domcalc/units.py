@@ -414,19 +414,22 @@ def parse_fraction(text: str) -> Fraction:
 
     A literal spelling out more digits, its exponent included, than the
     scale bound allows raises ``UnitBoundError`` before any number is built;
-    a zero denominator raises ``ValueError``.
+    a zero denominator raises ``ValueError``.  At most ``MAX_SCALE_BITS // 3``
+    characters without an exponent are within the bound, uncounted.
     """
-    mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    digits = sum(map(str.isdecimal, mantissa))
-    if exponent.isdecimal():
-        digits += int(exponent[:5])  # five digits already pass the bound
-    if digits * 3 > MAX_SCALE_BITS:
-        raise UnitBoundError(f"number literal beyond {MAX_SCALE_BITS} bits")
+    text = text.strip()
+    if len(text) > MAX_SCALE_BITS // 3 or "e" in text or "E" in text:
+        mantissa, _, exponent = text.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        digits = sum(map(str.isdecimal, mantissa))
+        if exponent.isdecimal():
+            digits += int(exponent[:5])  # five digits already pass the bound
+        if digits * 3 > MAX_SCALE_BITS:
+            raise UnitBoundError(f"number literal beyond {MAX_SCALE_BITS} bits")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(text)) if text.isdecimal() else Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in number literal {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in number literal {text!r}") from None
 
 
 # Built-in named kinds.

@@ -79,6 +79,19 @@ def test_compile_emits_text_and_json(capsys, tmp_path, aircraft_path):
     assert out_json.read_text() == (GOLDEN / "aircraft_graph.json").read_text()
 
 
+def test_two_root_model_checks_ok_but_does_not_compile(capsys, tmp_path,
+                                                       aircraft_script_path):
+    # The check passes each part on its own; a whole-model compile needs one root.
+    two_roots = tmp_path / "two_roots.dom"
+    two_roots.write_text("part A { id AI; mereo empty; }\npart B { id BI; mereo empty; }\n")
+    assert run_cli(capsys, "check", str(two_roots)) == (0, "ok\n", "")
+    for command, *options in (["compile"], ["simulate", "--script", str(aircraft_script_path),
+                                            "--steps", "1", "--seed", "0"]):
+        code, out, err = run_cli(capsys, command, str(two_roots), *options)
+        assert (code, out) == (2, "")
+        assert "E302: expected one root part, found ['A', 'B']" in err
+
+
 def test_simulate_zero_steps(capsys, tmp_path, aircraft_path, aircraft_script_path):
     trace_path = tmp_path / "trace.jsonl"
     code, out, _ = run_cli(

@@ -20,6 +20,7 @@ from domcalc.compiler import (
 from domcalc.diagnostics import SourceSpan
 from domcalc.dsl import parse_model
 from domcalc.model import UnknownSort
+from domcalc.simulator import Trace, check_axioms
 
 from conftest import GOLDEN
 from modelgen import composite_chain, random_model
@@ -355,9 +356,45 @@ def test_cycle_guard_fires_when_compiling_unchecked_model():
     part A composite(B) { id AI; mereo empty; }
     part B composite(A) { id BI; mereo empty; }
     """)
-    with pytest.raises(CompileError) as err:
-        compile_process(model, "A")
-    assert any(d.code == "E302" for d in err.value.diagnostics)
+    # The check's E102 refuses the cycle, before compile_model seeks a root.
+    for compile_ in (lambda m: compile_process(m, "A"), compile_model):
+        with pytest.raises(CompileError) as err:
+            compile_(model)
+        assert [d.code for d in err.value.diagnostics] == ["E102"]
+
+
+GATED = """
+part RT composite(A, B) { id RTI; mereo empty; }
+part A { id AI; mereo BI; attr X : m reactive; }
+part B { id BI; mereo AI; attr dX : rX programmable init 0; }
+conversion a2rX : m -> rX = affine(1, 0);
+axiom ax { display(B.dX) tracks (A.X via a2rX); }
+"""
+
+
+# One edit of GATED per code that check_wellformed reports for the result.
+REJECTED = {
+    "E101": ("mereo BI;", "mereo ZI;"),
+    "E102": ("composite(A, B)", "composite(A, B, RT)"),
+    "E103": ("composite(A, B)", "composite(A, B, C)"),
+    "E108": ("RTI; mereo empty;", "RTI;"),
+    "E110": ("programmable init 0", "static"),
+    "E112": ("via a2rX", "via nosuch"),
+    "E206": ("init 0", "init 1 kg"),
+}
+
+
+@pytest.mark.parametrize("code", REJECTED)
+def test_compile_and_monitor_refuse_what_check_rejects(code):
+    assert check_axioms(parse_ok(GATED), Trace(()))[0].passed
+    model = parse_ok(GATED.replace(*REJECTED[code]))
+    errors = [d for d in check_wellformed(model) if d.is_error]
+    assert [d.code for d in errors] == [code]
+    for refused in (compile_model, lambda m: compile_process(m, "RT"),
+                    lambda m: check_axioms(m, Trace(()))):
+        with pytest.raises(CompileError) as err:
+            refused(model)
+        assert err.value.diagnostics == errors
 
 
 def test_shared_attribute_channel_kind_conflict():

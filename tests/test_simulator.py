@@ -370,28 +370,46 @@ def test_no_axioms_no_verdicts():
     assert check_axioms(model, trace) == []
 
 
+def test_recursion_before_its_source_delivers_is_not_checked():
+    model = parse_ok("""
+    part RT composite(A, B) { id RTI; mereo empty; }
+    part A { id AI; mereo BI; attr X : m reactive; }
+    part B { id BI; mereo AI; attr dX : rX programmable init 0; }
+    conversion a2rX : m -> rX = affine(2, 0);
+    axiom ax { display(B.dX) tracks (A.X via a2rX); }
+    """)
+    rx = compiler.compile_model(model).registry.resolve("rX")
+    zero, two, three = ((Quantity(Fraction(n), rx),) for n in (0, 2, 3))
+    # b recurses on its init value before a_b_ch has carried anything.
+    head = [TraceEvent(0, "recursion", None, "b", zero),
+            TraceEvent(0, "send", "a_b_ch", "a", two),
+            TraceEvent(0, "receive", "a_b_ch", "b", two)]
+    (verdict,) = check_axioms(model, head + [TraceEvent(1, "recursion", None, "b", two)])
+    assert (verdict.status, verdict.checked) == ("pass", 1)
+    (verdict,) = check_axioms(model, head + [TraceEvent(1, "recursion", None, "b", three)])
+    assert (verdict.status, verdict.failing_step, verdict.checked) == ("fail", 1, 1)
+    assert (verdict.expected, verdict.actual) == (two, three)
+
+
 def test_axiom_on_static_target_names_axiom_and_attribute(aircraft_path):
     text = aircraft_path.read_text(encoding="utf-8")
     model = parse_ok(text.replace("attr dLO : dLO programmable init 0;",
                                   "attr dLO : dLO static;"))
     assert [d.code for d in check_wellformed(model)] == ["E110"]
-    with pytest.raises(ValueError, match=r"'displays_track_recordings'.* DP\.dLO .*E110"):
+    cause = r"E110: axiom 'displays_track_recordings': target DP\.dLO must be programmable"
+    with pytest.raises(compiler.CompileError, match=cause):
         check_axioms(model, Trace(()))
 
 
-def test_chain_with_unknown_conversion_names_chain_and_conversion(aircraft_path,
-                                                                  aircraft_script_path):
+def test_chain_with_unknown_conversion_names_chain_and_conversion(aircraft_path):
     text = aircraft_path.read_text(encoding="utf-8")
     model = parse_ok(text.replace("PP.LO via a2rLO, r2dLO", "PP.LO via a2rLO, nosuch"))
-    assert "E112" in [d.code for d in check_wellformed(model)]
-    graph = compiler.compile_model(model)
-    with open(aircraft_script_path, encoding="utf-8") as handle:
-        script = EnvironmentScript.from_json(json.load(handle), graph)
-    # The sender applies the chain's first link, so a run may name only the rest.
-    cause = r"unknown conversion 'nosuch' in chain \((a2rLO, )?nosuch\) \(E112\)"
-    with pytest.raises(ValueError, match=cause):
-        run(instantiate(graph, script, seed=0), 0)
-    with pytest.raises(ValueError, match=cause):
+    assert [d.code for d in check_wellformed(model)] == ["E112"]
+    # Neither a run nor the monitor gets a graph: the compile refuses the chain.
+    cause = r"E112: axiom 'displays_track_recordings': unknown conversion 'nosuch'"
+    with pytest.raises(compiler.CompileError, match=cause):
+        compiler.compile_model(model)
+    with pytest.raises(compiler.CompileError, match=cause):
         check_axioms(model, Trace(()))
 
 

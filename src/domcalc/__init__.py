@@ -38,6 +38,7 @@ from .simulator import (
     conversion_roundtrip_check,
     instantiate,
     run,
+    stream,
 )
 from .units import (
     Dimension,

@@ -20,7 +20,6 @@ from .diagnostics import Diagnostic, error
 from .model import (
     CONTROLLABLE_CATEGORIES,
     EXTERNAL_CATEGORIES,
-    PROGRAMMABLE,
     STATIC,
     AttributeDecl,
     AxiomDecl,
@@ -238,7 +237,8 @@ def compile_preflight(model: DomainModel) -> list[Diagnostic]:
     """Compilation preconditions, reported as diagnostics.
 
     E301 an inter-behaviour channel with nothing derivable to send and no
-    declaration, E303 a programmable attribute without an initial value,
+    declaration, E303 a controllable (biddable or programmable) attribute
+    without an initial value, which a run's recursion payload carries,
     E305 an axiom source that no channel carries to its target (no relating
     mereology, the target's own part, or an attribute that is not external),
     E306 name collisions among behaviours or derived channels, E307 a display
@@ -254,9 +254,9 @@ def _preflight(model: DomainModel) -> tuple[Diagnostic, ...]:
     out: list[Diagnostic] = []
     for part in index.parts:
         for attr in part.attributes:
-            if attr.category == PROGRAMMABLE and attr.init is None:
+            if attr.is_controllable and attr.init is None:
                 out.append(error(
-                    "E303", f"programmable attribute {part.name}.{attr.name} "
+                    "E303", f"{attr.category} attribute {part.name}.{attr.name} "
                             "has no init value", attr.span))
     for relation in index.relations:
         if (not _external_attrs(relation.sender)

@@ -13,6 +13,7 @@ longer ones.
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 from bisect import bisect_right
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import compiler
 from .analysis import parse_value, registry_for_model
@@ -168,7 +169,9 @@ def instantiate(graph: ProcessGraph, script: EnvironmentScript, seed: int) -> Ru
     """Validate a (graph, script) pairing and produce a runnable configuration.
 
     Every external input channel must be covered from step 0, and every
-    controllable attribute needs an initial value.
+    controllable attribute needs an initial value (``compile_model``
+    refuses a model without one, E303, so only a graph built by hand meets
+    ``MissingInit``).
     """
     registry: KindRegistry = graph.registry
     for process in graph.processes():
@@ -237,13 +240,22 @@ class _Table(dict):
 
 
 def run(config: RunConfig, max_steps: int) -> Trace:
-    """Execute until ``max_steps`` rendezvous or quiescence.
+    """Every event of ``stream(config, max_steps)``, held in one ``Trace``."""
+    return Trace(tuple(stream(config, max_steps)))
+
+
+def stream(config: RunConfig, max_steps: int) -> Iterator[TraceEvent]:
+    """Execute until ``max_steps`` rendezvous or quiescence, yielding each
+    event as the run produces it.
 
     The step counter advances once per inter-behaviour rendezvous; environment
     reads and recursions are recorded at the current step without advancing
-    it.  Quiescence (no rendezvous can ever fire again) terminates the trace
-    with a deadlock event.  Each process's program and the table of possible
-    rendezvous are resolved once, when the run starts.
+    it.  Quiescence (no rendezvous can ever fire again) ends the events with
+    a deadlock event.  Each process's program and the table of possible
+    rendezvous are resolved once, when the run starts.  A step's events are
+    yielded when the step ends, from a buffer that is then cleared, so the
+    run holds no event list: its memory is bounded by the distinct values it
+    carries, not by the number of steps.
 
     The scheduler never looks at a value, so the run carries value numbers:
     each script point read and each init value is numbered when the run
@@ -303,7 +315,7 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                   attr: number(value) for attr, value in p.init_values})
               for p in sorted(graph.processes(), key=lambda p: p.name)]
     if not states:
-        return Trace(())
+        return
     # The states a phase must visit although no rendezvous moved them: those
     # with no inter-behaviour action, and those reading a track that starts
     # after step 0 (``instantiate`` refuses one), since they may wake later.
@@ -325,7 +337,7 @@ def run(config: RunConfig, max_steps: int) -> Trace:
                 rendezvous.append((channel, sender, pc, states[r], rpc,
                                    [states[i] for i in sorted(restless | {s, r})]))
     rendezvous.sort(key=operator.itemgetter(0))
-    events: list[TraceEvent] = []
+    events: list[TraceEvent] = []  # this step's events, cleared once yielded
     # Records are built without the named tuple's Python-level __new__.
     new = tuple.__new__
     steps = 0
@@ -376,7 +388,8 @@ def run(config: RunConfig, max_steps: int) -> Trace:
         pairs = [pair for pair in rendezvous if pair[1].pc == pair[2] and pair[3].pc == pair[4]]
         if not pairs:
             events.append(TraceEvent(steps, DEADLOCK, None, ""))
-            return Trace(tuple(events))
+            yield from events
+            return
         # Rotate the enabled list by the seed, walking one position per step
         # so no enabled channel is starved forever.
         channel, sender, pc, receiver, _, visit = pairs[(config.seed + steps) % len(pairs)]
@@ -389,9 +402,11 @@ def run(config: RunConfig, max_steps: int) -> Trace:
         receiver.received[channel] = key
         receiver.pc += 1
         steps += 1
+        yield from events
+        events.clear()
     if steps:
         advance_phase(visit)  # the reads and recursions after the last rendezvous
-    return Trace(tuple(events))
+        yield from events
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +414,12 @@ def run(config: RunConfig, max_steps: int) -> Trace:
 # ---------------------------------------------------------------------------
 
 def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdict]:
-    """One verdict per declared axiom, from one walk over the trace.
+    """One verdict per declared axiom, from one walk over the events.
+
+    The walk is a fold that takes each event as it comes and keeps none:
+    it holds the last payload on each watched channel and the payload
+    combinations that passed, so it can consume ``stream`` or
+    ``write_jsonl`` directly, with no trace in memory.
 
     At every recursion event of the axiom's target behaviour the controllable
     values must equal the declared conversion chains applied to the most
@@ -410,10 +430,10 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     every source channel of an axiom has delivered is not checked.
 
     A check is decided once per distinct combination of objects: the
-    recursion payload and the last payload on each source channel.  A trace
-    from ``run`` or ``trace_from_jsonl`` shares its payload tuples, so most
-    checks are a dict hit; a trace of unshared tuples, or events from a
-    one-shot iterator, get the same verdicts, only slower.
+    recursion payload and the last payload on each source channel.  Events
+    from ``stream``, ``run`` or ``trace_from_jsonl`` share their payload
+    tuples, so most checks are a dict hit; unshared tuples get the same
+    verdicts, only slower.
     """
     graph = compiler.compile_model(model)
     processes = {p.name: p for p in graph.processes()}
@@ -504,28 +524,39 @@ def conversion_roundtrip_check(model: DomainModel, samples: int, seed: int) -> l
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
-def trace_to_jsonl(trace: Trace) -> str:
-    """One JSON object per event and line, as ``json.dumps(..., sort_keys=True)``
-    writes it: keys in sorted order (``channel``, ``kind``, ``payload`` of
-    ``kind``/``value`` objects, ``process``, ``step``), strings ASCII-escaped,
-    and each magnitude as an exact decimal or ``p/q`` string.
+# Lines formatted before each write: the writer holds at most this many.
+_CHUNK_LINES = 1024
+
+
+def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceEvent]:
+    """Write each event to ``handle`` as one JSON line and pass it on.
+
+    A line is the event as ``json.dumps(..., sort_keys=True)`` writes it:
+    keys in sorted order (``channel``, ``kind``, ``payload`` of
+    ``kind``/``value`` objects, ``process``, ``step``), strings
+    ASCII-escaped, and each magnitude as an exact decimal or ``p/q`` string.
+    Lines go to ``handle`` in chunks of ``_CHUNK_LINES``, the last when the
+    events run out, so a consumer that stops early, or a write that fails,
+    leaves the lines of the chunks written before it.
 
     Everything before the step, the head, is formatted once per distinct
     (kind, channel, process, payload object), and each distinct quantity
     object once, when a head first needs it; both are plain dicts keyed on
-    object ids.  A trace from ``run`` shares one payload tuple per distinct
-    message, so most lines only add their step; a trace of unshared tuples
-    is written the same, only slower."""
+    object ids.  Events from ``run`` or ``stream`` share one payload tuple
+    per distinct message, so most lines only add their step; unshared
+    tuples are written the same, only slower."""
     # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
     # its text; ``payloads`` keeps each keyed payload, and so each keyed
     # quantity, alive, so no id can be reused.
     heads: dict[tuple, str] = {}
     texts: dict[int, str] = {}
     payloads = []
-    # Three pieces per line, joined once at the end.
+    # Three pieces per line, joined once per chunk.
     pieces: list[str] = []
     add = pieces.append
-    for step, kind, channel, process, payload in trace:
+    chunk = 3 * _CHUNK_LINES
+    for event in events:
+        step, kind, channel, process, payload = event
         key = (kind, channel, process, id(payload))
         head = heads.get(key)
         if head is None:
@@ -542,7 +573,19 @@ def trace_to_jsonl(trace: Trace) -> str:
         add(head)
         add(int.__repr__(step))
         add("}\n")
-    return "".join(pieces)
+        if len(pieces) >= chunk:
+            handle.write("".join(pieces))
+            pieces.clear()
+        yield event
+    handle.write("".join(pieces))
+
+
+def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:
+    """The text ``write_jsonl`` writes for ``trace``, as one string."""
+    buffer = io.StringIO()
+    for _ in write_jsonl(trace, buffer):
+        pass
+    return buffer.getvalue()
 
 
 def trace_from_jsonl(text: str, registry: KindRegistry) -> Trace:

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -217,6 +218,17 @@ def test_output_path_errors_exit_1_without_traceback(
     assert err.startswith("error: ") and path in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_trace_write_failing_midway_exits_1_without_verdicts(
+        capsys, aircraft_path, aircraft_script_path):
+    # The file opens, and the first chunk written fails: no space left.
+    code, out, err = run_cli(capsys, "simulate", str(aircraft_path), "--script",
+                             str(aircraft_script_path), "--steps", "2000", "--seed", "0",
+                             "--trace", "/dev/full")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_simulate_negative_steps_exits_1(capsys, aircraft_path, aircraft_script_path):
     code, out, err = run_cli(capsys, "simulate", str(aircraft_path), "--script",
                              str(aircraft_script_path), "--steps", "-5", "--seed", "0")
@@ -382,3 +394,41 @@ def test_unwirable_axiom_is_refused(capsys, tmp_path, aircraft_path,
     code, out, err_text = run_cli(capsys, "simulate", str(model_path), "--script",
                                   str(aircraft_script_path), "--steps", "50", "--seed", "0")
     assert code == 2 and out == "" and expected[0] in err_text
+
+
+def test_biddable_attribute_without_init_is_e303_in_check_and_simulate(
+        capsys, tmp_path, aircraft_path, aircraft_script_path):
+    # ``check`` used to print ``ok`` here, and ``simulate`` then stopped with
+    # an uncoded ``error: display: controllable 'K' has no init value``.
+    text = aircraft_path.read_text(encoding="utf-8")
+    model_path = tmp_path / "bid.dom"
+    model_path.write_text(text.replace(_DP_LAST, f"{_DP_LAST} attr K : m biddable;"))
+    code, out, err = run_cli(capsys, "check", str(model_path))
+    assert code == 2 and out == ""
+    assert "E303: biddable attribute DP.K has no init value" in err
+    trace = tmp_path / "bid.jsonl"
+    code, out, err = run_cli(capsys, "simulate", str(model_path), "--script",
+                             str(aircraft_script_path), "--steps", "50", "--seed", "0",
+                             "--trace", str(trace))
+    assert code == 2 and out == "" and "E303" in err and "error:" not in err
+    assert not trace.exists()
+
+
+def test_simulate_trace_memory_does_not_grow_with_steps(
+        capsys, tmp_path, aircraft_path, aircraft_script_path):
+    # The run, the writer and the monitor hold no trace: four times the
+    # steps, about the same peak.
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "simulate", str(aircraft_path), "--script",
+                                 str(aircraft_script_path), "--steps", str(steps),
+                                 "--seed", "0", "--trace", str(tmp_path / "t.jsonl"))
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-use caches
+    small, large = peak(2000), peak(8000)
+    assert large <= 1.2 * small, (small, large)

@@ -5,7 +5,10 @@ through one chain map per chain, and visited every process in every phase;
 ``oracle_jsonl`` is the writer that formatted every line's payload.
 The run under test numbers its values, maps numbers through chain tables,
 visits only the processes a rendezvous can have moved, and writes one head
-per distinct event: same events, same bytes.
+per distinct event: same events, same bytes.  ``simulate --trace`` streams
+the run through the writer into the monitor in one pass; it must write the
+bytes, and print the verdicts, of ``run`` followed by ``trace_to_jsonl`` and
+``check_axioms``.
 """
 
 import json
@@ -18,10 +21,11 @@ from json.encoder import encode_basestring_ascii
 
 import pytest
 
-from domcalc import compiler
+from domcalc import cli, compiler, dsl
 from domcalc.simulator import (
     DEADLOCK, READ, RECEIVE, RECURSION, SEND, EnvironmentScript, RunConfig, ScriptTrack,
-    Trace, TraceEvent, _chain_apply, instantiate, run, trace_to_jsonl)
+    Trace, TraceEvent, _chain_apply, check_axioms, instantiate, run, stream,
+    trace_to_jsonl, verdicts_to_json)
 from domcalc.units import Quantity, fraction_str
 from modelgen import pairs_model, random_model, random_script
 
@@ -235,3 +239,63 @@ def test_long_script_costs_no_more_than_reading_it(aircraft_graph):
     reads = [e for e in trace if e.channel == "attr_LO_ch"]
     assert reads and all(e.payload == (Quantity(Fraction(e.step), e.payload[0].kind),)
                          for e in reads)
+
+
+def assert_streamed_as_run(capsys, tmp_path, text: str, script: dict, steps: int,
+                           seed: int) -> Trace:
+    """``simulate --trace`` on the model text and script JSON: the file it
+    writes, its verdicts and its exit code are those of ``run``, and the
+    events of ``stream`` are those ``run`` holds."""
+    dom, script_path, out = tmp_path / "m.dom", tmp_path / "s.json", tmp_path / "t.jsonl"
+    dom.write_text(text, encoding="utf-8")
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    code = cli.main(["simulate", str(dom), "--script", str(script_path), "--steps", str(steps),
+                     "--seed", str(seed), "--trace", str(out)])
+    printed = capsys.readouterr().out
+    model, diagnostics = dsl.parse_file(str(dom))
+    assert not diagnostics
+    graph = compiler.compile_model(model)
+    config = instantiate(graph, EnvironmentScript.from_json(script, graph), seed)
+    trace = run(config, steps)
+    assert out.read_bytes() == trace_to_jsonl(trace).encode()
+    verdicts = check_axioms(model, trace)
+    assert printed == json.dumps(verdicts_to_json(verdicts), indent=2, sort_keys=True) + "\n"
+    assert code == (0 if all(v.passed for v in verdicts) else 2)
+    assert list(stream(config, steps)) == list(trace.events)
+    return trace
+
+
+def _script_json(script: EnvironmentScript) -> dict:
+    return {name: {"points": [[step, fraction_str(value.magnitude)]
+                              for step, value in track.points], "cycle": track.cycle}
+            for name, track in script.tracks.items()}
+
+
+def test_streamed_simulate_matches_run_on_generated_models(capsys, tmp_path):
+    deadlocked = set()
+    for count, (rng, n) in enumerate(_generated()):
+        model = random_model(rng) if n is None else pairs_model(rng, n)
+        script = random_script(rng, compiler.compile_model(model))
+        trace = assert_streamed_as_run(capsys, tmp_path, dsl.print_model(model),
+                                       _script_json(script), 200, count % 7)
+        deadlocked.add(trace.deadlocked)
+    assert deadlocked == {False, True}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_streamed_simulate_matches_run_on_aircraft(
+        capsys, tmp_path, aircraft_path, aircraft_script_path, seed):
+    script = json.loads(aircraft_script_path.read_text(encoding="utf-8"))
+    assert_streamed_as_run(capsys, tmp_path, aircraft_path.read_text(encoding="utf-8"),
+                           script, 2000, seed)
+
+
+def test_streamed_simulate_matches_run_at_the_edges(
+        capsys, tmp_path, aircraft_path, aircraft_script_path):
+    text = aircraft_path.read_text(encoding="utf-8")
+    script = json.loads(aircraft_script_path.read_text(encoding="utf-8"))
+    assert assert_streamed_as_run(capsys, tmp_path, text, script, 0, 0).events == ()
+    finite = {name: entry["points"] for name, entry in script.items()}
+    trace = assert_streamed_as_run(capsys, tmp_path, text, finite, 500, 1)
+    assert trace.deadlocked and trace.events[-1].step < 500
+    assert assert_streamed_as_run(capsys, tmp_path, "", {}, 10, 0).events == ()

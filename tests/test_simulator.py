@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domcalc import compiler, simulator
+from domcalc import cli, compiler, simulator
 from domcalc.analysis import check_wellformed
 from domcalc.dsl import parse_model
 from domcalc.model import ConversionDecl, DomainModel
@@ -67,18 +68,45 @@ def test_script_must_start_at_step_zero(aircraft_graph, aircraft_script):
         instantiate(aircraft_graph, EnvironmentScript(tracks), seed=0)
 
 
-def test_missing_init_at_instantiate():
-    model = parse_ok("""
+def test_missing_biddable_init_is_refused_with_e303(capsys, tmp_path):
+    # A run's recursion payload carries every controllable attribute, so
+    # ``check`` refuses a biddable one without ``init``, as it does a
+    # programmable one, and ``simulate`` never reaches ``instantiate``.
+    source = """
     part RT composite(A, B) { id RTI; mereo empty; }
     part A { id AI; mereo BI; attr X : m reactive; }
     part B { id BI; mereo AI; attr dX : rX programmable init 0; attr BD : m biddable; }
     conversion a2rX : m -> rX = affine(1, 0);
     axiom ax { display(B.dX) tracks (A.X via a2rX); }
-    """)
-    graph = compiler.compile_model(model)
-    script = random_script(random.Random(0), graph)
-    with pytest.raises(MissingInit):
-        instantiate(graph, script, seed=0)
+    """
+    expected = ("E303", "biddable attribute B.BD has no init value")
+    model = parse_ok(source)
+    assert [(d.code, d.message) for d in check_wellformed(model) if d.is_error] == [expected]
+    with pytest.raises(compiler.CompileError) as err:
+        compiler.compile_model(model)
+    assert [(d.code, d.message) for d in err.value.diagnostics] == [expected]
+    path = tmp_path / "bid.dom"
+    path.write_text(source, encoding="utf-8")
+    script = tmp_path / "bid.json"
+    script.write_text('{"attr_X_ch": [[0, "1 m"]]}', encoding="utf-8")
+    for argv in (["check", str(path)], ["simulate", str(path), "--script", str(script),
+                                        "--steps", "5", "--seed", "0"]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "E303" in captured.err
+
+
+def test_instantiate_refuses_a_hand_built_graph_without_init(aircraft_graph, aircraft_script):
+    # ``compile_model`` refuses such a graph with E303; one built by hand
+    # still meets ``instantiate``'s own check.
+    def drop_inits(node):
+        process = node.process and dataclasses.replace(node.process, init_values=())
+        return dataclasses.replace(node, process=process,
+                                   children=tuple(map(drop_inits, node.children)))
+
+    graph = dataclasses.replace(aircraft_graph, root=drop_inits(aircraft_graph.root))
+    with pytest.raises(MissingInit, match="display: controllable 'dLO' has no init value"):
+        instantiate(graph, aircraft_script, seed=0)
 
 
 def test_empty_graph_runs_to_empty_trace():

@@ -1,15 +1,19 @@
 """Command-line driver: parse, check, describe, compile, simulate, units.
 
 Exit codes: 0 success, 1 usage or parse error, 2 axiom or check failure.
+``main`` can be called any number of times in one process; the argument
+parser is built on its first call.
 Set DOMCALC_COLOR=0 to disable ANSI colour in diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import analysis, compiler, dsl, simulator, units
 from .diagnostics import has_errors
@@ -77,6 +81,56 @@ def _write_output(path: str, text: str) -> int:
     return 0
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of dicts with string keys,
+    lists, strings, integers, booleans and ``None``, without the pure-Python
+    encoder that ``indent`` forces on ``json.dumps``."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], newline: str) -> None:
+    """Append ``obj``'s indented JSON to ``out``; ``newline`` ends with the
+    indentation of the line that ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(obj):
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(obj[key], out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in obj:
+            out.append(separator)
+            _write_json(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def cmd_parse(args) -> int:
     model, code = _parse_model(args.file)
     if code is not None:
@@ -126,8 +180,7 @@ def cmd_compile(args) -> int:
         return code
     sys.stdout.write(compiler.print_process(graph))
     if args.json:
-        return _write_output(args.json, json.dumps(
-            compiler.graph_to_json(graph), indent=2, sort_keys=True) + "\n")
+        return _write_output(args.json, _json_text(compiler.graph_to_json(graph)) + "\n")
     return 0
 
 
@@ -161,7 +214,7 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    print(json.dumps(simulator.verdicts_to_json(verdicts), indent=2, sort_keys=True))
+    print(_json_text(simulator.verdicts_to_json(verdicts)))
     return 0 if all(v.passed for v in verdicts) else 2
 
 
@@ -188,7 +241,10 @@ def cmd_units(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    ``parse_args`` leaves it unchanged and returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="domcalc",
         description="Domain-description toolchain: explicit semantics for "

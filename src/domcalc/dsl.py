@@ -22,9 +22,10 @@ reported as diagnostics and recovery resumes at the next block boundary, so
 one run can report several problems.  ``print_model`` emits canonical text
 with ``parse_model(print_model(m)) == m`` structurally.
 
-One ``finditer`` pass turns the text into a list of ``Token``s: immutable
-named tuples, built with ``tuple.__new__`` to skip the generated
-constructor.
+One ``finditer`` pass turns the text into a list of ``Token``s, one match
+per token: the whitespace and comments before a token are a prefix of its
+match.  Tokens are immutable named tuples, built with ``tuple.__new__`` to
+skip the generated constructor.
 """
 
 from __future__ import annotations
@@ -59,16 +60,23 @@ from .units import UnitBoundError, fraction_str, parse_fraction
 
 _TOP_KEYWORDS = ("part", "material", "component", "conversion", "channel", "axiom")
 
+# Whitespace and comments are a prefix of the next token's match, so one
+# match is one token; ``eof`` matches at the end, after any trailing ones.
+# The prefix is the longest run of whitespace and ``--`` comments, split at
+# its first newline: group 1 holds the run from that newline on, so a token
+# on the same line as the one before it costs no newline search.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-  | (?P<arrow>->)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>[{}();:,.=^*/x-])
-  | (?P<bad>.)
+    [^\S\n]*(?:--[^\n]*)?(\n(?:\s+|--[^\n]*)*)?
+    (?:
+      (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+    | (?P<arrow>->)
+    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<punct>[{}();:,.=^*/x-])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -98,26 +106,37 @@ class _ParseError(Exception):
 
 
 def _tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
-    """One ``finditer`` pass: every character falls in some token, ``bad``
-    (E001) last.  Only ``ws`` and ``string`` tokens span lines; the pattern is
-    not DOTALL, so ``\\.`` in a string escapes no newline."""
+    """One ``finditer`` pass, one match per token: each match skips the
+    whitespace and comments before its token, so the line advances by the
+    newlines in that gap (group 1), and by those inside a string token (the
+    pattern is not DOTALL, so ``\\.`` in a string escapes no newline).  Every
+    other character is ``bad`` (E001).  The loop stops at the first ``eof``:
+    ``finditer`` yields a second, empty one after trailing whitespace."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
     make = tuple.__new__
+    count, rfind = text.count, text.rfind
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
+        gap_end = match.end(1)
+        if gap_end > 0:
+            line += count("\n", match.start(), gap_end)
+            line_start = rfind("\n", 0, gap_end) + 1
         kind = match.lastgroup
-        value = match.group()
+        if kind == "eof":
+            break
+        start = match.start(kind)
         if kind == "bad":
             diagnostics.append(error(
-                "E001", f"unexpected character {value!r}",
-                SourceSpan.point(file, line, match.start() - line_start + 1)))
-        elif kind != "ws" and kind != "comment":
-            tokens.append(make(Token, (kind, value, line, match.start() - line_start + 1)))
-        if (kind == "ws" or kind == "string") and "\n" in value:
+                "E001", f"unexpected character {text[start]!r}",
+                SourceSpan.point(file, line, start - line_start + 1)))
+            continue
+        value = match.group(kind)
+        tokens.append(make(Token, (kind, value, line, start - line_start + 1)))
+        if kind == "string" and "\n" in value:
             line += value.count("\n")
-            line_start = match.start() + value.rfind("\n") + 1
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+            line_start = start + value.rfind("\n") + 1
+    tokens.append(make(Token, ("eof", "", line, len(text) - line_start + 1)))
     return tokens, diagnostics
 
 

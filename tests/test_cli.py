@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from domcalc.analysis import check_wellformed
-from domcalc.cli import main
+from domcalc.cli import build_parser, main
 from domcalc.compiler import CompileError, compile_model
 from domcalc.dsl import parse_model
 
@@ -325,6 +325,36 @@ def test_simulate_stdout_golden(capsys, aircraft_path, aircraft_script_path):
         "--script", str(aircraft_script_path), "--steps", "20", "--seed", "7")
     assert code == 0
     assert out == (GOLDEN / "aircraft_verdicts.json").read_text()
+
+
+def test_main_called_repeatedly_in_one_process(capsys, aircraft_path, aircraft_script_path):
+    # The parser is built once per process: no option, default or usage error
+    # of one command may reach the next.
+    simulate = ["simulate", str(aircraft_path), "--script", str(aircraft_script_path),
+                "--steps", "20", "--seed", "7"]
+    commands = [
+        ["compile", str(aircraft_path), "--always-core"],
+        ["compile", str(aircraft_path)],
+        ["simulate", str(aircraft_path), "--steps", "1", "--seed", "0"],
+        ["--help"],
+        ["units", "nocheck", "m"],
+        simulate,
+    ]
+    first_calls = []
+    for argv in commands:
+        build_parser.cache_clear()
+        first_calls.append(run_cli(capsys, *argv))
+    reused = [run_cli(capsys, *argv) for argv in commands]
+    assert build_parser.cache_info().misses == 1
+    assert reused == first_calls
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 1, 0, 1, 0]
+    assert reused[0][1] != reused[1][1]
+    assert reused[1][1] == (GOLDEN / "aircraft_process.txt").read_text()
+    assert "the following arguments are required: --script" in reused[2][2]
+    assert reused[3][1].startswith("usage: domcalc")
+    assert "invalid choice: 'nocheck'" in reused[4][2]
+    assert reused[5][1] == (GOLDEN / "aircraft_verdicts.json").read_text()
 
 
 def test_describe_unknown_sort_exits_1(capsys, aircraft_path):

@@ -3,9 +3,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domcalc import compiler
 from domcalc.analysis import MAX_COMPOSITION_DEPTH, NotAPart, check_wellformed
+from domcalc.cli import _json_text
 from domcalc.compiler import (
     CompileError,
     behaviour_prefix,
@@ -193,6 +195,38 @@ def generated_process_text() -> str:
 
 def test_generated_models_print_golden():
     assert generated_process_text() == (GOLDEN / "generated_process.txt").read_text()
+
+
+def assert_indented_json(doc) -> None:
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_indented_graph_json_equals_json_dumps(aircraft_graph):
+    assert_indented_json(graph_to_json(aircraft_graph))
+    for seed in range(40):
+        graph = compile_model(random_model(random.Random(seed)), always_core=seed % 2 == 1)
+        assert_indented_json(graph_to_json(graph))
+    empty = graph_to_json(compile_model(parse_ok("")))
+    assert empty == {"composition": None, "processes": [], "channels": [], "edges": []}
+    assert_indented_json(empty)
+    renamed = graph_to_json(aircraft_graph)
+    renamed["processes"][0]["name"] = "positionµ"
+    assert '"positionµ"' not in _json_text(renamed)
+    assert '"position\\u00b5"' in _json_text(renamed)
+    assert_indented_json(renamed)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_indented_json_equals_json_dumps_on_generated_values(value):
+    assert_indented_json(value)
 
 
 def test_signature_completeness_generated():

@@ -11,6 +11,7 @@ from domcalc.model import MereoEmpty, MereoId, MereoProduct
 
 from conftest import short_id
 from modelgen import random_model
+from test_tokens import assert_same_tokens
 
 
 def test_aircraft_corpus_structure(aircraft_model):
@@ -221,14 +222,24 @@ _TOKENIZER_CASES = {
         ("ident", "doc", 1, 1), ("ident", "a", 1, 6), ("ident", "b", 2, 1),
         ("ident", "y", 2, 4), ("eof", "", 2, 5)], [(1, 5, '"'), (1, 7, "\\"), (2, 2, '"')]),
     "empty": ("", [("eof", "", 1, 1)], []),
+    # Whitespace and comments are skipped as a prefix of the next token's match.
+    "ends inside a comment": ("part A -- no newline at the end", [
+        ("ident", "part", 1, 1), ("ident", "A", 1, 6), ("eof", "", 1, 32)], []),
+    "only whitespace and comments": ("  \n-- only comments\n\t\n  -- and blanks  ", [
+        ("eof", "", 4, 18)], []),
+    "20,000 lines of blanks and comments": (
+        "part" + "".join("\n" if i % 2 else "  -- note\n" for i in range(20_000)) + "A", [
+            ("ident", "part", 1, 1), ("ident", "A", 20_001, 1), ("eof", "", 20_001, 2)], []),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_TOKENIZER_CASES))
 def test_tokenizer_positions_and_diagnostics(case):
     text, tokens, bad = _TOKENIZER_CASES[case]
+    assert_same_tokens(text)
     got_tokens, diagnostics = _tokenize(text, "f.dom")
     assert [(t.type, t.value, t.line, t.col) for t in got_tokens] == tokens
     assert diagnostics == [error("E001", f"unexpected character {char!r}",
                                  SourceSpan.point("f.dom", line, col))
                            for line, col, char in bad]
+

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 axiom or check failure.
 ``main`` can be called any number of times in one process; the argument
-parser is built on its first call.
+parser is built on its first call, and ``simulator`` is imported by
+``simulate`` alone.
 Set DOMCALC_COLOR=0 to disable ANSI colour in diagnostics.
 """
 
@@ -15,7 +16,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import analysis, compiler, dsl, simulator, units
+from . import analysis, compiler, dsl, units
 from .diagnostics import has_errors
 
 
@@ -185,6 +186,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator
+
     if args.steps < 0:
         print(f"error: --steps must be >= 0, not {args.steps}", file=sys.stderr)
         return 1

@@ -22,16 +22,19 @@ reported as diagnostics and recovery resumes at the next block boundary, so
 one run can report several problems.  ``print_model`` emits canonical text
 with ``parse_model(print_model(m)) == m`` structurally.
 
-One ``finditer`` pass turns the text into a list of ``Token``s, one match
-per token: the whitespace and comments before a token are a prefix of its
-match.  Tokens are immutable named tuples, built with ``tuple.__new__`` to
-skip the generated constructor.
+One scan turns the text into two lists: the token strings and their
+offsets.  A ``re.sub`` pre-pass blanks the ``--`` comments, and one
+``re.split`` over the token alternation gives the gaps and the tokens.  The
+parser reads a token's kind from its text and makes a line and column, by
+bisection over the line starts, only for a span or a diagnostic.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate, islice
 from typing import NamedTuple, Optional
 
 from .diagnostics import Diagnostic, SourceSpan, error
@@ -60,27 +63,21 @@ from .units import UnitBoundError, fraction_str, parse_fraction
 
 _TOP_KEYWORDS = ("part", "material", "component", "conversion", "channel", "axiom")
 
-# Whitespace and comments are a prefix of the next token's match, so one
-# match is one token; ``eof`` matches at the end, after any trailing ones.
-# The prefix is the longest run of whitespace and ``--`` comments, split at
-# its first newline: group 1 holds the run from that newline on, so a token
-# on the same line as the one before it costs no newline search.
-_TOKEN_RE = re.compile(
-    r"""
-    [^\S\n]*(?:--[^\n]*)?(\n(?:\s+|--[^\n]*)*)?
-    (?:
-      (?P<string>"(?:[^"\\]|\\.)*")
-    | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-    | (?P<arrow>->)
-    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<punct>[{}();:,.=^*/x-])
-    | (?P<eof>\Z)
-    | (?P<bad>.)
-    )
-    """,
-    re.VERBOSE,
-)
-
+_STRING = r'"(?:[^"\\]|\\.)*"'
+# The pre-pass keeps each string, blanks each ``--`` comment to spaces and
+# turns each ``"`` that opens no string into NUL, which starts no token:
+# left as it is, an unterminated ``"`` would match as a string across a
+# blanked comment.  Every replacement has the length of what it replaces.
+_PREPASS_RE = re.compile(_STRING + r'|--[^\n]*|"')
+# One capture group, so ``split`` alternates gaps and tokens.  A token's
+# kind is read back from its text (``_kind``).
+_SPLIT_RE = re.compile("(" + _STRING + r"""
+    | -?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?   # number
+    | ->                                 # arrow
+    | [A-Za-z_][A-Za-z_0-9]*             # ident
+    | [{}();:,.=^*/x-]                   # punct
+    )""", re.VERBOSE)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 # ``_join_ref`` puts a space between two adjacent pieces that are word-ish.
 _WORDISH = re.compile(r"[A-Za-z_0-9µΩ°]")
@@ -98,46 +95,58 @@ class Token(NamedTuple):
 
 
 class _ParseError(Exception):
-    def __init__(self, message: str, token: Token, code: str = "E001"):
+    def __init__(self, message: str, index: int, code: str = "E001"):
         super().__init__(message)
         self.message = message
-        self.token = token
+        self.index = index
         self.code = code
 
 
+def _blank(match: re.Match) -> str:
+    found = match[0]
+    if found[0] == "-":
+        return " " * len(found)
+    return found if len(found) > 1 else "\0"
+
+
+def _scan(text: str) -> tuple[list[str], list[int], list[int]]:
+    """The token strings, their offsets and the offsets of the characters
+    that start no token (E001).  The end of the file is one last token
+    ``""`` at ``len(text)``."""
+    if '"' in text or "--" in text:
+        text = _PREPASS_RE.sub(_blank, text)
+    parts = _SPLIT_RE.split(text)
+    bad: list[int] = []
+    if "".join(parts[::2]).strip():
+        gap_starts = islice(accumulate(map(len, parts), initial=0), 0, None, 2)
+        for gap, start in zip(parts[::2], gap_starts):
+            bad += (start + i for i, char in enumerate(gap) if not char.isspace())
+    # Each gap ends where the token after it (or the end of the file) starts.
+    offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    del parts[::2]
+    parts.append("")
+    return parts, offsets, bad
+
+
+def _kind(value: str) -> str:
+    """A token's kind, read from its text."""
+    head = value[:1]
+    if head == '"':
+        return "string"
+    if head in _IDENT_START:
+        return "ident"
+    if value == "->":
+        return "arrow"
+    if head.isdecimal() or value[1:2].isdecimal():
+        return "number"
+    return "punct" if value else "eof"
+
+
 def _tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
-    """One ``finditer`` pass, one match per token: each match skips the
-    whitespace and comments before its token, so the line advances by the
-    newlines in that gap (group 1), and by those inside a string token (the
-    pattern is not DOTALL, so ``\\.`` in a string escapes no newline).  Every
-    other character is ``bad`` (E001).  The loop stops at the first ``eof``:
-    ``finditer`` yields a second, empty one after trailing whitespace."""
-    tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
-    make = tuple.__new__
-    count, rfind = text.count, text.rfind
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
-        gap_end = match.end(1)
-        if gap_end > 0:
-            line += count("\n", match.start(), gap_end)
-            line_start = rfind("\n", 0, gap_end) + 1
-        kind = match.lastgroup
-        if kind == "eof":
-            break
-        start = match.start(kind)
-        if kind == "bad":
-            diagnostics.append(error(
-                "E001", f"unexpected character {text[start]!r}",
-                SourceSpan.point(file, line, start - line_start + 1)))
-            continue
-        value = match.group(kind)
-        tokens.append(make(Token, (kind, value, line, start - line_start + 1)))
-        if kind == "string" and "\n" in value:
-            line += value.count("\n")
-            line_start = start + value.rfind("\n") + 1
-    tokens.append(make(Token, ("eof", "", line, len(text) - line_start + 1)))
-    return tokens, diagnostics
+    """``_scan`` as ``Token``s with their lines and columns, and the E001s."""
+    parser = _Parser(text, file)
+    return ([Token(_kind(value), value, *parser.locate(offset))
+             for value, offset in zip(parser.values, parser.offsets)], parser.diagnostics)
 
 
 def _join_ref(parts: list[str]) -> str:
@@ -151,50 +160,85 @@ def _join_ref(parts: list[str]) -> str:
     return "".join(out)
 
 
+# What ends a quantity reference or value literal: the end of the file,
+# a brace and the clause's own stop words (a string ends one too).
+_STOP = frozenset(("", "{", "}"))
+_ATTR_STOP = _STOP | set(CATEGORIES) | {"init", ";"}
+_INIT_STOP = _STOP | {";"}
+_FROM_STOP = _STOP | {"->", "inverse", "="}
+_TO_STOP = _STOP | {"inverse", "="}
+_CHANNEL_STOP = _STOP | {"x", ";"}
+_CLAUSES = frozenset(("doc", "behaviour", "id", "mereo", "attr"))
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
+    """Recursive descent over ``values``, the token strings, with
+    ``index`` at the next token; the last token, ``""``, is the end of the
+    file and is never consumed."""
+
+    def __init__(self, text: str, file: str):
+        self.values, self.offsets, bad = _scan(text)
         self.file = file
         self.index = 0
-        self.diagnostics: list[Diagnostic] = []
+        starts = list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+
+        def locate(offset: int) -> tuple[int, int]:
+            line = bisect_right(starts, offset)
+            return line, offset - starts[line - 1] + 1
+
+        self.locate = locate
+        self.diagnostics: list[Diagnostic] = [
+            error("E001", f"unexpected character {text[offset]!r}",
+                  SourceSpan.point(file, *locate(offset)))
+            for offset in bad]
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+    def peek(self) -> str:
+        return self.values[self.index]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.index]
-        if tok.type != "eof":
+    def next(self) -> str:
+        value = self.values[self.index]
+        if value:
             self.index += 1
-        return tok
-
-    def at(self, value: str) -> bool:
-        return self.peek().value == value and self.peek().type != "string"
+        return value
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.next()
+        if self.values[self.index] == value:
+            self.index += 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.value != value or tok.type == "string":
-            raise _ParseError(f"expected {value!r}, found {tok.value or 'end of file'!r}", tok)
-        return self.next()
+    def expect(self, value: str) -> int:
+        """Consume ``value``; its token index, for a span."""
+        index = self.index
+        found = self.values[index]
+        if found != value:
+            raise _ParseError(f"expected {value!r}, found {found or 'end of file'!r}", index)
+        self.index = index + 1
+        return index
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.type != "ident":
-            raise _ParseError(f"expected {what}, found {tok.value or 'end of file'!r}", tok)
-        return self.next()
+    def expect_ident(self, what: str = "identifier") -> str:
+        index = self.index
+        found = self.values[index]
+        if found[:1] not in _IDENT_START:
+            raise _ParseError(f"expected {what}, found {found or 'end of file'!r}", index)
+        self.index = index + 1
+        return found
 
-    def fail(self, message: str, token: Optional[Token] = None) -> "_ParseError":
-        return _ParseError(message, token or self.peek())
+    def fail(self, message: str, index: Optional[int] = None) -> "_ParseError":
+        return _ParseError(message, self.index if index is None else index)
 
-    def report(self, code: str, message: str, token: Token) -> None:
-        self.diagnostics.append(error(code, message, token.span(self.file)))
+    def report(self, code: str, message: str, index: int) -> None:
+        line, col = self.locate(self.offsets[index])
+        end_col = col + max(len(self.values[index]), 1)
+        self.diagnostics.append(error(code, message,
+                                      SourceSpan(self.file, line, col, line, end_col)))
+
+    def span(self, first: int, last: int) -> SourceSpan:
+        """From token ``first`` to just after the first character of ``last``."""
+        line, col = self.locate(self.offsets[last])
+        return SourceSpan(self.file, *self.locate(self.offsets[first]), line, col + 1)
 
     def skip_to_top_level(self) -> None:
         """Recovery: consume tokens until the next plausible block boundary, a
@@ -203,20 +247,19 @@ class _Parser:
         depth = 0
         prev = ""
         while True:
-            tok = self.peek()
-            if tok.type == "eof":
+            value = self.peek()
+            if not value:
                 return
-            if (tok.type == "ident" and tok.value in _TOP_KEYWORDS
-                    and (depth == 0 or prev in ("}", ";"))):
+            if value in _TOP_KEYWORDS and (depth == 0 or prev in ("}", ";")):
                 return
-            if tok.value == "{":
+            if value == "{":
                 depth += 1
-            elif tok.value == "}":
+            elif value == "}":
                 if depth == 0:
                     self.next()
                     return
                 depth -= 1
-            prev = tok.value
+            prev = value
             self.next()
 
     # -- grammar -----------------------------------------------------------
@@ -226,22 +269,21 @@ class _Parser:
         conversions: list[ConversionDecl] = []
         channels: list[ChannelDecl] = []
         axioms: list[AxiomDecl] = []
-        while self.peek().type != "eof":
-            tok = self.peek()
+        while value := self.peek():
             try:
-                if tok.value in ENDURANT_KINDS:
-                    endurants.append(self.parse_endurant(tok.value))
-                elif tok.value == "conversion":
+                if value in ENDURANT_KINDS:
+                    endurants.append(self.parse_endurant(value))
+                elif value == "conversion":
                     conversions.append(self.parse_conversion())
-                elif tok.value == "channel":
+                elif value == "channel":
                     channels.append(self.parse_channel())
-                elif tok.value == "axiom":
+                elif value == "axiom":
                     axioms.append(self.parse_axiom())
                 else:
                     raise self.fail(
-                        f"expected a declaration keyword, found {tok.value!r}")
+                        f"expected a declaration keyword, found {value!r}")
             except _ParseError as err:
-                self.report(err.code, err.message, err.token)
+                self.report(err.code, err.message, err.index)
                 self.skip_to_top_level()
         model = DomainModel(tuple(endurants), tuple(conversions),
                             tuple(channels), tuple(axioms))
@@ -249,17 +291,18 @@ class _Parser:
         return model
 
     def parse_endurant(self, kind: str) -> EndurantDecl:
-        start = self.next()  # keyword
+        start = self.index  # keyword
+        self.index += 1
         name = self.expect_ident("sort name")
         children: Optional[tuple[str, ...]] = None
-        if self.at("composite"):
+        if self.peek() == "composite":
             if kind != PART:
-                self.report("E001", f"{kind}s cannot be composite", self.peek())
-            self.next()
+                self.report("E001", f"{kind}s cannot be composite", self.index)
+            self.index += 1
             self.expect("(")
-            kids = [self.expect_ident("child sort").value]
+            kids = [self.expect_ident("child sort")]
             while self.accept(","):
-                kids.append(self.expect_ident("child sort").value)
+                kids.append(self.expect_ident("child sort"))
             self.expect(")")
             children = tuple(kids)
         self.expect("{")
@@ -269,118 +312,106 @@ class _Parser:
         id_type: Optional[str] = None
         mereology: Optional[MereologyExpr] = None
         attributes: list[AttributeDecl] = []
-        while not self.at("}"):
-            tok = self.peek()
-            if tok.type == "eof":
-                raise self.fail("unterminated block", tok)
-            if tok.value == "doc":
-                self.next()
+        while (value := self.peek()) != "}":
+            if not value:
+                raise self.fail("unterminated block")
+            if value not in _CLAUSES:
+                raise self.fail(f"unexpected clause {value!r} in {kind} block")
+            self.index += 1
+            if value == "doc":
                 string = self.peek()
-                if string.type != "string":
-                    raise self.fail("expected string after 'doc'", string)
-                self.next()
-                doc = _unquote(string.value)
-            elif tok.value == "behaviour":
-                self.next()
-                behaviour = self.expect_ident("behaviour name").value
-            elif tok.value == "id":
-                self.next()
-                id_tok = self.expect_ident("identifier type")
+                if string[:1] != '"':
+                    raise self.fail("expected string after 'doc'")
+                self.index += 1
+                doc = _unquote(string)
+            elif value == "behaviour":
+                behaviour = self.expect_ident("behaviour name")
+            elif value == "id":
+                id_index = self.index
+                id_value = self.expect_ident("identifier type")
                 if id_type is not None:
-                    self.report("E002", f"duplicate id declaration {id_tok.value!r}", id_tok)
+                    self.report("E002", f"duplicate id declaration {id_value!r}", id_index)
                 else:
-                    id_type = id_tok.value
-            elif tok.value == "mereo":
-                self.next()
-                mereology = self.parse_mereology(name.value)
-            elif tok.value == "attr":
-                self.next()
+                    id_type = id_value
+            elif value == "mereo":
+                mereology = self.parse_mereology(name)
+            else:  # attr
                 attributes.append(self.parse_attribute())
                 continue  # attribute parser consumes its ';'
-            else:
-                raise self.fail(f"unexpected clause {tok.value!r} in {kind} block", tok)
             self.expect(";")
         close = self.expect("}")
         discreteness = CONTINUOUS if kind == MATERIAL else DISCRETE
         return EndurantDecl(
-            name=name.value, kind=kind, discreteness=discreteness,
+            name=name, kind=kind, discreteness=discreteness,
             children=children, id_type=id_type, mereology=mereology,
             attributes=tuple(attributes), behaviour=behaviour, doc=doc,
-            span=SourceSpan(self.file, start.line, start.col, close.line, close.col + 1))
+            span=self.span(start, close))
 
     def parse_mereology(self, sort: str) -> MereologyExpr:
         # Accepts both 'mereo <expr>' and the canonical 'mereo <Sort> -> <expr>'.
-        if self.peek().type == "ident" and self.tokens[self.index + 1].type == "arrow":
-            named = self.next()
-            if named.value != sort:
+        named = self.peek()
+        if named[:1] in _IDENT_START and self.values[self.index + 1] == "->":
+            if named != sort:
                 self.report(
                     "E003",
-                    f"mereology names {named.value!r} inside block for {sort!r}",
-                    named)
-            self.next()  # arrow
+                    f"mereology names {named!r} inside block for {sort!r}",
+                    self.index)
+            self.index += 2  # the sort and the arrow
         if self.accept("empty"):
             return MereoEmpty()
-        if self.at("set"):
-            self.next()
+        if self.accept("set"):
             self.expect("(")
             inner = self.expect_ident("identifier type")
             self.expect(")")
-            return MereoSet(inner.value)
-        first = self.expect_ident("identifier type")
-        factors = [first.value]
-        while self.at("x"):
-            self.next()
-            factors.append(self.expect_ident("identifier type").value)
+            return MereoSet(inner)
+        factors = [self.expect_ident("identifier type")]
+        while self.accept("x"):
+            factors.append(self.expect_ident("identifier type"))
         if len(factors) == 1:
             return MereoId(factors[0])
         return MereoProduct(tuple(factors))
 
     def parse_attribute(self) -> AttributeDecl:
+        first = self.index
         name = self.expect_ident("attribute name")
         self.expect(":")
-        quantity = self.collect_ref(stop=set(CATEGORIES) | {"init", ";"})
+        quantity = self.collect_ref(_ATTR_STOP)
         if not quantity:
             raise self.fail("expected a quantity kind after ':'")
         category = STATIC
-        if self.peek().type == "ident" and self.peek().value in CATEGORIES:
-            category = self.next().value
+        if self.peek() in CATEGORIES:
+            category = self.next()
         init: Optional[str] = None
-        if self.at("init"):
-            self.next()
-            init = self.collect_ref(stop={";"})
+        if self.accept("init"):
+            init = self.collect_ref(_INIT_STOP)
             if not init:
                 raise self.fail("expected a value after 'init'")
         semi = self.expect(";")
-        return AttributeDecl(name.value, quantity, category, init,
-                             span=SourceSpan(self.file, name.line, name.col,
-                                             semi.line, semi.col + 1))
+        return AttributeDecl(name, quantity, category, init, span=self.span(first, semi))
 
-    def collect_ref(self, stop: set[str]) -> str:
-        """Collect a quantity reference or value literal up to a stop token."""
-        parts: list[str] = []
-        while True:
-            tok = self.peek()
-            if tok.type == "eof" or tok.type == "string" or tok.value in stop:
-                break
-            if tok.value in ("{", "}"):
-                break
-            self.next()
-            parts.append(tok.value)
-        return _join_ref(parts)
+    def collect_ref(self, stop: frozenset[str]) -> str:
+        """Collect a quantity reference or value literal up to a stop token
+        or a string."""
+        values = self.values
+        start = index = self.index
+        while not ((value := values[index]) in stop or value[0] == '"'):
+            index += 1
+        self.index = index
+        return _join_ref(values[start:index])
 
     def parse_conversion(self) -> ConversionDecl:
-        start = self.next()
+        start = self.index
+        self.index += 1
         name = self.expect_ident("conversion name")
         self.expect(":")
-        from_kind = self.collect_ref(stop={"->", "inverse", "="})
-        if self.peek().type != "arrow":
+        from_kind = self.collect_ref(_FROM_STOP)
+        if self.peek() != "->":
             raise self.fail("expected '->' in conversion declaration")
-        self.next()
-        to_kind = self.collect_ref(stop={"inverse", "="})
+        self.index += 1
+        to_kind = self.collect_ref(_TO_STOP)
         inverse: Optional[str] = None
-        if self.at("inverse"):
-            self.next()
-            inverse = self.expect_ident("inverse conversion name").value
+        if self.accept("inverse"):
+            inverse = self.expect_ident("inverse conversion name")
         self.expect("=")
         self.expect("affine")
         self.expect("(")
@@ -391,48 +422,46 @@ class _Parser:
         semi = self.expect(";")
         if not from_kind or not to_kind:
             raise self.fail("conversion needs source and target kinds", start)
-        return ConversionDecl(name.value, from_kind, to_kind, scale, offset, inverse,
-                              span=SourceSpan(self.file, start.line, start.col,
-                                              semi.line, semi.col + 1))
+        return ConversionDecl(name, from_kind, to_kind, scale, offset, inverse,
+                              span=self.span(start, semi))
 
     def parse_number(self) -> Fraction:
         value = self.number_token("a number")
-        if self.at("/"):  # exact rational literals: 5/18
-            self.next()
-            tok = self.peek()
+        if self.accept("/"):  # exact rational literals: 5/18
+            index = self.index
             denominator = self.number_token("a denominator")
             if denominator == 0:
-                raise self.fail("zero denominator in a rational literal", tok)
+                raise self.fail("zero denominator in a rational literal", index)
             value /= denominator
         return value
 
     def number_token(self, what: str) -> Fraction:
-        tok = self.peek()
-        if tok.type != "number":
-            raise self.fail(f"expected {what}, found {tok.value!r}", tok)
-        self.next()
+        index = self.index
+        value = self.values[index]
+        if _kind(value) != "number":
+            raise _ParseError(f"expected {what}, found {value!r}", index)
+        self.index = index + 1
         try:
-            return parse_fraction(tok.value)
+            return parse_fraction(value)
         except UnitBoundError as exc:
-            raise _ParseError(str(exc), tok, "E208") from None
+            raise _ParseError(str(exc), index, "E208") from None
 
     def parse_channel(self) -> ChannelDecl:
-        start = self.next()
+        start = self.index
+        self.index += 1
         name = self.expect_ident("channel name")
         self.expect(":")
-        kinds = [self.collect_ref(stop={"x", ";"})]
-        while self.at("x"):
-            self.next()
-            kinds.append(self.collect_ref(stop={"x", ";"}))
+        kinds = [self.collect_ref(_CHANNEL_STOP)]
+        while self.accept("x"):
+            kinds.append(self.collect_ref(_CHANNEL_STOP))
         semi = self.expect(";")
         if any(not k for k in kinds):
             raise self.fail("channel declaration needs message kinds", start)
-        return ChannelDecl(name.value, tuple(kinds),
-                           span=SourceSpan(self.file, start.line, start.col,
-                                           semi.line, semi.col + 1))
+        return ChannelDecl(name, tuple(kinds), span=self.span(start, semi))
 
     def parse_axiom(self) -> AxiomDecl:
-        start = self.next()
+        start = self.index
+        self.index += 1
         name = self.expect_ident("axiom name")
         self.expect("{")
         self.expect("display")
@@ -442,37 +471,34 @@ class _Parser:
         while self.accept(","):
             sort, attr = self.parse_sort_attr()
             if sort != target_sort:
-                self.report("E001", "display attributes must share one sort", self.peek())
+                self.report("E001", "display attributes must share one sort", self.index)
             target_attrs.append(attr)
         self.expect(")")
         self.expect("tracks")
         self.expect("(")
         sources = [self.parse_axiom_source()]
         while self.accept(";"):
-            if self.at(")"):
+            if self.peek() == ")":
                 break
             sources.append(self.parse_axiom_source())
         self.expect(")")
         self.expect(";")
         close = self.expect("}")
-        return AxiomDecl(name.value, target_sort, tuple(target_attrs), tuple(sources),
-                         span=SourceSpan(self.file, start.line, start.col,
-                                         close.line, close.col + 1))
+        return AxiomDecl(name, target_sort, tuple(target_attrs), tuple(sources),
+                         span=self.span(start, close))
 
     def parse_sort_attr(self) -> tuple[str, str]:
         sort = self.expect_ident("sort name")
         self.expect(".")
-        attr = self.expect_ident("attribute name")
-        return sort.value, attr.value
+        return sort, self.expect_ident("attribute name")
 
     def parse_axiom_source(self) -> AxiomSource:
         sort, attr = self.parse_sort_attr()
         chain: list[str] = []
-        if self.at("via"):
-            self.next()
-            chain.append(self.expect_ident("conversion name").value)
+        if self.accept("via"):
+            chain.append(self.expect_ident("conversion name"))
             while self.accept(","):
-                chain.append(self.expect_ident("conversion name").value)
+                chain.append(self.expect_ident("conversion name"))
         return AxiomSource(sort, attr, tuple(chain))
 
     # -- post-parse checks ---------------------------------------------------
@@ -512,10 +538,9 @@ def parse_model(text: str, file: str = "<input>") -> tuple[DomainModel, list[Dia
     On syntax errors a best-effort partial model is returned alongside the
     diagnostics; any error diagnostic should stop downstream phases.
     """
-    tokens, diagnostics = _tokenize(text, file)
-    parser = _Parser(tokens, file)
+    parser = _Parser(text, file)
     model = parser.parse_model()
-    return model, diagnostics + parser.diagnostics
+    return model, parser.diagnostics
 
 
 def parse_file(path: str) -> tuple[DomainModel, list[Diagnostic]]:

@@ -1,11 +1,21 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from domcalc import compiler, dsl
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "domcalc" / "corpus"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+# ``pytest --hypothesis-profile=fuzz`` raises the budget of the oracle tests
+# (``oracle_budget``); CI runs the tokenizer and parser oracles under it.
+settings.register_profile("fuzz", max_examples=5000)
+
+
+def oracle_budget(max_examples: int) -> settings:
+    """A test's own example budget, or the loaded profile's when that is larger."""
+    return settings(max_examples=max(max_examples, settings().max_examples), deadline=None)
 
 
 @pytest.fixture(scope="session")

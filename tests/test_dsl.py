@@ -221,6 +221,10 @@ _TOKENIZER_CASES = {
     "backslash-newline in string": ('doc "a\\\nb" y', [
         ("ident", "doc", 1, 1), ("ident", "a", 1, 6), ("ident", "b", 2, 1),
         ("ident", "y", 2, 4), ("eof", "", 2, 5)], [(1, 5, '"'), (1, 7, "\\"), (2, 2, '"')]),
+    # A '"' that opens no string stays bad (E001) when a comment follows it:
+    # it does not pair with the '"' after that comment.
+    "lone quote before a comment": ('"x --\\\n"', [
+        ("ident", "x", 1, 2), ("eof", "", 2, 2)], [(1, 1, '"'), (2, 1, '"')]),
     "empty": ("", [("eof", "", 1, 1)], []),
     # Whitespace and comments are skipped as a prefix of the next token's match.
     "ends inside a comment": ("part A -- no newline at the end", [

@@ -51,11 +51,22 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(domcalc, "no_such_name")
 
 
-def test_importing_units_loads_neither_compiler_simulator_nor_cli():
+def _loaded_by(module: str) -> set[str]:
+    """The modules a fresh interpreter holds after importing ``module``."""
     src = pathlib.Path(domcalc.__file__).resolve().parent.parent
-    code = "import sys, domcalc.units; print(*sorted(sys.modules))"
+    code = f"import sys, {module}; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    loaded = done.stdout.split()
+    return set(done.stdout.split())
+
+
+def test_importing_units_loads_neither_compiler_simulator_nor_cli():
+    loaded = _loaded_by("domcalc.units")
     assert "domcalc.units" in loaded
-    assert not {"domcalc.compiler", "domcalc.simulator", "domcalc.cli"} & set(loaded)
+    assert not {"domcalc.compiler", "domcalc.simulator", "domcalc.cli"} & loaded
+
+
+def test_importing_the_cli_leaves_the_simulator_unloaded():
+    loaded = _loaded_by("domcalc.cli")
+    assert {"domcalc.cli", "domcalc.compiler"} <= loaded
+    assert "domcalc.simulator" not in loaded

@@ -22,7 +22,7 @@ from domcalc.diagnostics import Diagnostic, SourceSpan, error
 from domcalc.dsl import Token, _tokenize, parse_model
 from domcalc.units import UnitBoundError, parse_fraction
 
-from conftest import CORPUS
+from conftest import CORPUS, oracle_budget
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -119,13 +119,13 @@ _FRAGMENTS = ["part", "A", " ", "\n", "\r\n", "\r", "\t", "µ", "Ω", "°", '"',
               " ", "\x0b", "\x0c", "٣"]
 
 
-@settings(max_examples=400, deadline=None)
+@oracle_budget(400)
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
 def test_generated_fragments_match_the_oracle(text):
     assert_same_tokens(text)
 
 
-@settings(max_examples=200, deadline=None)
+@oracle_budget(200)
 @given(st.text(max_size=60))
 def test_generated_text_matches_the_oracle(text):
     assert_same_tokens(text)

@@ -41,6 +41,7 @@ from .units import (
     UnitBoundError,
     UnitError,
     builtin_registry,
+    fraction_str,
     parse_fraction,
     parse_unit,
     resolve_kind,
@@ -373,10 +374,11 @@ def check_wellformed(model: DomainModel) -> list[Diagnostic]:
 
     No error means: the endurant quality matrix holds, composite children
     form a tree, every mereology leaf resolves to a declared identifier type,
-    all quantity kinds resolve, conversions and axioms type-check end to end,
-    and compilation preconditions (message kinds, initial values, axiom
-    wiring) hold, so ``compile_process`` succeeds for every part.  Computed
-    once per model object; each call returns a fresh list.
+    all quantity kinds resolve, declared inverse conversions compose to the
+    identity, conversions and axioms type-check end to end, and compilation
+    preconditions (message kinds, initial values, axiom wiring) hold, so
+    ``compile_process`` succeeds for every part.  Computed once per model
+    object; each call returns a fresh list.
     """
     return list(model.derived(_check_wellformed))
 
@@ -537,6 +539,14 @@ def _check_conversion_pairs(model: DomainModel) -> list[Diagnostic]:
             out.append(error("E115", f"inverse {partner.name!r} does not map "
                                      f"{conv.to_kind!r} back to {conv.from_kind!r}",
                              conv.span))
+            continue
+        # Both maps are affine, so the partner after conv is x -> scale x + offset.
+        scale = partner.scale * conv.scale
+        offset = partner.scale * conv.offset + partner.offset
+        if (scale, offset) != (1, 0):
+            out.append(error("E116", f"{partner.name!r} after {conv.name!r} is x -> "
+                                     f"{fraction_str(scale)} x + {fraction_str(offset)}, "
+                                     "not the identity", conv.span))
     return out
 
 

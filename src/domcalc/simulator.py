@@ -18,13 +18,12 @@ import json
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import compiler
-from .analysis import parse_value, registry_for_model
+from .analysis import parse_value
 from .model import DomainModel, ProcessDef, ProcessGraph, attr_channel
 from .units import KindRegistry, Quantity, fraction_str, parse_fraction
 
@@ -144,7 +143,7 @@ class Trace:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one axiom (or conversion round-trip) over a trace."""
+    """Outcome of one axiom over a trace."""
 
     name: str
     status: str  # "pass" or "fail"
@@ -486,38 +485,6 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
                                             expected, actual, checked[index])
     return [failed.get(index) or Verdict(axiom.name, "pass", checked=checked[index])
             for index, axiom in enumerate(model.axioms)]
-
-
-def conversion_roundtrip_check(model: DomainModel, samples: int, seed: int) -> list[Verdict]:
-    """Check every declared inverse pair on sampled values, exactly.
-
-    Conversions without an inverse are skipped: recordings cannot be
-    converted back to actual values by design.
-    """
-    import random
-
-    registry, _ = registry_for_model(model)
-    rng = random.Random(seed)
-    verdicts: list[Verdict] = []
-    for conv in model.conversions:
-        if conv.inverse_of is None:
-            continue
-        partner = model.conversion(conv.inverse_of)
-        if partner is None:
-            continue
-        from_kind = registry.resolve(conv.from_kind)
-        to_kind = registry.resolve(conv.to_kind)
-        verdict = None
-        for _ in range(samples):
-            magnitude = Fraction(rng.randint(-10 ** 6, 10 ** 6), 10 ** rng.randint(0, 6))
-            start = Quantity(magnitude, from_kind)
-            there = conv.apply(start, to_kind)
-            back = partner.apply(there, from_kind)
-            if back != start:
-                verdict = Verdict(conv.name, "fail", None, (start,), (back,))
-                break
-        verdicts.append(verdict or Verdict(conv.name, "pass", checked=samples))
-    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -721,94 +721,104 @@ def typecheck_expr(text: str, env: Mapping[str, QuantityKind],
         return TypecheckResult(None, (error("E200", "empty expression",
                                             _expr_span(file, text, 0)),))
 
-    index = 0
-    diagnostics: list[Diagnostic] = []
+    checker = _ExprChecker(text, tokens, env, registry, file)
+    kind = checker.compare()
+    tok = checker.peek()
+    if tok is not None:
+        checker.fail("E200", f"trailing tokens after expression: {tok[1]!r}", tok[2])
+    diagnostics = tuple(checker.diagnostics)
+    return TypecheckResult(kind if not diagnostics else None, diagnostics)
 
-    def peek() -> Optional[tuple[str, str, int]]:
-        return tokens[index] if index < len(tokens) else None
 
-    def fail(code: str, message: str, offset: int) -> None:
-        diagnostics.append(error(code, message, _expr_span(file, text, offset)))
+class _ExprChecker:
+    """Recursive descent over one expression's tokens, folding the ledger.
+    Methods, not nested functions, so a check leaves no reference cycle."""
 
-    def parse_atom() -> Optional[QuantityKind]:
-        nonlocal index
-        tok = peek()
+    def __init__(self, text: str, tokens: list[tuple[str, str, int]],
+                 env: Mapping[str, QuantityKind], registry: KindRegistry, file: str):
+        self.text = text
+        self.tokens = tokens
+        self.env = env
+        self.registry = registry
+        self.file = file
+        self.index = 0
+        self.diagnostics: list[Diagnostic] = []
+
+    def peek(self) -> Optional[tuple[str, str, int]]:
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
+
+    def fail(self, code: str, message: str, offset: int) -> None:
+        self.diagnostics.append(error(code, message, _expr_span(self.file, self.text, offset)))
+
+    def atom(self) -> Optional[QuantityKind]:
+        tok = self.peek()
         if tok is None:
-            fail("E200", "expression ends unexpectedly", len(text))
+            self.fail("E200", "expression ends unexpectedly", len(self.text))
             return None
         ttype, value, offset = tok
-        index += 1
+        self.index += 1
         if ttype == "num":
             return REAL
         if ttype == "name":
-            if value in env:
-                return env[value]
+            if value in self.env:
+                return self.env[value]
             try:
-                return registry.resolve(value)
+                return self.registry.resolve(value)
             except (UnitError, KeyError):
-                fail("E205", f"unknown name {value!r} in expression", offset)
+                self.fail("E205", f"unknown name {value!r} in expression", offset)
                 return None
         if value == "(":
-            inner = parse_compare()
-            closing = peek()
+            inner = self.compare()
+            closing = self.peek()
             if closing is None or closing[1] != ")":
-                fail("E200", "missing ')'", offset)
+                self.fail("E200", "missing ')'", offset)
                 return None
-            index += 1
+            self.index += 1
             return inner
-        fail("E200", f"unexpected token {value!r}", offset)
+        self.fail("E200", f"unexpected token {value!r}", offset)
         return None
 
-    def apply(op: str, code: str, lhs: Optional[QuantityKind],
+    def apply(self, op: str, code: str, lhs: Optional[QuantityKind],
               rhs: Optional[QuantityKind], offset: int) -> Optional[QuantityKind]:
         if lhs is None or rhs is None:
             return None
         verdict = check_op(op, lhs, rhs)
         if not verdict.allowed:
-            fail(code, f"forbidden {op}: {verdict.reason}", offset)
+            self.fail(code, f"forbidden {op}: {verdict.reason}", offset)
             return None
         return verdict.result
 
-    def parse_term() -> Optional[QuantityKind]:
-        nonlocal index
-        result = parse_atom()
+    def term(self) -> Optional[QuantityKind]:
+        result = self.atom()
         while True:
-            tok = peek()
+            tok = self.peek()
             if tok is None or tok[1] not in ("*", "/"):
                 return result
-            index += 1
-            rhs = parse_atom()
+            self.index += 1
+            rhs = self.atom()
             op = MUL if tok[1] == "*" else DIV
-            result = apply(op, "E202", result, rhs, tok[2])
+            result = self.apply(op, "E202", result, rhs, tok[2])
 
-    def parse_sum() -> Optional[QuantityKind]:
-        nonlocal index
-        result = parse_term()
+    def sum(self) -> Optional[QuantityKind]:
+        result = self.term()
         while True:
-            tok = peek()
+            tok = self.peek()
             if tok is None or tok[1] not in ("+", "-"):
                 return result
-            index += 1
-            rhs = parse_term()
+            self.index += 1
+            rhs = self.term()
             op = ADD if tok[1] == "+" else SUB
             code = "E201" if op == ADD else "E203"
-            result = apply(op, code, result, rhs, tok[2])
+            result = self.apply(op, code, result, rhs, tok[2])
 
-    def parse_compare() -> Optional[QuantityKind]:
-        nonlocal index
-        result = parse_sum()
-        tok = peek()
+    def compare(self) -> Optional[QuantityKind]:
+        result = self.sum()
+        tok = self.peek()
         if tok is not None and tok[1] in ("<", "<=", ">", ">=", "=="):
-            index += 1
-            rhs = parse_sum()
-            result = apply(COMPARE, "E204", result, rhs, tok[2])
+            self.index += 1
+            rhs = self.sum()
+            result = self.apply(COMPARE, "E204", result, rhs, tok[2])
         return result
-
-    kind = parse_compare()
-    if peek() is not None:
-        fail("E200", f"trailing tokens after expression: {peek()[1]!r}", peek()[2])
-        kind = None
-    return TypecheckResult(kind if not diagnostics else None, tuple(diagnostics))
 
 
 def _expr_span(file: str, text: str, offset: int) -> SourceSpan:

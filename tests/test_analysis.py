@@ -469,3 +469,13 @@ def test_inconsistent_kind_derivation_warns():
     _, diagnostics = registry_for_model(model)
     assert "W211" in {d.code for d in diagnostics}
     assert not any(d.is_error for d in diagnostics)
+
+
+def test_inverse_pair_of_the_kind_derivation_warning_is_refused():
+    # The model above: the registry's W211 stays a warning, and the check
+    # refuses the pair itself, since g after f is x -> 0.5 x.
+    model = parse_ok("""
+    conversion f : m -> q inverse g = affine(2, 0);
+    conversion g : q -> m inverse f = affine(0.25, 0);
+    """)
+    assert [d.code for d in check_wellformed(model)] == ["W211", "E116", "E116"]

@@ -23,7 +23,6 @@ from domcalc.simulator import (
     TraceEvent,
     UncoveredChannel,
     check_axioms,
-    conversion_roundtrip_check,
     instantiate,
     run,
     trace_from_jsonl,
@@ -441,34 +440,63 @@ def test_chain_with_unknown_conversion_names_chain_and_conversion(aircraft_path)
         check_axioms(model, Trace(()))
 
 
+def _pair_model(f, g):
+    """Two conversions declared inverse of each other, as affine coefficient texts."""
+    return parse_ok(f"""
+    conversion f : m -> q1 inverse g = affine({f});
+    conversion g : q1 -> m inverse f = affine({g});
+    """)
+
+
 def test_conversion_roundtrip_aircraft(aircraft_model):
-    verdicts = conversion_roundtrip_check(aircraft_model, samples=25, seed=7)
-    # Ten conversions declare inverses (r2d/d2r pairs); a2r ones are skipped.
-    assert len(verdicts) == 10
-    assert all(v.passed for v in verdicts)
-    assert {v.name for v in verdicts} == {
-        f"{p}{a}" for p in ("r2d", "d2r") for a in ("LO", "LA", "AL", "VEL", "ACC")}
+    # Ten conversions declare inverses (r2d/d2r pairs); each composes to the identity.
+    paired = {c.name for c in aircraft_model.conversions if c.inverse_of}
+    assert paired == {f"{p}{a}" for p in ("r2d", "d2r") for a in ("LO", "LA", "AL", "VEL", "ACC")}
+    assert check_wellformed(aircraft_model) == []
 
 
 def test_conversion_roundtrip_detects_mismatched_pair():
-    model = parse_ok("""
-    conversion f : m -> q1 inverse g = affine(2, 0);
-    conversion g : q1 -> m inverse f = affine(0.4, 0);
-    """)
-    # Oracle: composing the maps gives x -> 0.8 x, not the identity.
-    composed_scale = Fraction(2) * Fraction("0.4")
-    assert composed_scale != 1
-    verdicts = conversion_roundtrip_check(model, samples=5, seed=0)
-    assert {v.status for v in verdicts} == {"fail"}
+    # g after f is x -> 0.8 x: the scales disagree, so the registry warns that
+    # g derives m on another scale (W211) and the pair is refused on each side.
+    diagnostics = check_wellformed(_pair_model("2, 0", "0.4, 0"))
+    assert [(d.code, d.message) for d in diagnostics] == [
+        ("W211", "conversion 'g' derives 'm' on a different scale than its earlier "
+                 "definition; keeping the first"),
+        ("E116", "'g' after 'f' is x -> 0.8 x + 0, not the identity"),
+        ("E116", "'f' after 'g' is x -> 0.8 x + 0, not the identity"),
+    ]
+    # The scales are inverse, so the kinds agree and no W211 is given; the
+    # offsets are not: g after f is x -> x + 1/2.
+    diagnostics = check_wellformed(_pair_model("2, 1", "0.5, 0"))
+    assert [(d.code, d.message) for d in diagnostics] == [
+        ("E116", "'g' after 'f' is x -> 1 x + 0.5, not the identity"),
+        ("E116", "'f' after 'g' is x -> 1 x + 1, not the identity"),
+    ]
 
 
 def test_exact_roundtrip_pair_passes():
-    model = parse_ok("""
-    conversion f : m -> q1 inverse g = affine(2, 0);
-    conversion g : q1 -> m inverse f = affine(0.5, 0);
-    """)
-    verdicts = conversion_roundtrip_check(model, samples=20, seed=3)
-    assert all(v.passed for v in verdicts)
+    assert check_wellformed(_pair_model("2, 0", "0.5, 0")) == []
+    assert check_wellformed(_pair_model("1.8, 32", "5/9, -160/9")) == []
+
+
+_RATIONALS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_RATIONALS.filter(bool), _RATIONALS),
+       st.tuples(_RATIONALS.filter(bool), _RATIONALS), st.booleans())
+def test_inverse_pair_is_refused_exactly_when_apply_does_not_return(f, g, exact):
+    if exact:  # half of the pairs are declared with f's exact inverse
+        g = (1 / f[0], -f[1] / f[0])
+    model = _pair_model(f"{f[0]}, {f[1]}", f"{g[0]}, {g[1]}")
+    conv_f, conv_g = model.conversions
+    kind = QuantityKind("k", DIMENSIONLESS)
+    # Two distinct points decide an affine map; check g after f on both.
+    returns = all(conv_g.apply(conv_f.apply(Quantity(Fraction(x), kind), kind), kind).magnitude
+                  == x for x in (0, 1))
+    codes = [d.code for d in check_wellformed(model)]
+    assert ("E116" in codes) == (not returns)
+    assert codes.count("E116") in (0, 2)
 
 
 def test_trace_jsonl_roundtrip(aircraft_graph, aircraft_script):

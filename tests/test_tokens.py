@@ -120,7 +120,7 @@ _FRAGMENTS = ["part", "A", " ", "\n", "\r\n", "\r", "\t", "µ", "Ω", "°", '"',
 
 
 @oracle_budget(400)
-@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+@given(st.lists(st.sampled_from(_FRAGMENTS), min_size=20, max_size=40).map("".join))
 def test_generated_fragments_match_the_oracle(text):
     assert_same_tokens(text)
 

@@ -1,3 +1,4 @@
+import gc
 import time
 from fractions import Fraction
 
@@ -369,6 +370,22 @@ def test_parentheses_group_without_changing_the_kind(flight_env):
     assert typecheck_expr("(VEL * TimeInterval)", env, reg) == bare
     result = typecheck_expr("2 * (LO - LO)", env, reg)
     assert result.kind is not None and not result.diagnostics
+
+
+def test_typecheck_leaves_nothing_for_the_cyclic_collector(flight_env):
+    # Every object a check makes is freed by reference counting.
+    reg, env = flight_env
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        passed = typecheck_expr("(VEL * TimeInterval) < 3 * m", env, reg)
+        failed = typecheck_expr("(LO + LO", env, reg)
+        assert gc.collect() == 0, gc.garbage[:10]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert passed.kind.name == "Bool"
+    assert [d.code for d in failed.diagnostics] == ["E201", "E200"]
 
 
 @pytest.mark.parametrize("text, message, col", [

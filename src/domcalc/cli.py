@@ -1,6 +1,8 @@
 """Command-line driver: parse, check, describe, compile, simulate, units.
 
 Exit codes: 0 success, 1 usage or parse error, 2 axiom or check failure.
+A command returns when it succeeds and otherwise raises ``SystemExit`` with
+its code, as ``parse_args`` does; ``main`` returns that code.
 ``main`` can be called any number of times in one process; the argument
 parser is built on its first call, and ``simulator`` is imported by
 ``simulate`` alone.
@@ -31,55 +33,54 @@ def _emit_diagnostics(diagnostics) -> None:
         print(dsl.format_diagnostics(diagnostics, color=_use_color()), file=sys.stderr)
 
 
+def _fail(message) -> SystemExit:
+    """Print ``error: message``; the exit-1 exception for the caller to raise."""
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(1)
+
+
 def _parse_model(path: str):
-    """Parse; returns (model, exit_code or None)."""
+    """The parsed model; ``SystemExit(1)`` after its errors."""
     try:
         model, diagnostics = dsl.parse_file(path)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
+        raise _fail(exc)
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: not UTF-8: {exc}", file=sys.stderr)
-        return None, 1
+        raise _fail(f"{path}: not UTF-8: {exc}")
     _emit_diagnostics(diagnostics)
     if has_errors(diagnostics):
-        return None, 1
-    return model, None
+        raise SystemExit(1)
+    return model
 
 
 def _load_model(path: str):
-    """Parse and validate; returns (model, exit_code or None)."""
-    model, code = _parse_model(path)
-    if code is not None:
-        return None, code
+    """The parsed and validated model; ``SystemExit(2)`` after check errors."""
+    model = _parse_model(path)
     checked = analysis.check_wellformed(model)
     _emit_diagnostics(checked)
     if has_errors(checked):
-        return None, 2
-    return model, None
+        raise SystemExit(2)
+    return model
 
 
 def _compile_model(path: str, always_core: bool = False):
-    """Parse, validate and compile; returns (model, graph, exit_code or None)."""
-    model, code = _load_model(path)
-    if code is not None:
-        return None, None, code
+    """Parse, validate and compile: the process graph, which carries its
+    model; ``SystemExit(2)`` after a refusal."""
+    model = _load_model(path)
     try:
-        return model, compiler.compile_model(model, always_core=always_core), None
+        return compiler.compile_model(model, always_core=always_core)
     except compiler.CompileError as exc:
         _emit_diagnostics(exc.diagnostics)
-        return None, None, 2
+        raise SystemExit(2)
 
 
-def _write_output(path: str, text: str) -> int:
-    """Write an output file: 0, or 1 after ``error: …`` when it cannot be written."""
+def _write_output(path: str, text: str) -> None:
+    """Write an output file; ``SystemExit(1)`` when it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        raise _fail(exc)
 
 
 def _json_text(obj) -> str:
@@ -132,31 +133,21 @@ def _write_json(obj, out: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def cmd_parse(args) -> int:
-    model, code = _parse_model(args.file)
-    if code is not None:
-        return code
-    sys.stdout.write(dsl.print_model(model))
-    return 0
+def cmd_parse(args) -> None:
+    sys.stdout.write(dsl.print_model(_parse_model(args.file)))
 
 
-def cmd_check(args) -> int:
-    model, code = _load_model(args.file)
-    if code is not None:
-        return code
+def cmd_check(args) -> None:
+    _load_model(args.file)
     print("ok")
-    return 0
 
 
-def cmd_describe(args) -> int:
-    model, code = _load_model(args.file)
-    if code is not None:
-        return code
+def cmd_describe(args) -> None:
+    model = _load_model(args.file)
     sorts = [args.sort] if args.sort else [p.name for p in model.parts()]
     for name in sorts:
         if model.endurant(name) is None:
-            print(f"error: unknown sort {name!r}", file=sys.stderr)
-            return 1
+            raise _fail(f"unknown sort {name!r}")
         print(f"## {name}")
         cls = analysis.classify(model, name)
         prompts = [analysis.observe_unique_identifier, analysis.observe_mereology,
@@ -172,76 +163,68 @@ def cmd_describe(args) -> int:
             for decl in description.formal:
                 print(f"    {decl.kind} {decl.text}")
         print()
-    return 0
 
 
-def cmd_compile(args) -> int:
-    _, graph, code = _compile_model(args.file, args.always_core)
-    if code is not None:
-        return code
+def cmd_compile(args) -> None:
+    graph = _compile_model(args.file, args.always_core)
     sys.stdout.write(compiler.print_process(graph))
     if args.json:
-        return _write_output(args.json, _json_text(compiler.graph_to_json(graph)) + "\n")
-    return 0
+        _write_output(args.json, _json_text(compiler.graph_to_json(graph)) + "\n")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     from . import simulator
 
     if args.steps < 0:
-        print(f"error: --steps must be >= 0, not {args.steps}", file=sys.stderr)
-        return 1
-    model, graph, code = _compile_model(args.file)
-    if code is not None:
-        return code
+        raise _fail(f"--steps must be >= 0, not {args.steps}")
+    graph = _compile_model(args.file)
     try:
         with open(args.script, encoding="utf-8") as handle:
             data = json.load(handle)
         script = simulator.EnvironmentScript.from_json(data, graph)
         config = simulator.instantiate(graph, script, args.seed)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {args.script}: not a JSON script: {exc}", file=sys.stderr)
-        return 1
+        raise _fail(f"{args.script}: not a JSON script: {exc}")
     except (simulator.ScriptError, simulator.UncoveredChannel, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _fail(exc)
     if not args.trace:
         # The benchmark's pairs_wide output check reads the Trace of ``run``.
-        verdicts = simulator.check_axioms(model, simulator.run(config, args.steps))
+        verdicts = simulator.check_axioms(graph.model, simulator.run(config, args.steps))
     else:
         # One pass: each event is written and monitored as the run yields it.
+        # The writer hands the file one line at a time; a 64 KiB buffer keeps
+        # the system calls as few as whole-chunk writes would.
         try:
-            with open(args.trace, "w", encoding="utf-8") as handle:
-                verdicts = simulator.check_axioms(model, simulator.write_jsonl(
+            with open(args.trace, "w", encoding="utf-8", buffering=1 << 16) as handle:
+                verdicts = simulator.check_axioms(graph.model, simulator.write_jsonl(
                     simulator.stream(config, args.steps), handle))
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            raise _fail(exc)
     print(_json_text(simulator.verdicts_to_json(verdicts)))
-    return 0 if all(v.passed for v in verdicts) else 2
+    if not all(v.passed for v in verdicts):
+        raise SystemExit(2)
 
 
-def cmd_units(args) -> int:
+def cmd_units(args) -> None:
     text = args.expr
     try:
         dimension, scale = units.parse_unit(text)
     except (units.UnitBoundError, units.ZeroUnitFactor) as exc:
         print(f"{'E208' if isinstance(exc, units.UnitBoundError) else 'E205'}: {exc}")
-        return 2
+        raise SystemExit(2)
     except units.UnitError:
         result = units.typecheck_expr(text, {}, units.builtin_registry())
         if result.kind is not None:
             print(f"{result.kind.name}: {result.kind.dimension}")
-            return 0
+            return
         for diagnostic in result.diagnostics:
             print(f"{diagnostic.code}: {diagnostic.message}")
-        return 2
+        raise SystemExit(2)
     name = units.derived_unit_name(dimension) if scale == 1 else None
     line = f"{name}: {dimension}" if name else f"{units.canonical_unit_text(text)}: {dimension}"
     if scale != 1:
         line += f", scale {units.fraction_str(scale)}"
     print(line)
-    return 0
 
 
 @functools.cache
@@ -290,13 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: 0 when it returns, else the code of its ``SystemExit``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        code = args.func(args)
+        try:
+            args.func(args)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed standard output (``domcalc simulate … | head -1``).

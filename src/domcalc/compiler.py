@@ -23,6 +23,7 @@ from .model import (
     STATIC,
     AttributeDecl,
     AxiomDecl,
+    AxiomSource,
     BehaviourSignature,
     ChannelDecl,
     ConversionDecl,
@@ -82,10 +83,11 @@ class _Relation:
 
 
 class _ModelIndex:
-    """Relations and axiom wiring derived from a model, built once per model
-    object (``_index``) and shared by the preflight, every compile of the
-    model and ``print_process``.  It keeps no reference to the model, which
-    holds it: names are looked up on the model, passed alongside.
+    """Relations, axiom wiring and the channel table derived from a model,
+    built once per model object (``_index``) and shared by the preflight,
+    every compile of the model and ``print_process``.  It keeps no reference
+    to the model, which holds it: names are looked up on the model, passed
+    alongside.
 
     Parts are related when either mereology names the other's identifier
     type; each relation points at the part with controllable attributes
@@ -93,10 +95,6 @@ class _ModelIndex:
     """
 
     def __init__(self, model: DomainModel):
-        self.from_kind: dict[str, list[ConversionDecl]] = {}
-        for conv in model.conversions:
-            self.from_kind.setdefault(conv.from_kind, []).append(conv)
-
         self.parts = model.parts()
         self.id_owner = {p.id_type: p.name for p in self.parts if p.id_type}
         related: set[tuple[str, str]] = set()
@@ -126,28 +124,28 @@ class _ModelIndex:
         # One pass wires the axioms: each source attribute's first chain link
         # (the first recorded wins), each target part's updates in declaration
         # order, and a diagnostic for each wiring no channel can carry.
-        self.first_links: dict[tuple[str, str], tuple[str, ...]] = {}
+        first_links: dict[tuple[str, str], tuple[str, ...]] = {}
         self.updates: dict[str, list[UpdateSpec]] = {}
         self.axiom_diagnostics: list[Diagnostic] = []
         driven: dict[tuple[str, str], str] = {}
 
-        def refuse(axiom: AxiomDecl, code: str, message: str) -> None:
-            self.axiom_diagnostics.append(
-                error(code, f"axiom {axiom.name!r}: {message}", axiom.span))
+        def refuse(axiom: AxiomDecl, source: AxiomSource, code: str, message: str) -> None:
+            self.axiom_diagnostics.append(error(
+                code, f"axiom {axiom.name!r}: {message}", source.span or axiom.span))
 
         for axiom in model.axioms:
             for source in axiom.sources:
                 first = source.chain[:1]
-                recorded = self.first_links.setdefault((source.sort, source.attr), first)
+                recorded = first_links.setdefault((source.sort, source.attr), first)
                 if recorded != first:
-                    refuse(axiom, "E308", f"source {source.sort}.{source.attr} already goes "
-                                          f"on the wire as {_sent(source.attr, recorded)}, "
-                                          f"not {_sent(source.attr, first)}")
+                    refuse(axiom, source, "E308",
+                           f"source {source.sort}.{source.attr} already goes on the wire as "
+                           f"{_sent(source.attr, recorded)}, not {_sent(source.attr, first)}")
             target = model.endurant(axiom.target_sort)
             for attr, source in zip(axiom.target_attrs, axiom.sources) if target else ():
                 if (target.name, attr) in driven:
-                    refuse(axiom, "E307", f"{target.name}.{attr} is already driven by "
-                                          f"axiom {driven[target.name, attr]!r}")
+                    refuse(axiom, source, "E307", f"{target.name}.{attr} is already driven "
+                           f"by axiom {driven[target.name, attr]!r}")
                     continue
                 driven[target.name, attr] = axiom.name
                 src = model.endurant(source.sort)
@@ -156,35 +154,59 @@ class _ModelIndex:
                 relation = self.by_pair.get((src.name, target.name))
                 slots = [a.name for a in _external_attrs(src)]
                 if src is target:
-                    refuse(axiom, "E305", f"source {source.sort}.{source.attr} and the "
-                                          "target are the same part; no channel carries it")
+                    refuse(axiom, source, "E305", f"source {source.sort}.{source.attr} and the "
+                           "target are the same part; no channel carries it")
                 elif relation is None:
-                    refuse(axiom, "E305", f"source {source.sort} has no channel to target "
-                                          f"{axiom.target_sort}; relate them in a mereology")
+                    refuse(axiom, source, "E305", f"source {source.sort} has no channel to "
+                           f"target {axiom.target_sort}; relate them in a mereology")
                 elif source.attr not in slots:
-                    refuse(axiom, "E305", f"source {source.sort}.{source.attr} is not an "
-                                          "external attribute; no channel carries it")
+                    refuse(axiom, source, "E305", f"source {source.sort}.{source.attr} is not "
+                           "an external attribute; no channel carries it")
                 else:
                     self.updates.setdefault(target.name, []).append(UpdateSpec(
                         attr, relation.channel_name, slots.index(source.attr),
                         source.chain[1:]))
 
-    def wire(self, model: DomainModel, part: EndurantDecl
-             ) -> list[tuple[AttributeDecl, Optional[ConversionDecl]]]:
-        """Each external attribute of ``part`` with the conversion applied
-        before it goes on the wire: the first chain link of an axiom sourcing
-        it (an empty chain pins the raw value), else the unique conversion
-        from the attribute's kind, else none."""
-        out = []
-        for attr in _external_attrs(part):
-            first = self.first_links.get((part.name, attr.name))
-            if first is not None:
-                conv = model.conversion(first[0]) if first else None
-            else:
-                candidates = self.from_kind.get(attr.quantity, ())
-                conv = candidates[0] if len(candidates) == 1 else None
-            out.append((attr, conv))
-        return out
+        # One walk over the external attributes.  ``wires[part]`` pairs each
+        # with the conversion applied before it goes on the wire: the first
+        # chain link of an axiom sourcing it (an empty chain pins the raw
+        # value), else the unique conversion from its kind, else none.  The
+        # channel table: an attribute channel takes the first part's kind,
+        # a relation the kinds its sender's wire carries; declarations win.
+        from_kind: dict[str, list[ConversionDecl]] = {}
+        for conv in model.conversions:
+            from_kind.setdefault(conv.from_kind, []).append(conv)
+        self.wires: dict[str, tuple[tuple[AttributeDecl, Optional[ConversionDecl]], ...]] = {}
+        self.channel_kinds: dict[str, tuple[str, ...]] = {}
+        self.readers: dict[str, list[str]] = {}
+        self.kind_diagnostics: list[Diagnostic] = []
+        previous: dict[str, tuple[str, str]] = {}
+        for part in self.parts:
+            wire = []
+            for attr in _external_attrs(part):
+                first = first_links.get((part.name, attr.name))
+                if first is not None:
+                    conv = model.conversion(first[0]) if first else None
+                else:
+                    candidates = from_kind.get(attr.quantity, ())
+                    conv = candidates[0] if len(candidates) == 1 else None
+                wire.append((attr, conv))
+                name = attr_channel(attr.name)
+                self.channel_kinds.setdefault(name, (attr.quantity,))
+                self.readers.setdefault(name, []).append(part.behaviour_name)
+                seen = previous.get(name)
+                if seen is not None and seen[1] != attr.quantity:
+                    self.kind_diagnostics.append(error(
+                        "E306", f"attribute channel '{name}' is shared by {seen[0]!r} "
+                                f"and {part.name!r} with different kinds", attr.span))
+                previous[name] = (part.name, attr.quantity)
+            self.wires[part.name] = tuple(wire)
+        for relation in self.relations:
+            self.channel_kinds.setdefault(relation.channel_name, tuple(
+                conv.to_kind if conv else attr.quantity
+                for attr, conv in self.wires[relation.sender.name]))
+        for name, declared in model.channels_by_name.items():
+            self.channel_kinds[name] = declared.kinds
 
 
 def _index(model: DomainModel) -> _ModelIndex:
@@ -192,21 +214,11 @@ def _index(model: DomainModel) -> _ModelIndex:
 
 
 def derive_channels(model: DomainModel) -> tuple[ChannelDecl, ...]:
-    """The model's channel set: one ``attr_<A>_ch`` per external dynamic
-    attribute of a part, plus one channel per directed mereology relation.
-    Explicit declarations override the derived message kinds."""
-    index = _index(model)
-    kinds: dict[str, tuple[str, ...]] = {}
-    for part in index.parts:
-        for attr in _external_attrs(part):
-            kinds.setdefault(attr_channel(attr.name), (attr.quantity,))
-    for relation in index.relations:
-        kinds.setdefault(relation.channel_name, tuple(
-            conv.to_kind if conv else attr.quantity
-            for attr, conv in index.wire(model, relation.sender)))
-    for name, declared in model.channels_by_name.items():
-        kinds[name] = declared.kinds
-    return tuple(ChannelDecl(name, k) for name, k in kinds.items())
+    """The model's channel set, a view of the index's channel table: one
+    ``attr_<A>_ch`` per external dynamic attribute of a part, plus one channel
+    per directed mereology relation.  Declarations override derived kinds."""
+    return tuple(ChannelDecl(name, kinds)
+                 for name, kinds in _index(model).channel_kinds.items())
 
 
 def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
@@ -259,7 +271,7 @@ def _preflight(model: DomainModel) -> tuple[Diagnostic, ...]:
                     "E303", f"{attr.category} attribute {part.name}.{attr.name} "
                             "has no init value", attr.span))
     for relation in index.relations:
-        if (not _external_attrs(relation.sender)
+        if (not index.wires[relation.sender.name]
                 and model.channel(relation.channel_name) is None):
             out.append(error(
                 "E301", f"no derivable message kind for channel "
@@ -275,16 +287,7 @@ def _preflight(model: DomainModel) -> tuple[Diagnostic, ...]:
                 "E306", f"parts {behaviours[name]!r} and {part.name!r} share the "
                         f"behaviour name {name!r}", part.span))
         behaviours[name] = part.name
-    attr_kinds: dict[str, tuple[str, str]] = {}
-    for part in index.parts:
-        for attr in _external_attrs(part):
-            seen = attr_kinds.get(attr.name)
-            if seen is not None and seen[1] != attr.quantity:
-                out.append(error(
-                    "E306", f"attribute channel '{attr_channel(attr.name)}' is shared by "
-                            f"{seen[0]!r} and {part.name!r} with different kinds",
-                    attr.span))
-            attr_kinds[attr.name] = (part.name, attr.quantity)
+    out += index.kind_diagnostics
     for relation in index.relations:
         # Each (sender, receiver) pair has one relation, so any other relation
         # holding the name joins a different pair of parts.
@@ -357,7 +360,7 @@ def _core_process(model: DomainModel, registry: KindRegistry,
     index = _index(model)
     signature = derive_signature(model, decl.name)
     wire = tuple((attr.name, conv.name if conv else None)
-                 for attr, conv in index.wire(model, decl))
+                 for attr, conv in index.wires[decl.name])
     sends = sorted((SendSpec(r.channel_name, wire) for r in index.outgoing.get(decl.name, ())),
                    key=lambda s: s.channel)
 
@@ -390,27 +393,20 @@ def _core_process(model: DomainModel, registry: KindRegistry,
 
 def _resolved_channels(model: DomainModel,
                        process_names: set[str]) -> tuple[ResolvedChannel, ...]:
+    """The index's channels that a process in ``process_names`` reads or
+    sends on, each attribute channel received by those of its readers."""
     index = _index(model)
-    derived = {c.name: c for c in derive_channels(model)}
-    env: dict[str, ResolvedChannel] = {}
-    for part in index.parts:
-        behaviour = part.behaviour_name
-        if behaviour not in process_names:
-            continue
-        for attr in _external_attrs(part):
-            name = attr_channel(attr.name)
-            existing = env.get(name)
-            receivers = (tuple(sorted(set(existing.receivers) | {behaviour}))
-                         if existing else (behaviour,))
-            kinds = existing.kinds if existing else derived[name].kinds
-            env[name] = ResolvedChannel(name, kinds, True, "env", receivers)
-    out = list(env.values())
+    kinds = index.channel_kinds
+    out = []
+    for name, behaviours in index.readers.items():
+        receivers = tuple(sorted(b for b in behaviours if b in process_names))
+        if receivers:
+            out.append(ResolvedChannel(name, kinds[name], True, "env", receivers))
     for relation in index.relations:
         sender, receiver = relation.sender.behaviour_name, relation.receiver.behaviour_name
         if sender in process_names or receiver in process_names:
-            decl = derived[relation.channel_name]
-            out.append(ResolvedChannel(decl.name, decl.kinds, False,
-                                       sender, (receiver,)))
+            out.append(ResolvedChannel(relation.channel_name, kinds[relation.channel_name],
+                                       False, sender, (receiver,)))
     return tuple(sorted(out, key=lambda c: (not c.external, c.name)))
 
 
@@ -531,7 +527,7 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
     for channel, updates in groups.items():
         conv_name = f"conv_{channel[:-len('_ch')]}"
         slots = [conv.to_kind.lower() if conv else attr.name.lower()
-                 for attr, conv in index.wire(model, index.by_channel[channel].sender)]
+                 for attr, conv in index.wires[index.by_channel[channel].sender.name]]
         exprs = []
         for update in updates:
             expr = slots[update.index]

@@ -493,13 +493,14 @@ class _Parser:
         return sort, self.expect_ident("attribute name")
 
     def parse_axiom_source(self) -> AxiomSource:
+        start = self.index
         sort, attr = self.parse_sort_attr()
         chain: list[str] = []
         if self.accept("via"):
             chain.append(self.expect_ident("conversion name"))
             while self.accept(","):
                 chain.append(self.expect_ident("conversion name"))
-        return AxiomSource(sort, attr, tuple(chain))
+        return AxiomSource(sort, attr, tuple(chain), span=self.span(start, self.index - 1))
 
     # -- post-parse checks ---------------------------------------------------
 

@@ -211,6 +211,7 @@ class AxiomSource:
     sort: str
     attr: str
     chain: tuple[str, ...]
+    span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -491,10 +491,6 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
-# Lines formatted before each write: the writer holds at most this many.
-_CHUNK_LINES = 1024
-
-
 def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceEvent]:
     """Write each event to ``handle`` as one JSON line and pass it on.
 
@@ -502,9 +498,9 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     keys in sorted order (``channel``, ``kind``, ``payload`` of
     ``kind``/``value`` objects, ``process``, ``step``), strings
     ASCII-escaped, and each magnitude as an exact decimal or ``p/q`` string.
-    Lines go to ``handle`` in chunks of ``_CHUNK_LINES``, the last when the
-    events run out, so a consumer that stops early, or a write that fails,
-    leaves the lines of the chunks written before it.
+    Each line goes to ``handle`` before its event is passed on, and the
+    handle's own buffer batches the writes: a consumer that stops early, or
+    a write that fails, leaves every earlier line with the handle.
 
     Everything before the step, the head, is formatted once per distinct
     (kind, channel, process, payload object), and each distinct quantity
@@ -518,10 +514,7 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     heads: dict[tuple, str] = {}
     texts: dict[int, str] = {}
     payloads = []
-    # Three pieces per line, joined once per chunk.
-    pieces: list[str] = []
-    add = pieces.append
-    chunk = 3 * _CHUNK_LINES
+    write = handle.write
     for event in events:
         step, kind, channel, process, payload = event
         key = (kind, channel, process, id(payload))
@@ -537,14 +530,8 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
                 f'"kind": {encode_basestring_ascii(kind)}, '
                 f'"payload": [{", ".join([texts[id(q)] for q in payload])}], '
                 f'"process": {encode_basestring_ascii(process)}, "step": ')
-        add(head)
-        add(int.__repr__(step))
-        add("}\n")
-        if len(pieces) >= chunk:
-            handle.write("".join(pieces))
-            pieces.clear()
+        write(head + int.__repr__(step) + "}\n")
         yield event
-    handle.write("".join(pieces))
 
 
 def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:

@@ -366,8 +366,9 @@ def test_describe_unknown_sort_exits_1(capsys, aircraft_path):
 _DP_LAST = "attr dACC : dACC programmable init 0;"
 
 # Aircraft variants whose axioms no channel wiring can carry: (display
-# attributes added to DP, declarations appended, expected refusal).  Every
-# variant also gives PP the static attribute S.
+# attributes added to DP, declarations appended, expected refusal, the
+# source clause it points at).  Every variant also gives PP the static
+# attribute S.
 UNWIRABLE_AXIOMS = {
     # dLO would be updated from LA as well as from LO; the last update wins.
     "display-driven-twice": ("", """
@@ -375,7 +376,7 @@ conversion r2dLOfromLA : rLA -> dLO inverse d2rLAx = affine(0.1, 0);
 conversion d2rLAx : dLO -> rLA inverse r2dLOfromLA = affine(10, 0);
 axiom lo_display_from_la { display(DP.dLO) tracks (PP.LA via a2rLA, r2dLOfromLA); }
 """, ("E307", "axiom 'lo_display_from_la': DP.dLO is already driven by axiom "
-              "'displays_track_recordings'")),
+              "'displays_track_recordings'"), "PP.LA via a2rLA, r2dLOfromLA"),
     # position sends LO through a2rLO only, so dLO2 would read half its axiom.
     "source-with-two-first-links": ("attr dLO2 : dLO programmable init 0;", """
 conversion a2rLOb : point deg -> rLOb = affine(20, 0);
@@ -383,31 +384,32 @@ conversion r2dLOb : rLOb -> dLO inverse d2rLOb = affine(0.1, 0);
 conversion d2rLOb : dLO -> rLOb inverse r2dLOb = affine(10, 0);
 axiom doubled { display(DP.dLO2) tracks (PP.LO via a2rLOb, r2dLOb); }
 """, ("E308", "axiom 'doubled': source PP.LO already goes on the wire as "
-              "a2rLO(LO), not a2rLOb(LO)")),
+              "a2rLO(LO), not a2rLOb(LO)"), "PP.LO via a2rLOb, r2dLOb"),
     "source-also-sent-raw": ("attr rawLO : point deg programmable init 0;", """
 axiom raw { display(DP.rawLO) tracks (PP.LO); }
 """, ("E308", "axiom 'raw': source PP.LO already goes on the wire as a2rLO(LO), "
-              "not LO")),
+              "not LO"), "PP.LO"),
     "display-driven-twice-in-one-axiom": ("attr dX : dLO programmable init 0;", """
 axiom twice { display(DP.dX, DP.dX) tracks (PP.LO via a2rLO, r2dLO; PP.LO via a2rLO, r2dLO); }
-""", ("E307", "axiom 'twice': DP.dX is already driven by axiom 'twice'")),
+""", ("E307", "axiom 'twice': DP.dX is already driven by axiom 'twice'"),
+        "PP.LO via a2rLO, r2dLO"),
     "source-in-target-part": ("attr ref : dLO static init 3; "
                               "attr dX : dLO programmable init 0;", """
 axiom self_ref { display(DP.dX) tracks (DP.ref); }
 """, ("E305", "axiom 'self_ref': source DP.ref and the target are the same part; "
-              "no channel carries it")),
+              "no channel carries it"), "DP.ref"),
     # position never sends a static attribute.
     "source-not-external": ("attr dX : dLO programmable init 0;", """
 axiom from_static { display(DP.dX) tracks (PP.S); }
 """, ("E305", "axiom 'from_static': source PP.S is not an external attribute; "
-              "no channel carries it")),
+              "no channel carries it"), "PP.S"),
 }
 
 
 @pytest.mark.parametrize("name", UNWIRABLE_AXIOMS)
 def test_unwirable_axiom_is_refused(capsys, tmp_path, aircraft_path,
                                     aircraft_script_path, name):
-    attrs, declarations, expected = UNWIRABLE_AXIOMS[name]
+    attrs, declarations, expected, clause = UNWIRABLE_AXIOMS[name]
     text = aircraft_path.read_text(encoding="utf-8")
     text = text.replace("attr AL : point m reactive;",
                         "attr AL : point m reactive; attr S : dLO static init 1;")
@@ -419,6 +421,14 @@ def test_unwirable_axiom_is_refused(capsys, tmp_path, aircraft_path,
     with pytest.raises(CompileError) as err:
         compile_model(model)
     assert [(d.code, d.message) for d in err.value.diagnostics] == [expected]
+    # The span runs from the source clause, the last one in the file, to the
+    # first character of its last token.
+    text = model_path.read_text(encoding="utf-8")
+    start = text.rindex(clause)
+    line, col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+    last = max(clause.rfind(" "), clause.rfind("."))
+    assert [(d.span.start_line, d.span.start_col, d.span.end_line, d.span.end_col)
+            for d in err.value.diagnostics] == [(line, col, line, col + last + 2)]
     code, out, err_text = run_cli(capsys, "check", str(model_path))
     assert code == 2 and expected[0] in err_text
     code, out, err_text = run_cli(capsys, "simulate", str(model_path), "--script",

@@ -138,6 +138,38 @@ def test_compile_atomic_part(aircraft_model):
     assert graph.root.process.name == "position"
 
 
+def test_partial_compile_lists_the_channels_of_its_processes(aircraft_model):
+    channels = compile_process(aircraft_model, "PP").channels
+    assert [(c.name, c.kinds, c.external, c.sender, c.receivers) for c in channels] == [
+        ("attr_AL_ch", ("point m",), True, "env", ("position",)),
+        ("attr_LA_ch", ("point deg",), True, "env", ("position",)),
+        ("attr_LO_ch", ("point deg",), True, "env", ("position",)),
+        ("po_di_ch", ("rLO", "rLA", "rAL"), False, "position", ("display",)),
+    ]
+
+
+SHARED_ATTRIBUTE = """part RT composite(A, B) { id RTI; mereo empty; }
+part A { id AI; mereo empty; attr X : m reactive; }
+part B { id BI; mereo empty; attr X : m reactive; }
+"""
+
+
+def test_attribute_channel_read_by_two_parts():
+    # Every reader receives the one channel; a partial compile lists only its
+    # own readers.
+    model = parse_ok(SHARED_ATTRIBUTE)
+    whole = [(c.name, c.kinds, c.sender, c.receivers) for c in compile_model(model).channels]
+    assert whole == [("attr_X_ch", ("m",), "env", ("a", "b"))]
+    partial = [(c.name, c.kinds, c.sender, c.receivers)
+               for c in compile_process(model, "B").channels]
+    assert partial == [("attr_X_ch", ("m",), "env", ("b",))]
+    # The derived channel takes the first part's kind (the second is an E306).
+    conflict = parse_ok(SHARED_ATTRIBUTE.replace("BI; mereo empty; attr X : m",
+                                                 "BI; mereo empty; attr X : kg"))
+    assert [d.code for d in check_wellformed(conflict)] == ["E306"]
+    assert [(c.name, c.kinds) for c in derive_channels(conflict)] == [("attr_X_ch", ("m",))]
+
+
 def test_always_core_emits_composite_core(aircraft_model):
     graph = compile_process(aircraft_model, "AC", always_core=True)
     assert graph.root.process is not None
@@ -485,8 +517,9 @@ part display { id DI; mereo S0I x S1I; attr dX : m programmable init 0; }
 
 
 @pytest.mark.parametrize("text, code, message, span", [
+    # The span is the source clause 'A.X via a2rX', not the whole axiom.
     (NO_MEREOLOGY, "E305", "axiom 'ax': source A has no channel to target B; "
-                           "relate them in a mereology", (5, 1, 5, 50)),
+                           "relate them in a mereology", (5, 34, 5, 43)),
     (SHARED_BEHAVIOUR, "E306", "parts 'A' and 'B' share the behaviour name 'twin'",
      (3, 1, 3, 68)),
     (AMBIGUOUS_CHANNEL, "E306", "derived channel name 'se_di_ch' is ambiguous "

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import pickle
 import random
@@ -27,6 +28,7 @@ from domcalc.simulator import (
     run,
     trace_from_jsonl,
     trace_to_jsonl,
+    write_jsonl,
 )
 from domcalc.units import (
     DIMENSIONLESS, KindRegistry, Quantity, QuantityKind, fraction_str, parse_fraction)
@@ -726,6 +728,18 @@ def test_jsonl_writer_formats_each_quantity_once(aircraft_graph, aircraft_script
                         lambda value: calls.append(value) or fraction_str(value))
     assert trace_to_jsonl(trace) == expected
     assert len(calls) == len({id(q) for event in trace for q in event.payload})
+
+
+def test_jsonl_writer_writes_each_line_before_passing_its_event_on(
+        aircraft_graph, aircraft_script):
+    trace = list(run(instantiate(aircraft_graph, aircraft_script, seed=0), 30))
+    buffer = io.StringIO()
+    events = write_jsonl(trace, buffer)
+    for k, event in enumerate(trace, 1):
+        assert next(events) is event
+        assert buffer.getvalue().count("\n") == k
+    assert next(events, None) is None
+    assert buffer.getvalue() == trace_to_jsonl(trace)
 
 
 def test_compiled_graph_deep_copies_and_pickles(aircraft_model, aircraft_script_path):

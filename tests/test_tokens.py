@@ -125,6 +125,19 @@ def test_generated_fragments_match_the_oracle(text):
     assert_same_tokens(text)
 
 
+# Fragments that neither open a string nor end a comment.
+_FILLER = st.lists(st.sampled_from(
+    [f for f in _FRAGMENTS if '"' not in f and "\n" not in f and "\r" not in f])).map("".join)
+
+
+@oracle_budget(100)
+@given(_FILLER, _FILLER, _FILLER, _FILLER)
+def test_generated_lone_quotes_around_a_comment_match_the_oracle(a, b, c, d):
+    # A '"' that opens no string, then a comment ending in a backslash: the
+    # blanked comment must not let the '"' pair with the one after it.
+    assert_same_tokens(a + '"' + b + "--" + c + "\\\n" + d + '"')
+
+
 @oracle_budget(200)
 @given(st.text(max_size=60))
 def test_generated_text_matches_the_oracle(text):

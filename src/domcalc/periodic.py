@@ -1,0 +1,249 @@
+"""Replay of runs that repeat: detection, the replayed events, and the
+writer's and the monitor's bulk handling of the repeated windows.
+
+Over a script whose tracks are cyclic or finite, a compiled graph is a
+finite-state system once every finite track has ended, so its run is
+eventually periodic: a prefix, then one window repeated.  ``Recurrence``
+finds the window as the scheduler runs; ``Replay`` is the rest of the run
+as copies of that window; ``Events`` is what ``simulator.stream`` and
+``simulator.write_jsonl`` return, so that ``check_axioms`` can take the
+copies a window at a time.
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+from bisect import bisect_right
+from itertools import chain, islice, repeat
+from typing import Callable, Collection, Iterable, Iterator, Optional, TextIO
+
+
+class Events:
+    """An iterator over a run's events.
+
+    Iterating it yields every event.  A consumer that knows the replay can
+    instead take ``scheduled``, the events the scheduler took one at a time,
+    and then, once those are exhausted, ``replay`` if it is set: the rest of
+    the run, one window at a time."""
+
+    def __init__(self, scheduled: Iterable = ()) -> None:
+        self.scheduled = iter(scheduled)
+        self.replay: Optional[Replay] = None
+        self._all = self._chain()
+
+    def _chain(self) -> Iterator:
+        yield from self.scheduled
+        if self.replay is not None:
+            yield from self.replay
+
+    def __iter__(self) -> Iterator:
+        return self._all
+
+    def __next__(self):
+        return next(self._all)
+
+
+class Replay:
+    """The rest of a run that repeats one window of ``period`` steps:
+    ``windows`` copies of it, the first from step ``start``, then the first
+    ``rest`` events of one more copy.  The window is held as ``indices``
+    into its distinct event ``tails`` (kind, channel, process, payload),
+    with each event's step ``offsets`` from the window's first step, both
+    arrays of machine integers; events are built as ``event_type`` tuples."""
+
+    def __init__(self, event_type: type, tails: list[tuple], indices: array, offsets: array,
+                 period: int, start: int, windows: int, rest: int) -> None:
+        self.event_type, self.tails, self.indices, self.offsets = event_type, tails, indices, offsets
+        self.period, self.start, self.windows, self.rest = period, start, windows, rest
+
+    def window(self, k: int) -> Iterator:
+        """The events of copy ``k``, counted from 0."""
+        return self._shifted(self.start + k * self.period, len(self.indices))
+
+    def skip(self, first: int, stop: int) -> None:
+        """Copies ``first`` to ``stop - 1``, which the consumer accounts for
+        without their events: the run itself has nothing to do for them."""
+
+    def tail(self) -> Iterator:
+        """The events after the last whole copy."""
+        return self._shifted(self.start + self.windows * self.period, self.rest)
+
+    def _shifted(self, base: int, count: int) -> Iterator:
+        new, event_type, tails = tuple.__new__, self.event_type, self.tails
+        for offset, index in islice(zip(self.offsets, self.indices), count):
+            yield new(event_type, (base + offset, *tails[index]))
+
+    def __iter__(self) -> Iterator:
+        for k in range(self.windows):
+            yield from self.window(k)
+        yield from self.tail()
+
+
+class Recurrence:
+    """Finds the window a run repeats, from one saved state key.
+
+    The scheduler takes a state key (each process's pc, received value
+    numbers and controllables) every ``spacing`` steps.  Brent's cycle
+    finding compares each key with one saved key, which it replaces by the
+    current one after 1, 2, 4, 8, ... checkpoints in turn.  When a key
+    recurs P steps later, the next P steps are recorded as the window.  If
+    P is divisible by the enabled-list length at each of its steps, the
+    seed's rotation makes at each step the choice it made P steps before,
+    from the same state, so the window ends in the state it began in and
+    repeats for good."""
+
+    def __init__(self, spacing: int, first: int) -> None:
+        self.spacing = spacing
+        self.next = first  # the step of the next checkpoint
+        self.saved: Optional[tuple] = None
+        self.power, self.distance = 1, 0  # checkpoints since the save
+        self.period = 0  # the steps of the window being recorded, 0 if none
+        self.first = 0  # the first step of the window being recorded
+        self._clear()
+
+    @classmethod
+    def of(cls, tracks: Collection, max_steps: int) -> Optional[Recurrence]:
+        """The search over a run of ``tracks`` (``ScriptTrack``s) to
+        ``max_steps``: checkpoints every C steps, C the lcm of the track
+        cycles, from the step after every finite track's last point; None
+        when that step plus 2·C exceeds ``max_steps``, as no window could
+        be found and replayed."""
+        spacing = math.lcm(*(track.cycle for track in tracks if track.cycle))
+        start = max((track.points[-1][0] + 1 for track in tracks
+                     if not track.cycle and track.points), default=0)
+        if start + 2 * spacing > max_steps:
+            return None
+        return cls(spacing, start or spacing)
+
+    def _clear(self) -> None:
+        self.tails: list[tuple] = []
+        self.numbered: dict[tuple, int] = {}  # (kind, channel, process, id(payload)) -> tail
+        self.indices = array("I")
+        self.offsets = array("I")
+        self.lengths: set[int] = set()
+
+    def visit(self, steps: int, key: Callable[[], tuple], events: list[tuple],
+              enabled: int) -> bool:
+        """Take the checkpoint at ``steps``: ``key`` gives the state key,
+        ``events`` are the events of the step before and ``enabled`` its
+        enabled-list length.  True once the recorded window repeats from
+        ``steps`` on; otherwise ``next`` is the next checkpoint."""
+        if self.period:
+            offset = steps - 1 - self.first
+            for event in events:
+                tail = (event[1], event[2], event[3], id(event[4]))
+                found = self.numbered.get(tail)
+                if found is None:
+                    found = self.numbered[tail] = len(self.tails)
+                    self.tails.append(event[1:])
+                self.indices.append(found)
+            self.offsets.extend([offset] * len(events))
+            self.lengths.add(enabled)
+            if offset + 1 < self.period:
+                self.next = steps + 1
+                return False
+            if all(self.period % n == 0 for n in self.lengths):
+                return True
+            # The seed's rotation did not repeat: look again, with every
+            # enabled-list length seen dividing the checkpoint spacing.
+            self.spacing = math.lcm(self.spacing, *self.lengths)
+            self.period = 0
+            self._clear()
+            self.saved, self.power, self.distance = key(), 1, 0
+        else:
+            now = key()
+            self.distance += 1
+            if now == self.saved:
+                self.period = self.distance * self.spacing
+                self.first, self.next = steps, steps + 1
+                return False
+            if self.distance == self.power:
+                self.saved, self.power, self.distance = now, 2 * self.power, 0
+        self.next = steps + self.spacing
+        return False
+
+    def replay(self, start: int, max_steps: int, event_type: type) -> Replay:
+        """The recorded window repeated from step ``start`` to ``max_steps``:
+        the last, part copy holds the steps before ``max_steps`` and the
+        reads and recursions at it, every event of that step but its send
+        and receive."""
+        windows, extra = divmod(max_steps - start, self.period)
+        return Replay(event_type, self.tails, self.indices, self.offsets, self.period,
+                      start, windows, bisect_right(self.offsets, extra) - 2)
+
+
+# The lines a replayed window is written in at once: a bounded piece, so
+# the write's memory does not grow with the window.
+PIECE_LINES = 64
+
+
+class WrittenReplay(Replay):
+    """``source``, each event written to ``handle`` before it is passed on:
+    each copy of the window in pieces of ``PIECE_LINES`` lines, joined from
+    the heads of its events (``head_of`` of each tail) and their shifted
+    steps, and the tail line by line through ``lines``."""
+
+    def __init__(self, source: Replay, handle: TextIO, head_of: Callable[..., str],
+                 lines: Callable[[Iterable], Iterator]) -> None:
+        super().__init__(source.event_type, source.tails, source.indices, source.offsets,
+                         source.period, source.start, source.windows, source.rest)
+        self.source, self.write, self.lines = source, handle.write, lines
+        self.heads = [head_of(*tail) for tail in source.tails]
+
+    def _write(self, first: int, stop: int) -> None:
+        write, head, indices, offsets = self.write, self.heads.__getitem__, self.indices, self.offsets
+        for k in range(first, stop):
+            base = self.start + k * self.period
+            # Each step's text once, for the several events of the step.
+            step = list(map(int.__repr__, range(base, base + self.period))).__getitem__
+            for at in range(0, len(indices), PIECE_LINES):
+                piece = slice(at, at + PIECE_LINES)
+                write("".join(chain.from_iterable(zip(
+                    map(head, indices[piece]), map(step, offsets[piece]), repeat("}\n")))))
+
+    def window(self, k: int) -> Iterator:
+        self._write(k, k + 1)
+        yield from self.source.window(k)
+
+    def skip(self, first: int, stop: int) -> None:
+        self._write(first, stop)
+        self.source.skip(first, stop)
+
+    def tail(self) -> Iterator:
+        return self.lines(self.source.tail())
+
+
+def written(events: Events, handle: TextIO, head_of: Callable[..., str],
+            lines: Callable[[Iterable], Iterator]) -> Events:
+    """``events`` through the writer: ``lines`` writes the scheduled events
+    one by one, and the replay becomes a ``WrittenReplay``."""
+    out = Events()
+
+    def scheduled() -> Iterator:
+        yield from lines(events.scheduled)
+        if events.replay is not None:
+            out.replay = WrittenReplay(events.replay, handle, head_of, lines)
+    out.scheduled = scheduled()
+    return out
+
+
+def segments(events: Events, checked: list[int]) -> Iterator[Iterable]:
+    """The parts of ``events`` for a monitor to fold in turn, ``checked``
+    being its check count per axiom: the scheduled events, the first
+    replayed copy and the tail.  The first copy is folded event by event,
+    as it may meet states the window before it did not; each later whole
+    copy meets the state the first one left and makes the same checks,
+    each a hit of the monitor's memo or one of an axiom that has failed, so
+    it adds the first copy's counts without its events."""
+    yield events.scheduled
+    replay = events.replay
+    if replay is None:
+        return
+    if replay.windows:
+        before = checked.copy()
+        yield replay.window(0)
+        replay.skip(1, replay.windows)
+        for index, count in enumerate(before):
+            checked[index] += (checked[index] - count) * (replay.windows - 1)
+    yield replay.tail()

@@ -22,7 +22,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
-from . import compiler
+from . import compiler, periodic
 from .analysis import parse_value
 from .model import DomainModel, ProcessDef, ProcessGraph, attr_channel
 from .units import KindRegistry, Quantity, fraction_str, parse_fraction
@@ -262,7 +262,26 @@ def stream(config: RunConfig, max_steps: int) -> Iterator[TraceEvent]:
     Events carry ``Quantity`` payloads, one shared tuple per distinct
     message: a send and its receive carry one tuple, and so do the reads of
     one point and the recursions that leave the controllables equal.
+
+    An eventually periodic run is replayed (``periodic``): the state key,
+    each process's pc, received value numbers and controllables, is taken
+    every C steps, C the lcm of the track cycles, once every finite track is
+    past its last point, and not at all when 2·C steps do not fit.  When a
+    key recurs after P steps, the next P steps are recorded; if P is
+    divisible by the enabled-list length at each of them, each makes the
+    choice of P steps before, so they repeat exactly, and the rest of the
+    run is their copies with shifted steps, the reads and recursions at the
+    last step included.  The events are unchanged; the run holds one window.
     """
+    events = periodic.Events()
+    events.scheduled = _schedule(config, max_steps, events)
+    return events
+
+
+def _schedule(config: RunConfig, max_steps: int,
+              found: periodic.Events) -> Iterator[TraceEvent]:
+    """The scheduler of ``stream``: it yields the events it takes, and
+    leaves ``found.replay`` set when it stops at a repeating window."""
     graph = config.graph
     # Each value is numbered the first time the run sees its object.  Values
     # are never hashed: equal values of two objects get two numbers, which
@@ -381,6 +400,13 @@ def stream(config: RunConfig, max_steps: int) -> Iterator[TraceEvent]:
                     break  # blocked on an inter-behaviour action
             state.pc = pc
 
+    recurrence = periodic.Recurrence.of(tracks.values(), max_steps)
+    checkpoint = recurrence and recurrence.next
+
+    def state_key() -> tuple:
+        return tuple([(state.pc, tuple(state.received.items()),
+                       tuple(state.controllables.values())) for state in states])
+
     visit = states
     while steps < max_steps:
         advance_phase(visit)
@@ -401,6 +427,12 @@ def stream(config: RunConfig, max_steps: int) -> Iterator[TraceEvent]:
         receiver.received[channel] = key
         receiver.pc += 1
         steps += 1
+        if steps == checkpoint:
+            if recurrence.visit(steps, state_key, events, len(pairs)):
+                yield from events
+                found.replay = recurrence.replay(steps, max_steps, TraceEvent)
+                return
+            checkpoint = recurrence.next
         yield from events
         events.clear()
     if steps:
@@ -433,6 +465,12 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     from ``stream``, ``run`` or ``trace_from_jsonl`` share their payload
     tuples, so most checks are a dict hit; unshared tuples get the same
     verdicts, only slower.
+
+    Over ``stream``, direct or through ``write_jsonl``, the first replayed
+    window is walked and each further one adds its check counts: it shows
+    the same payload objects in the same monitor state, so each check is a
+    ``passed`` hit or one of a failed axiom.  The verdicts, counts included,
+    are those of the walk over every event.
     """
     graph = compiler.compile_model(model)
     processes = {p.name: p for p in graph.processes()}
@@ -458,31 +496,34 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     passed: dict[tuple[int, ...], tuple] = {}
     checked = [0] * len(model.axioms)
     failed: dict[int, Verdict] = {}
-    for step, kind, channel, name, payload in trace:
-        received = last.get(name)
-        if received is None:
-            continue
-        if kind == RECEIVE:
-            received[channel] = payload
-        elif kind == RECURSION:
-            for index, channels, sources, slots in watched[name]:
-                if index in failed:
-                    continue
-                try:
-                    inputs = [received[on] for on in channels]
-                except KeyError:
-                    continue  # a source channel has not delivered yet
-                checked[index] += 1
-                key = (index, id(payload), *map(id, inputs))
-                if key in passed:
-                    continue
-                expected = tuple([to(received[on][at]) for on, at, to in sources])
-                actual = tuple([payload[slot] for slot in slots])
-                if expected == actual:
-                    passed[key] = (payload, inputs)
-                else:
-                    failed[index] = Verdict(model.axioms[index].name, "fail", step,
-                                            expected, actual, checked[index])
+    segments = (periodic.segments(trace, checked) if isinstance(trace, periodic.Events)
+                else (trace,))
+    for events in segments:
+        for step, kind, channel, name, payload in events:
+            received = last.get(name)
+            if received is None:
+                continue
+            if kind == RECEIVE:
+                received[channel] = payload
+            elif kind == RECURSION:
+                for index, channels, sources, slots in watched[name]:
+                    if index in failed:
+                        continue
+                    try:
+                        inputs = [received[on] for on in channels]
+                    except KeyError:
+                        continue  # a source channel has not delivered yet
+                    checked[index] += 1
+                    key = (index, id(payload), *map(id, inputs))
+                    if key in passed:
+                        continue
+                    expected = tuple([to(received[on][at]) for on, at, to in sources])
+                    actual = tuple([payload[slot] for slot in slots])
+                    if expected == actual:
+                        passed[key] = (payload, inputs)
+                    else:
+                        failed[index] = Verdict(model.axioms[index].name, "fail", step,
+                                                expected, actual, checked[index])
     return [failed.get(index) or Verdict(axiom.name, "pass", checked=checked[index])
             for index, axiom in enumerate(model.axioms)]
 
@@ -507,16 +548,20 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     object once, when a head first needs it; both are plain dicts keyed on
     object ids.  Events from ``run`` or ``stream`` share one payload tuple
     per distinct message, so most lines only add their step; unshared
-    tuples are written the same, only slower."""
+    tuples are written the same, only slower.
+
+    Over ``stream``, each replayed window is written whole, from its heads
+    and shifted steps, before its events are passed on, and also when the
+    consumer skips it (``periodic``): the bytes are unchanged."""
     # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
     # its text; ``payloads`` keeps each keyed payload, and so each keyed
     # quantity, alive, so no id can be reused.
     heads: dict[tuple, str] = {}
     texts: dict[int, str] = {}
     payloads = []
-    write = handle.write
-    for event in events:
-        step, kind, channel, process, payload = event
+
+    def head_of(kind: str, channel: Optional[str], process: str,
+                payload: tuple[Quantity, ...]) -> str:
         key = (kind, channel, process, id(payload))
         head = heads.get(key)
         if head is None:
@@ -530,8 +575,21 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
                 f'"kind": {encode_basestring_ascii(kind)}, '
                 f'"payload": [{", ".join([texts[id(q)] for q in payload])}], '
                 f'"process": {encode_basestring_ascii(process)}, "step": ')
-        write(head + int.__repr__(step) + "}\n")
-        yield event
+        return head
+
+    def lines(events: Iterable[TraceEvent]) -> Iterator[TraceEvent]:
+        write = handle.write
+        for event in events:
+            step, kind, channel, process, payload = event
+            head = heads.get((kind, channel, process, id(payload)))
+            if head is None:
+                head = head_of(kind, channel, process, payload)
+            write(head + int.__repr__(step) + "}\n")
+            yield event
+
+    if isinstance(events, periodic.Events):
+        return periodic.written(events, handle, head_of, lines)
+    return lines(events)
 
 
 def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:

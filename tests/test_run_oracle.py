@@ -8,9 +8,12 @@ visits only the processes a rendezvous can have moved, and writes one head
 per distinct event: same events, same bytes.  ``simulate --trace`` streams
 the run through the writer into the monitor in one pass; it must write the
 bytes, and print the verdicts, of ``run`` followed by ``trace_to_jsonl`` and
-``check_axioms``.
+``check_axioms``.  A run that repeats is replayed window by window, and
+written and monitored a window at a time: the oracle, which takes every
+step, must still give the same events, bytes and verdicts.
 """
 
+import io
 import json
 import random
 import time
@@ -20,12 +23,14 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import pytest
+from hypothesis import given, strategies as st
 
-from domcalc import cli, compiler, dsl
+from conftest import oracle_budget
+from domcalc import cli, compiler, dsl, periodic
 from domcalc.simulator import (
     DEADLOCK, READ, RECEIVE, RECURSION, SEND, EnvironmentScript, RunConfig, ScriptTrack,
     Trace, TraceEvent, _chain_apply, check_axioms, instantiate, run, stream,
-    trace_to_jsonl, verdicts_to_json)
+    trace_to_jsonl, verdicts_to_json, write_jsonl)
 from domcalc.units import Quantity, fraction_str
 from modelgen import pairs_model, random_model, random_script
 
@@ -299,3 +304,186 @@ def test_streamed_simulate_matches_run_at_the_edges(
     trace = assert_streamed_as_run(capsys, tmp_path, text, finite, 500, 1)
     assert trace.deadlocked and trace.events[-1].step < 500
     assert assert_streamed_as_run(capsys, tmp_path, "", {}, 10, 0).events == ()
+
+
+# ---------------------------------------------------------------------------
+# Replayed runs
+# ---------------------------------------------------------------------------
+
+def replay_of(config: RunConfig, steps: int):
+    """The replay ``stream`` found, or None."""
+    events = stream(config, steps)
+    for _ in events.scheduled:
+        pass
+    return events.replay
+
+
+def assert_replay_matches_oracle(config: RunConfig, steps: int):
+    """``run``, ``trace_to_jsonl`` over ``stream``, and ``check_axioms``
+    over ``write_jsonl`` over ``stream`` (the ``simulate --trace`` pass)
+    give the oracle's events, bytes and verdicts; the run's replay, or None."""
+    expected = oracle_run(config, steps)
+    assert run(config, steps).events == expected.events
+    text = oracle_jsonl(expected)
+    assert trace_to_jsonl(stream(config, steps)) == text
+    model = config.graph.model
+    buffer = io.StringIO()
+    verdicts = check_axioms(model, write_jsonl(stream(config, steps), buffer))
+    assert buffer.getvalue() == text
+    assert verdicts == check_axioms(model, expected)
+    return replay_of(config, steps)
+
+
+def _edges(replay) -> tuple[int, ...]:
+    """Run lengths around a replay: ending one step before the step it
+    starts at, at it, one after, on a window boundary and mid-window."""
+    start, period = replay.start, replay.period
+    return (start - 1, start, start + 1, start + 2 * period, start + 2 * period + period // 2)
+
+
+def _small_script(rng: random.Random, graph, kinds: str) -> EnvironmentScript:
+    """Tracks of a few small values: each cyclic with a cycle of 1 to 6
+    steps, or finite with its last point before step 6; ``kinds`` is
+    "cyclic", "finite" or "mixed"."""
+    tracks = {}
+    for channel in graph.channels:
+        if not channel.external:
+            continue
+        kind = graph.registry.resolve(channel.kinds[0])
+        span = rng.randint(1, 6)
+        steps = sorted({0} | {rng.randrange(span) for _ in range(rng.randint(0, 2))})
+        points = tuple((step, Quantity(Fraction(rng.randint(-3, 3)), kind)) for step in steps)
+        cyclic = kinds == "cyclic" or (kinds == "mixed" and rng.random() < 0.5)
+        tracks[channel.name] = ScriptTrack(points, span if cyclic else None)
+    return EnvironmentScript(tracks)
+
+
+def _small_cycle_cases(kinds: str, count: int):
+    """``count`` generated models, random and pair models in turn, each
+    with a small script of ``kinds`` and a seed."""
+    for case in range(count):
+        rng = random.Random(case)
+        model = pairs_model(rng, rng.randint(2, 4)) if case % 2 else random_model(rng)
+        graph = compiler.compile_model(model)
+        yield instantiate(graph, _small_script(rng, graph, kinds), seed=case % 5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_replay_matches_oracle_on_aircraft(aircraft_graph, aircraft_script_path, seed):
+    with open(aircraft_script_path, encoding="utf-8") as handle:
+        script = EnvironmentScript.from_json(json.load(handle), aircraft_graph)
+    config = instantiate(aircraft_graph, script, seed)
+    replay = assert_replay_matches_oracle(config, 5000)
+    # The lcm of the cycles 40, 50 and 60: the key at step 600 recurs at
+    # 1,200, and steps 1,200 to 1,799 are the window.
+    assert (replay.period, replay.start, replay.windows) == (600, 1800, 5)
+    if seed == 0:
+        for steps in _edges(replay):
+            assert_replay_matches_oracle(config, steps)
+
+
+@pytest.mark.parametrize("kinds", ["cyclic", "finite", "mixed"])
+def test_replay_matches_oracle_on_small_cycle_scripts(kinds):
+    periods = set()
+    for config in _small_cycle_cases(kinds, 40):
+        replay = assert_replay_matches_oracle(config, 300)
+        if replay is not None:
+            periods.add(replay.period)
+            for steps in _edges(replay):
+                assert_replay_matches_oracle(config, steps)
+    if kinds == "finite":
+        # Every channel's sender reads an external attribute, so a run
+        # deadlocks once its tracks have ended: none repeats.
+        assert not periods
+    else:
+        assert len(periods) > 1
+
+
+def _rotation_case() -> RunConfig:
+    """Three sensor/display pairs, two sensors fed every step and the third
+    from step 1 of every 3 (a hand-made track: ``instantiate`` refuses one
+    with no point at step 0), so one or two of three rendezvous are enabled
+    at a step.  The state key recurs after 3 steps, but the rotation of an
+    enabled list of 2 does not."""
+    graph = compiler.compile_model(pairs_model(random.Random(30), 3))
+    external = sorted(c.name for c in graph.channels if c.external)
+    tracks = {name: ScriptTrack(((0 if name != external[-1] else 1, Quantity(
+                  Fraction(1), graph.registry.resolve(graph.channel(name).kinds[0]))),),
+                  1 if name != external[-1] else 3)
+              for name in external}
+    return RunConfig(graph, EnvironmentScript(tracks), 0)
+
+
+def test_replay_waits_for_the_seed_rotation(monkeypatch):
+    config = _rotation_case()
+    verified = []
+    visit = periodic.Recurrence.visit
+
+    def spy(self, *args):
+        recording = self.period
+        repeats = visit(self, *args)
+        if recording and (repeats or not self.period):
+            verified.append((recording, args[0], repeats))
+        return repeats
+    monkeypatch.setattr(periodic.Recurrence, "visit", spy)
+    replay = replay_of(config, 200)
+    # The first window recorded, 3 steps long, holds a step with 2 enabled
+    # rendezvous: it is not replayed, and the search goes on with
+    # checkpoints 6 steps apart.
+    assert verified == [(3, 15, False), (6, 27, True)]
+    assert (replay.period, replay.start) == (6, 27)
+    monkeypatch.undo()
+    for steps in range(12, 40):
+        assert_replay_matches_oracle(config, steps)
+    assert_replay_matches_oracle(config, 200)
+
+
+@oracle_budget(100)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["cyclic", "finite", "mixed"]),
+       st.integers(0, 6), st.integers(0, 250))
+def test_replay_matches_oracle_on_generated_runs(case, kinds, seed, steps):
+    rng = random.Random(case)
+    model = pairs_model(rng, rng.randint(1, 4)) if case % 2 else random_model(rng)
+    graph = compiler.compile_model(model)
+    assert_replay_matches_oracle(instantiate(graph, _small_script(rng, graph, kinds), seed),
+                                 steps)
+
+
+def assert_simulate_matches_oracle(capsys, tmp_path, text: str, script: dict, steps: int,
+                                   seed: int) -> None:
+    """``simulate --trace`` writes the oracle's bytes, prints the verdicts
+    of ``check_axioms`` over the oracle's trace and exits with their code."""
+    dom, script_path, out = tmp_path / "m.dom", tmp_path / "s.json", tmp_path / "t.jsonl"
+    dom.write_text(text, encoding="utf-8")
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    code = cli.main(["simulate", str(dom), "--script", str(script_path), "--steps", str(steps),
+                     "--seed", str(seed), "--trace", str(out)])
+    printed = capsys.readouterr().out
+    model, _ = dsl.parse_file(str(dom))
+    graph = compiler.compile_model(model)
+    expected = oracle_run(instantiate(graph, EnvironmentScript.from_json(script, graph), seed),
+                          steps)
+    assert out.read_bytes() == oracle_jsonl(expected).encode()
+    verdicts = check_axioms(model, expected)
+    assert printed == json.dumps(verdicts_to_json(verdicts), indent=2, sort_keys=True) + "\n"
+    assert code == (0 if all(v.passed for v in verdicts) else 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_trace_matches_oracle_on_aircraft(
+        capsys, tmp_path, aircraft_path, aircraft_script_path, seed):
+    text = aircraft_path.read_text(encoding="utf-8")
+    script = json.loads(aircraft_script_path.read_text(encoding="utf-8"))
+    # The replay starts at step 1,800 and repeats every 600 steps.
+    for steps in (5000,) if seed else (1799, 1800, 1801, 3000, 3300, 5000):
+        assert_simulate_matches_oracle(capsys, tmp_path, text, script, steps, seed)
+
+
+@pytest.mark.parametrize("kinds", ["cyclic", "finite", "mixed"])
+def test_simulate_trace_matches_oracle_on_small_cycle_scripts(capsys, tmp_path, kinds):
+    for config in _small_cycle_cases(kinds, 16):
+        replay = replay_of(config, 300)
+        text = dsl.print_model(config.graph.model)
+        script = _script_json(config.script)
+        for steps in _edges(replay) if replay else (300,):
+            assert_simulate_matches_oracle(capsys, tmp_path, text, script, steps, config.seed)

@@ -354,14 +354,6 @@ class ProcessDef:
     init_values: tuple[tuple[str, Quantity], ...]
     body: CoreStep
 
-    @property
-    def in_channels(self) -> tuple[str, ...]:
-        return self.signature.in_channels
-
-    @property
-    def out_channels(self) -> tuple[str, ...]:
-        return self.signature.out_channels
-
 
 @dataclass(frozen=True)
 class ResolvedChannel:

@@ -1,13 +1,13 @@
 """Replay of runs that repeat: detection, the replayed events, and the
-writer's and the monitor's bulk handling of the repeated windows.
+monitor's bulk handling of the repeated windows.
 
 Over a script whose tracks are cyclic or finite, a compiled graph is a
 finite-state system once every finite track has ended, so its run is
 eventually periodic: a prefix, then one window repeated.  ``Recurrence``
 finds the window as the scheduler runs; ``Replay`` is the rest of the run
 as copies of that window; ``Events`` is what ``simulator.stream`` and
-``simulator.write_jsonl`` return, so that ``check_axioms`` can take the
-copies a window at a time.
+``simulator.write_jsonl`` return, so that the writer can write the copies
+in bulk and ``check_axioms`` can take them a window at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from itertools import chain, islice, repeat
-from typing import Callable, Collection, Iterable, Iterator, Optional, TextIO
+from itertools import islice
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 
 class Events:
@@ -60,10 +60,6 @@ class Replay:
     def window(self, k: int) -> Iterator:
         """The events of copy ``k``, counted from 0."""
         return self._shifted(self.start + k * self.period, len(self.indices))
-
-    def skip(self, first: int, stop: int) -> None:
-        """Copies ``first`` to ``stop - 1``, which the consumer accounts for
-        without their events: the run itself has nothing to do for them."""
 
     def tail(self) -> Iterator:
         """The events after the last whole copy."""
@@ -173,61 +169,6 @@ class Recurrence:
                       start, windows, bisect_right(self.offsets, extra) - 2)
 
 
-# The lines a replayed window is written in at once: a bounded piece, so
-# the write's memory does not grow with the window.
-PIECE_LINES = 64
-
-
-class WrittenReplay(Replay):
-    """``source``, each event written to ``handle`` before it is passed on:
-    each copy of the window in pieces of ``PIECE_LINES`` lines, joined from
-    the heads of its events (``head_of`` of each tail) and their shifted
-    steps, and the tail line by line through ``lines``."""
-
-    def __init__(self, source: Replay, handle: TextIO, head_of: Callable[..., str],
-                 lines: Callable[[Iterable], Iterator]) -> None:
-        super().__init__(source.event_type, source.tails, source.indices, source.offsets,
-                         source.period, source.start, source.windows, source.rest)
-        self.source, self.write, self.lines = source, handle.write, lines
-        self.heads = [head_of(*tail) for tail in source.tails]
-
-    def _write(self, first: int, stop: int) -> None:
-        write, head, indices, offsets = self.write, self.heads.__getitem__, self.indices, self.offsets
-        for k in range(first, stop):
-            base = self.start + k * self.period
-            # Each step's text once, for the several events of the step.
-            step = list(map(int.__repr__, range(base, base + self.period))).__getitem__
-            for at in range(0, len(indices), PIECE_LINES):
-                piece = slice(at, at + PIECE_LINES)
-                write("".join(chain.from_iterable(zip(
-                    map(head, indices[piece]), map(step, offsets[piece]), repeat("}\n")))))
-
-    def window(self, k: int) -> Iterator:
-        self._write(k, k + 1)
-        yield from self.source.window(k)
-
-    def skip(self, first: int, stop: int) -> None:
-        self._write(first, stop)
-        self.source.skip(first, stop)
-
-    def tail(self) -> Iterator:
-        return self.lines(self.source.tail())
-
-
-def written(events: Events, handle: TextIO, head_of: Callable[..., str],
-            lines: Callable[[Iterable], Iterator]) -> Events:
-    """``events`` through the writer: ``lines`` writes the scheduled events
-    one by one, and the replay becomes a ``WrittenReplay``."""
-    out = Events()
-
-    def scheduled() -> Iterator:
-        yield from lines(events.scheduled)
-        if events.replay is not None:
-            out.replay = WrittenReplay(events.replay, handle, head_of, lines)
-    out.scheduled = scheduled()
-    return out
-
-
 def segments(events: Events, checked: list[int]) -> Iterator[Iterable]:
     """The parts of ``events`` for a monitor to fold in turn, ``checked``
     being its check count per axiom: the scheduled events, the first
@@ -243,7 +184,6 @@ def segments(events: Events, checked: list[int]) -> Iterator[Iterable]:
     if replay.windows:
         before = checked.copy()
         yield replay.window(0)
-        replay.skip(1, replay.windows)
         for index, count in enumerate(before):
             checked[index] += (checked[index] - count) * (replay.windows - 1)
     yield replay.tail()

@@ -19,6 +19,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
@@ -178,7 +179,7 @@ def instantiate(graph: ProcessGraph, script: EnvironmentScript, seed: int) -> Ru
         for attr in process.signature.controllable_params:
             if attr not in inits:
                 raise MissingInit(f"{process.name}: controllable {attr!r} has no init value")
-        for name in process.in_channels:
+        for name in process.signature.in_channels:
             channel = graph.channel(name)
             if channel is None or not channel.external:
                 continue
@@ -263,15 +264,9 @@ def stream(config: RunConfig, max_steps: int) -> Iterator[TraceEvent]:
     message: a send and its receive carry one tuple, and so do the reads of
     one point and the recursions that leave the controllables equal.
 
-    An eventually periodic run is replayed (``periodic``): the state key,
-    each process's pc, received value numbers and controllables, is taken
-    every C steps, C the lcm of the track cycles, once every finite track is
-    past its last point, and not at all when 2·C steps do not fit.  When a
-    key recurs after P steps, the next P steps are recorded; if P is
-    divisible by the enabled-list length at each of them, each makes the
-    choice of P steps before, so they repeat exactly, and the rest of the
-    run is their copies with shifted steps, the reads and recursions at the
-    last step included.  The events are unchanged; the run holds one window.
+    An eventually periodic run is replayed once it repeats: the rest of the
+    run is copies of one recorded window with shifted steps (``periodic``).
+    The events are unchanged; the run holds one window.
     """
     events = periodic.Events()
     events.scheduled = _schedule(config, max_steps, events)
@@ -467,10 +462,9 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     verdicts, only slower.
 
     Over ``stream``, direct or through ``write_jsonl``, the first replayed
-    window is walked and each further one adds its check counts: it shows
-    the same payload objects in the same monitor state, so each check is a
-    ``passed`` hit or one of a failed axiom.  The verdicts, counts included,
-    are those of the walk over every event.
+    window is walked and each further one adds its check counts
+    (``periodic.segments``).  The verdicts, counts included, are those of
+    the walk over every event.
     """
     graph = compiler.compile_model(model)
     processes = {p.name: p for p in graph.processes()}
@@ -532,6 +526,11 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
+# The lines of a replayed run written at once: a bounded piece, so the
+# write's memory does not grow with the window.
+PIECE_LINES = 64
+
+
 def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceEvent]:
     """Write each event to ``handle`` as one JSON line and pass it on.
 
@@ -550,9 +549,12 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     per distinct message, so most lines only add their step; unshared
     tuples are written the same, only slower.
 
-    Over ``stream``, each replayed window is written whole, from its heads
-    and shifted steps, before its events are passed on, and also when the
-    consumer skips it (``periodic``): the bytes are unchanged."""
+    Over ``stream``, a replayed run is written whole when its scheduled
+    events end: every copy of the window and the tail, joined from the
+    window's heads and shifted steps ``PIECE_LINES`` lines to a write,
+    before the first replayed event is passed on.  What is returned then
+    holds the stream's own ``Replay`` (``periodic``).  The bytes are
+    unchanged."""
     # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
     # its text; ``payloads`` keeps each keyed payload, and so each keyed
     # quantity, alive, so no id can be reused.
@@ -587,9 +589,28 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
             write(head + int.__repr__(step) + "}\n")
             yield event
 
-    if isinstance(events, periodic.Events):
-        return periodic.written(events, handle, head_of, lines)
-    return lines(events)
+    if not isinstance(events, periodic.Events):
+        return lines(events)
+    written = periodic.Events()
+
+    def scheduled() -> Iterator[TraceEvent]:
+        yield from lines(events.scheduled)
+        replay = written.replay = events.replay
+        if replay is None:
+            return
+        write, indices, offsets, period = handle.write, replay.indices, replay.offsets, replay.period
+        head = [head_of(*tail) for tail in replay.tails].__getitem__
+        for k in range(replay.windows + 1):  # the whole copies, then the tail
+            base = replay.start + k * period
+            count = len(indices) if k < replay.windows else replay.rest
+            # Each step's text once, for the several events of the step.
+            step = list(map(int.__repr__, range(base, base + period))).__getitem__
+            for at in range(0, count, PIECE_LINES):
+                piece = slice(at, min(at + PIECE_LINES, count))
+                write("".join(chain.from_iterable(zip(
+                    map(head, indices[piece]), map(step, offsets[piece]), repeat("}\n")))))
+    written.scheduled = scheduled()
+    return written
 
 
 def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:

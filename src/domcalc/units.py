@@ -688,10 +688,6 @@ class TypecheckResult:
     kind: Optional[QuantityKind]
     diagnostics: tuple[Diagnostic, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.kind is not None and not self.diagnostics
-
 
 def typecheck_expr(text: str, env: Mapping[str, QuantityKind],
                    registry: Optional[KindRegistry] = None,

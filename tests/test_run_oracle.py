@@ -13,6 +13,7 @@ written and monitored a window at a time: the oracle, which takes every
 step, must still give the same events, bytes and verdicts.
 """
 
+import errno
 import io
 import json
 import random
@@ -20,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -447,6 +449,66 @@ def test_replay_matches_oracle_on_generated_runs(case, kinds, seed, steps):
     graph = compiler.compile_model(model)
     assert_replay_matches_oracle(instantiate(graph, _small_script(rng, graph, kinds), seed),
                                  steps)
+
+
+def _aircraft_replayed(graph, script_path) -> tuple[RunConfig, Trace, str, int]:
+    """The aircraft at seed 0 over 5,000 steps, a replayed run: its config,
+    the oracle's trace and text, and the number of scheduled events."""
+    with open(script_path, encoding="utf-8") as handle:
+        script = EnvironmentScript.from_json(json.load(handle), graph)
+    config = instantiate(graph, script, 0)
+    expected = oracle_run(config, 5000)
+    start = replay_of(config, 5000).start
+    return config, expected, oracle_jsonl(expected), sum(e.step < start for e in expected)
+
+
+def test_replay_is_written_whole_when_the_scheduled_events_end(
+        aircraft_graph, aircraft_script_path):
+    config, expected, text, scheduled = _aircraft_replayed(aircraft_graph, aircraft_script_path)
+    ends = list(accumulate(map(len, text.splitlines(keepends=True))))
+    source = stream(config, 5000)
+    buffer = io.StringIO()
+    written = write_jsonl(source, buffer)
+    count = 0
+    for count, event in enumerate(written.scheduled, 1):
+        # Its line, and no later one, is on the buffer.
+        assert event == expected.events[count - 1]
+        assert buffer.tell() == ends[count - 1]
+    assert count == scheduled
+    # The writer passes on the stream's own replay, and the first replayed
+    # event comes after every line of the run.
+    assert written.replay is source.replay is not None
+    assert next(written) == expected.events[count]
+    assert buffer.getvalue() == text
+
+
+class _FullAfter(io.StringIO):
+    """A handle whose write raises ENOSPC once it would hold more than
+    ``limit`` characters, writing nothing."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text: str) -> int:
+        if self.tell() + len(text) > self.limit:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return super().write(text)
+
+
+def test_write_failing_in_the_replay_raises_and_leaves_whole_lines(
+        aircraft_graph, aircraft_script_path):
+    config, _, text, scheduled = _aircraft_replayed(aircraft_graph, aircraft_script_path)
+    prefix = len("".join(text.splitlines(keepends=True)[:scheduled]))
+    # In the first copy, mid-run and in the tail.
+    for limit in (prefix + 1000, (prefix + len(text)) // 2, len(text) - 100):
+        handle = _FullAfter(limit)
+        with pytest.raises(OSError) as raised:
+            check_axioms(config.graph.model, write_jsonl(stream(config, 5000), handle))
+        assert raised.value.errno == errno.ENOSPC
+        written = handle.getvalue()
+        assert prefix <= len(written) <= limit
+        assert text.startswith(written) and written.endswith("\n")
 
 
 def assert_simulate_matches_oracle(capsys, tmp_path, text: str, script: dict, steps: int,

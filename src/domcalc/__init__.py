@@ -25,8 +25,7 @@ _EXPORTS = {
     "dsl": ("parse_file", "parse_model", "print_model"),
     "model": ("DomainModel", "EndurantDecl", "ProcessGraph", "id_types_of", "model_lookup"),
     "simulator": (
-        "EnvironmentScript", "Trace", "Verdict", "check_axioms", "instantiate", "run",
-        "stream"),
+        "EnvironmentScript", "Verdict", "check_axioms", "instantiate", "run", "stream"),
     "units": (
         "Dimension", "KindRegistry", "Quantity", "QuantityKind", "builtin_registry",
         "check_op", "mean", "parse_unit", "rate_of_change", "typecheck_expr"),

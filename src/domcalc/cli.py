@@ -188,7 +188,7 @@ def cmd_simulate(args) -> None:
     except (simulator.ScriptError, simulator.UncoveredChannel, OSError) as exc:
         raise _fail(exc)
     if not args.trace:
-        # The benchmark's pairs_wide output check reads the Trace of ``run``.
+        # The benchmark's pairs_wide output check reads the events ``run`` returns.
         verdicts = simulator.check_axioms(graph.model, simulator.run(config, args.steps))
     else:
         # One pass: each event is written and monitored as the run yields it.

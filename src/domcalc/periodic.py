@@ -16,21 +16,26 @@ import math
 from array import array
 from bisect import bisect_right
 from itertools import islice
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Any, Callable, Collection, Generator, Iterable, Iterator, Optional
 
 
 class Events:
-    """An iterator over a run's events.
+    """An iterator over a run's events, from the generator that schedules
+    them: it yields the events it took one at a time and returns the
+    ``Replay`` of the rest, or None.
 
     Iterating it yields every event.  A consumer that knows the replay can
-    instead take ``scheduled``, the events the scheduler took one at a time,
-    and then, once those are exhausted, ``replay`` if it is set: the rest of
-    the run, one window at a time."""
+    instead take ``scheduled``, the scheduled events, and then, once those
+    are exhausted, ``replay``, the generator's return value: the rest of the
+    run, one window at a time."""
 
-    def __init__(self, scheduled: Iterable = ()) -> None:
-        self.scheduled = iter(scheduled)
+    def __init__(self, scheduled: Generator[Any, None, Optional[Replay]]) -> None:
         self.replay: Optional[Replay] = None
+        self.scheduled = self._returned(scheduled)
         self._all = self._chain()
+
+    def _returned(self, scheduled: Generator[Any, None, Optional[Replay]]) -> Iterator:
+        self.replay = yield from scheduled
 
     def _chain(self) -> Iterator:
         yield from self.scheduled

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import (Any, Callable, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence,
+                    TextIO)
 
 from . import compiler, periodic
 from .analysis import parse_value
@@ -77,8 +78,9 @@ class EnvironmentScript:
     def from_json(data: dict, graph: ProcessGraph) -> "EnvironmentScript":
         """Build a script from the JSON form: channel -> [[step, "value"], ...]
         or channel -> {"points": [...], "cycle": N}.  Steps are non-negative
-        JSON integers and a cycle is a positive integer; anything else raises
-        ``ScriptError``."""
+        JSON integers and a cycle is a positive integer; a cyclic track's
+        steps are below its cycle, and points at one step have one value.
+        Anything else raises ``ScriptError``."""
         if not isinstance(data, dict):
             raise ScriptError("script must be a JSON object mapping channels to tracks")
         registry: KindRegistry = graph.registry
@@ -107,12 +109,19 @@ class EnvironmentScript:
                     raise ScriptError(f"{name!r}: step {step!r} is not an integer")
                 if step < 0:
                     raise ScriptError(f"{name!r}: point at negative step {step}")
+                if cycle is not None and step >= cycle:
+                    raise ScriptError(f"{name!r}: point at step {step} is never read, "
+                                      f"as the track repeats with cycle {cycle}")
                 try:
                     value = parse_value(text, kind, registry)
                 except ValueError as exc:
                     raise ScriptError(f"{name!r} at step {step}: {exc}") from None
                 parsed.append((step, value))
-            tracks[name] = ScriptTrack(tuple(sorted(parsed, key=lambda p: p[0])), cycle)
+            parsed.sort(key=lambda p: p[0])
+            for (before, held), (step, value) in zip(parsed, parsed[1:]):
+                if step == before and value != held:
+                    raise ScriptError(f"{name!r}: two values at step {step}: {held} and {value}")
+            tracks[name] = ScriptTrack(tuple(parsed), cycle)
         return EnvironmentScript(tracks)
 
 
@@ -125,21 +134,6 @@ class TraceEvent(NamedTuple):
     channel: Optional[str]
     process: str
     payload: tuple[Quantity, ...] = ()
-
-
-@dataclass(frozen=True)
-class Trace:
-    events: tuple[TraceEvent, ...]
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def deadlocked(self) -> bool:
-        return bool(self.events) and self.events[-1].kind == DEADLOCK
 
 
 @dataclass(frozen=True)
@@ -239,12 +233,12 @@ class _Table(dict):
         return value
 
 
-def run(config: RunConfig, max_steps: int) -> Trace:
-    """Every event of ``stream(config, max_steps)``, held in one ``Trace``."""
-    return Trace(tuple(stream(config, max_steps)))
+def run(config: RunConfig, max_steps: int) -> tuple[TraceEvent, ...]:
+    """Every event of ``stream(config, max_steps)``, held in one tuple."""
+    return tuple(stream(config, max_steps))
 
 
-def stream(config: RunConfig, max_steps: int) -> Iterator[TraceEvent]:
+def stream(config: RunConfig, max_steps: int) -> periodic.Events:
     """Execute until ``max_steps`` rendezvous or quiescence, yielding each
     event as the run produces it.
 
@@ -266,17 +260,18 @@ def stream(config: RunConfig, max_steps: int) -> Iterator[TraceEvent]:
 
     An eventually periodic run is replayed once it repeats: the rest of the
     run is copies of one recorded window with shifted steps (``periodic``).
-    The events are unchanged; the run holds one window.
+    The events are unchanged; the run holds one window.  The replay is the
+    return value of the scheduling generator, which ``periodic.Events``
+    keeps as its ``replay`` once the scheduled events are exhausted.
     """
-    events = periodic.Events()
-    events.scheduled = _schedule(config, max_steps, events)
-    return events
+    return periodic.Events(_schedule(config, max_steps))
 
 
-def _schedule(config: RunConfig, max_steps: int,
-              found: periodic.Events) -> Iterator[TraceEvent]:
+def _schedule(config: RunConfig,
+              max_steps: int) -> Generator[TraceEvent, None, Optional[periodic.Replay]]:
     """The scheduler of ``stream``: it yields the events it takes, and
-    leaves ``found.replay`` set when it stops at a repeating window."""
+    returns the ``Replay`` of the rest when it stops at a repeating window,
+    else None."""
     graph = config.graph
     # Each value is numbered the first time the run sees its object.  Values
     # are never hashed: equal values of two objects get two numbers, which
@@ -425,8 +420,7 @@ def _schedule(config: RunConfig, max_steps: int,
         if steps == checkpoint:
             if recurrence.visit(steps, state_key, events, len(pairs)):
                 yield from events
-                found.replay = recurrence.replay(steps, max_steps, TraceEvent)
-                return
+                return recurrence.replay(steps, max_steps, TraceEvent)
             checkpoint = recurrence.next
         yield from events
         events.clear()
@@ -552,9 +546,9 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     Over ``stream``, a replayed run is written whole when its scheduled
     events end: every copy of the window and the tail, joined from the
     window's heads and shifted steps ``PIECE_LINES`` lines to a write,
-    before the first replayed event is passed on.  What is returned then
-    holds the stream's own ``Replay`` (``periodic``).  The bytes are
-    unchanged."""
+    before the first replayed event is passed on.  The writing generator
+    then returns the stream's own ``Replay``, so the ``periodic.Events``
+    returned takes it as its ``replay``.  The bytes are unchanged."""
     # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
     # its text; ``payloads`` keeps each keyed payload, and so each keyed
     # quantity, alive, so no id can be reused.
@@ -591,13 +585,12 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
 
     if not isinstance(events, periodic.Events):
         return lines(events)
-    written = periodic.Events()
 
-    def scheduled() -> Iterator[TraceEvent]:
+    def scheduled() -> Generator[TraceEvent, None, Optional[periodic.Replay]]:
         yield from lines(events.scheduled)
-        replay = written.replay = events.replay
+        replay = events.replay
         if replay is None:
-            return
+            return None
         write, indices, offsets, period = handle.write, replay.indices, replay.offsets, replay.period
         head = [head_of(*tail) for tail in replay.tails].__getitem__
         for k in range(replay.windows + 1):  # the whole copies, then the tail
@@ -609,8 +602,8 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
                 piece = slice(at, min(at + PIECE_LINES, count))
                 write("".join(chain.from_iterable(zip(
                     map(head, indices[piece]), map(step, offsets[piece]), repeat("}\n")))))
-    written.scheduled = scheduled()
-    return written
+        return replay
+    return periodic.Events(scheduled())
 
 
 def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:
@@ -621,11 +614,12 @@ def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:
     return buffer.getvalue()
 
 
-def trace_from_jsonl(text: str, registry: KindRegistry) -> Trace:
-    """Read a trace back from JSON lines: one JSON object per line with the
-    keys ``step``, ``kind``, ``channel``, ``process`` and ``payload``, in any
-    order and spacing; blank lines are skipped.  A malformed line raises
-    ``ValueError("line N: ...")``, N counted from 1.
+def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...]:
+    """Read a trace back from JSON lines, as a tuple of ``TraceEvent``s: one
+    JSON object per line with the keys ``step``, ``kind``, ``channel``,
+    ``process`` and ``payload``, in any order and spacing; blank lines are
+    skipped.  A malformed line raises ``ValueError("line N: ...")``, N
+    counted from 1.
 
     A line that repeats an earlier one but for its step is not decoded
     again.  The writer ends every line in ``, "step": N}``, and the text
@@ -666,7 +660,7 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> Trace:
         if plain:  # it decoded, so its tail followed the separator
             firsts[head] = event
         events.append(event)
-    return Trace(tuple(events))
+    return tuple(events)
 
 
 def _decode_event(line: str, registry: KindRegistry,

@@ -21,7 +21,7 @@ from domcalc.model import (
     MereoId,
     MereoProduct,
 )
-from domcalc.simulator import EnvironmentScript, ScriptTrack, Trace, TraceEvent
+from domcalc.simulator import EnvironmentScript, ScriptTrack, TraceEvent
 from domcalc.units import Quantity
 
 KIND_POOL = ["m", "kg", "point m", "point deg", "interval s", "interval K",
@@ -194,17 +194,16 @@ def random_script(rng: random.Random, graph, horizon: int = 80) -> EnvironmentSc
     return EnvironmentScript(tracks)
 
 
-def perturb_recursion_payload(trace: Trace, rng: random.Random,
-                              process: str) -> tuple[Trace, TraceEvent]:
+def perturb_recursion_payload(trace: tuple[TraceEvent, ...], rng: random.Random,
+                              process: str) -> tuple[tuple[TraceEvent, ...], TraceEvent]:
     """Bump one component of one recursion payload of ``process`` by 1,
     returning the tampered trace and the tampered event."""
-    candidates = [i for i, e in enumerate(trace.events)
+    candidates = [i for i, e in enumerate(trace)
                   if e.kind == "recursion" and e.process == process and e.payload]
     index = rng.choice(candidates)
-    event = trace.events[index]
+    event = trace[index]
     slot = rng.randrange(len(event.payload))
     bumped = Quantity(event.payload[slot].magnitude + 1, event.payload[slot].kind)
     payload = event.payload[:slot] + (bumped,) + event.payload[slot + 1:]
     tampered = TraceEvent(event.step, event.kind, event.channel, event.process, payload)
-    events = trace.events[:index] + (tampered,) + trace.events[index + 1:]
-    return Trace(events), tampered
+    return trace[:index] + (tampered,) + trace[index + 1:], tampered

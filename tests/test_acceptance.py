@@ -180,7 +180,7 @@ def test_criterion_7_determinism_and_prefix_monotonicity():
             second = simulator.run(config, long_steps)
             assert first == second, seed
             prefix = simulator.run(config, short_steps)
-            assert first.events[:len(prefix.events)] == prefix.events, seed
+            assert first[:len(prefix)] == prefix, seed
 
 
 def test_criterion_8_description_idempotence():

@@ -168,6 +168,9 @@ def _with_lo_track(track):
     pytest.param(b"part \xff\xfe {}", json.dumps, id="dom-not-utf8"),
     pytest.param(None, _with_lo_track([[0, "10 deg"], [2.7, "11 deg"]]), id="step-float"),
     pytest.param(None, _with_lo_track([[0, "1e5000 deg"]]), id="value-beyond-bound"),
+    pytest.param(None, _with_lo_track({"points": [[0, "10 deg"], [45, "99 deg"]], "cycle": 40}),
+                 id="point-past-cycle"),
+    pytest.param(None, _with_lo_track([[0, "10 deg"], [0, "20 deg"]]), id="two-values-at-step"),
 ])
 def test_simulate_bad_input_exits_1_without_traceback(
         capsys, tmp_path, aircraft_path, aircraft_script_path, dom, make_script):

@@ -22,7 +22,7 @@ from domcalc.compiler import (
 from domcalc.diagnostics import SourceSpan
 from domcalc.dsl import parse_model
 from domcalc.model import UnknownSort
-from domcalc.simulator import Trace, check_axioms
+from domcalc.simulator import check_axioms
 
 from conftest import GOLDEN
 from modelgen import composite_chain, random_model
@@ -452,12 +452,12 @@ REJECTED = {
 
 @pytest.mark.parametrize("code", REJECTED)
 def test_compile_and_monitor_refuse_what_check_rejects(code):
-    assert check_axioms(parse_ok(GATED), Trace(()))[0].passed
+    assert check_axioms(parse_ok(GATED), ())[0].passed
     model = parse_ok(GATED.replace(*REJECTED[code]))
     errors = [d for d in check_wellformed(model) if d.is_error]
     assert [d.code for d in errors] == [code]
     for refused in (compile_model, lambda m: compile_process(m, "RT"),
-                    lambda m: check_axioms(m, Trace(()))):
+                    lambda m: check_axioms(m, ())):
         with pytest.raises(CompileError) as err:
             refused(model)
         assert err.value.diagnostics == errors

@@ -31,8 +31,8 @@ from conftest import oracle_budget
 from domcalc import cli, compiler, dsl, periodic
 from domcalc.simulator import (
     DEADLOCK, READ, RECEIVE, RECURSION, SEND, EnvironmentScript, RunConfig, ScriptTrack,
-    Trace, TraceEvent, _chain_apply, check_axioms, instantiate, run, stream,
-    trace_to_jsonl, verdicts_to_json, write_jsonl)
+    TraceEvent, _chain_apply, check_axioms, instantiate, run, stream,
+    trace_from_jsonl, trace_to_jsonl, verdicts_to_json, write_jsonl)
 from domcalc.units import Quantity, fraction_str
 from modelgen import pairs_model, random_model, random_script
 
@@ -46,7 +46,7 @@ class _OracleState:
     controllables: dict = field(default_factory=dict)
 
 
-def oracle_run(config: RunConfig, max_steps: int) -> Trace:
+def oracle_run(config: RunConfig, max_steps: int) -> tuple[TraceEvent, ...]:
     graph = config.graph
     map_of = cache(lambda chain: _chain_apply(graph.model, graph.registry, chain))
     tracks = config.script.tracks
@@ -66,7 +66,7 @@ def oracle_run(config: RunConfig, max_steps: int) -> Trace:
     states = [_OracleState(p.name, program(p), controllables=dict(p.init_values))
               for p in sorted(graph.processes(), key=lambda p: p.name)]
     if not states:
-        return Trace(())
+        return ()
     receiving = {channel: (state, pc) for state in states
                  for pc, (op, channel, _) in enumerate(state.program) if op == RECEIVE}
     table = sorted(((channel, sender, pc, *receiving[channel]) for sender in states
@@ -107,7 +107,7 @@ def oracle_run(config: RunConfig, max_steps: int) -> Trace:
         pairs = [pair for pair in table if pair[1].pc == pair[2] and pair[3].pc == pair[4]]
         if not pairs:
             events.append(TraceEvent(steps, DEADLOCK, None, ""))
-            return Trace(tuple(events))
+            return tuple(events)
         channel, sender, pc, receiver, _ = pairs[(config.seed + steps) % len(pairs)]
         message = tuple(to(sender.received[source][0]) for source, to in sender.program[pc][2])
         events.append(TraceEvent(steps, SEND, channel, sender.name, message))
@@ -118,10 +118,10 @@ def oracle_run(config: RunConfig, max_steps: int) -> Trace:
         steps += 1
     if steps:
         advance_phase()
-    return Trace(tuple(events))
+    return tuple(events)
 
 
-def oracle_jsonl(trace: Trace) -> str:
+def oracle_jsonl(trace: tuple[TraceEvent, ...]) -> str:
     def text_of(q):
         return (f'{{"kind": {encode_basestring_ascii(q.kind.name)}, '
                 f'"value": "{fraction_str(q.magnitude)}"}}')
@@ -139,10 +139,10 @@ def oracle_jsonl(trace: Trace) -> str:
     return "".join(lines)
 
 
-def assert_matches_oracle(config: RunConfig, steps: int) -> Trace:
+def assert_matches_oracle(config: RunConfig, steps: int) -> tuple[TraceEvent, ...]:
     trace = run(config, steps)
     expected = oracle_run(config, steps)
-    assert trace.events == expected.events
+    assert trace == expected
     assert trace_to_jsonl(trace) == oracle_jsonl(expected)
     return trace
 
@@ -168,7 +168,7 @@ def test_run_matches_oracle_on_generated_models():
         spinners += any(not p.body.sends and not any(
             c.name in p.body.receives and not c.external for c in graph.channels)
             for p in graph.processes())
-        exhausted += trace.deadlocked and len({e.step for e in trace}) > 1
+        exhausted += bool(trace) and trace[-1].kind == DEADLOCK and len({e.step for e in trace}) > 1
     # The cases the dirty set must get right occur in the corpus.
     assert spinners and exhausted
 
@@ -189,7 +189,7 @@ def test_finite_track_exhausted_mid_run(aircraft_graph, aircraft_script_path):
     finite["attr_VEL_ch"] = [[0, "900 km/h"], [7, "901 km/h"]]
     script = EnvironmentScript.from_json(finite, aircraft_graph)
     trace = assert_matches_oracle(instantiate(aircraft_graph, script, 0), 200)
-    assert trace.deadlocked and 7 < trace.events[-1].step < 200
+    assert trace[-1].kind == DEADLOCK and 7 < trace[-1].step < 200
 
 
 def test_channel_free_spinner(aircraft_model, aircraft_script_path):
@@ -241,15 +241,15 @@ def test_long_script_costs_no_more_than_reading_it(aircraft_graph):
     trace = run(config, 50)
     ran = time.perf_counter() - started
     assert ran <= parsed
-    assert not trace.deadlocked and trace.events[-1].step == 50
-    assert trace.events == oracle_run(config, 50).events
+    assert trace[-1].kind != DEADLOCK and trace[-1].step == 50
+    assert trace == oracle_run(config, 50)
     reads = [e for e in trace if e.channel == "attr_LO_ch"]
     assert reads and all(e.payload == (Quantity(Fraction(e.step), e.payload[0].kind),)
                          for e in reads)
 
 
 def assert_streamed_as_run(capsys, tmp_path, text: str, script: dict, steps: int,
-                           seed: int) -> Trace:
+                           seed: int) -> tuple[TraceEvent, ...]:
     """``simulate --trace`` on the model text and script JSON: the file it
     writes, its verdicts and its exit code are those of ``run``, and the
     events of ``stream`` are those ``run`` holds."""
@@ -268,7 +268,7 @@ def assert_streamed_as_run(capsys, tmp_path, text: str, script: dict, steps: int
     verdicts = check_axioms(model, trace)
     assert printed == json.dumps(verdicts_to_json(verdicts), indent=2, sort_keys=True) + "\n"
     assert code == (0 if all(v.passed for v in verdicts) else 2)
-    assert list(stream(config, steps)) == list(trace.events)
+    assert list(stream(config, steps)) == list(trace)
     return trace
 
 
@@ -285,7 +285,7 @@ def test_streamed_simulate_matches_run_on_generated_models(capsys, tmp_path):
         script = random_script(rng, compiler.compile_model(model))
         trace = assert_streamed_as_run(capsys, tmp_path, dsl.print_model(model),
                                        _script_json(script), 200, count % 7)
-        deadlocked.add(trace.deadlocked)
+        deadlocked.add(bool(trace) and trace[-1].kind == DEADLOCK)
     assert deadlocked == {False, True}
 
 
@@ -301,11 +301,11 @@ def test_streamed_simulate_matches_run_at_the_edges(
         capsys, tmp_path, aircraft_path, aircraft_script_path):
     text = aircraft_path.read_text(encoding="utf-8")
     script = json.loads(aircraft_script_path.read_text(encoding="utf-8"))
-    assert assert_streamed_as_run(capsys, tmp_path, text, script, 0, 0).events == ()
+    assert assert_streamed_as_run(capsys, tmp_path, text, script, 0, 0) == ()
     finite = {name: entry["points"] for name, entry in script.items()}
     trace = assert_streamed_as_run(capsys, tmp_path, text, finite, 500, 1)
-    assert trace.deadlocked and trace.events[-1].step < 500
-    assert assert_streamed_as_run(capsys, tmp_path, "", {}, 10, 0).events == ()
+    assert trace[-1].kind == DEADLOCK and trace[-1].step < 500
+    assert assert_streamed_as_run(capsys, tmp_path, "", {}, 10, 0) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def assert_replay_matches_oracle(config: RunConfig, steps: int):
     over ``write_jsonl`` over ``stream`` (the ``simulate --trace`` pass)
     give the oracle's events, bytes and verdicts; the run's replay, or None."""
     expected = oracle_run(config, steps)
-    assert run(config, steps).events == expected.events
+    assert run(config, steps) == expected
     text = oracle_jsonl(expected)
     assert trace_to_jsonl(stream(config, steps)) == text
     model = config.graph.model
@@ -451,7 +451,7 @@ def test_replay_matches_oracle_on_generated_runs(case, kinds, seed, steps):
                                  steps)
 
 
-def _aircraft_replayed(graph, script_path) -> tuple[RunConfig, Trace, str, int]:
+def _aircraft_replayed(graph, script_path) -> tuple[RunConfig, tuple[TraceEvent, ...], str, int]:
     """The aircraft at seed 0 over 5,000 steps, a replayed run: its config,
     the oracle's trace and text, and the number of scheduled events."""
     with open(script_path, encoding="utf-8") as handle:
@@ -472,14 +472,43 @@ def test_replay_is_written_whole_when_the_scheduled_events_end(
     count = 0
     for count, event in enumerate(written.scheduled, 1):
         # Its line, and no later one, is on the buffer.
-        assert event == expected.events[count - 1]
+        assert event == expected[count - 1]
         assert buffer.tell() == ends[count - 1]
     assert count == scheduled
     # The writer passes on the stream's own replay, and the first replayed
     # event comes after every line of the run.
     assert written.replay is source.replay is not None
-    assert next(written) == expected.events[count]
+    assert next(written) == expected[count]
     assert buffer.getvalue() == text
+
+
+def test_events_take_the_replay_their_generator_returns():
+    stand_in = ["replayed 0", "replayed 1"]
+
+    def scheduled():
+        yield "event 0"
+        yield "event 1"
+        return stand_in
+
+    events = periodic.Events(scheduled())
+    assert next(events.scheduled) == "event 0" and events.replay is None
+    assert next(events.scheduled) == "event 1" and events.replay is None
+    assert list(events.scheduled) == [] and events.replay is stand_in
+    assert list(periodic.Events(scheduled())) == ["event 0", "event 1", *stand_in]
+
+
+def test_run_and_reader_return_tuples_of_a_replayed_run(aircraft_graph, aircraft_script_path):
+    with open(aircraft_script_path, encoding="utf-8") as handle:
+        script = EnvironmentScript.from_json(json.load(handle), aircraft_graph)
+    config = instantiate(aircraft_graph, script, 0)
+    assert replay_of(config, 5000) is not None
+    trace = run(config, 5000)
+    assert type(trace) is tuple and trace == tuple(stream(config, 5000))
+    back = trace_from_jsonl(trace_to_jsonl(trace), aircraft_graph.registry)
+    assert type(back) is tuple and back == trace
+    source = stream(config, 5000)
+    written = write_jsonl(source, io.StringIO())
+    assert tuple(written) == trace and written.replay is source.replay is not None
 
 
 class _FullAfter(io.StringIO):

@@ -46,7 +46,7 @@ def test_process_named_env_is_not_an_external_sender(aircraft_path, aircraft_scr
     env = _renamed_aircraft_trace(aircraft_path, aircraft_script_path, "env")
     envoy = _renamed_aircraft_trace(aircraft_path, aircraft_script_path, "envoy")
     assert sum(e.kind == "send" for e in envoy) == 200
-    assert env.events == tuple(
+    assert env == tuple(
         TraceEvent(e.step, e.kind, e.channel, "env" if e.process == "envoy" else e.process,
                    e.payload)
-        for e in envoy.events)
+        for e in envoy)

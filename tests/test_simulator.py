@@ -20,7 +20,6 @@ from domcalc.simulator import (
     MissingInit,
     ScriptError,
     ScriptTrack,
-    Trace,
     TraceEvent,
     UncoveredChannel,
     check_axioms,
@@ -113,12 +112,12 @@ def test_instantiate_refuses_a_hand_built_graph_without_init(aircraft_graph, air
 def test_empty_graph_runs_to_empty_trace():
     graph = compiler.compile_model(parse_ok(""))
     config = instantiate(graph, EnvironmentScript({}), seed=0)
-    assert run(config, 10).events == ()
+    assert run(config, 10) == ()
 
 
 def test_zero_steps_empty_trace(aircraft_graph, aircraft_script):
     config = instantiate(aircraft_graph, aircraft_script, seed=1)
-    assert run(config, 0).events == ()
+    assert run(config, 0) == ()
 
 
 def test_aircraft_payloads_follow_the_declared_conversions(
@@ -162,7 +161,7 @@ def test_prefix_monotonicity(aircraft_graph, aircraft_script):
     config = instantiate(aircraft_graph, aircraft_script, seed=2)
     short = run(config, 7)
     long = run(config, 19)
-    assert long.events[:len(short.events)] == short.events
+    assert long[:len(short)] == short
 
 
 def test_independent_subgraphs_interleave_deterministically():
@@ -243,16 +242,15 @@ def test_exhausted_script_deadlocks(aircraft_graph, aircraft_script_path):
     script = EnvironmentScript.from_json(finite, aircraft_graph)
     config = instantiate(aircraft_graph, script, seed=0)
     trace = run(config, 50)
-    assert trace.deadlocked
-    assert trace.events[-1].kind == "deadlock"
+    assert trace[-1].kind == "deadlock"
 
 
 def test_receiver_without_sender_deadlocks(aircraft_model):
     graph = compiler.compile_process(aircraft_model, "DP")
     config = instantiate(graph, EnvironmentScript({}), seed=0)
     trace = run(config, 5)
-    assert trace.deadlocked
-    assert len(trace.events) == 1
+    assert trace[-1].kind == "deadlock"
+    assert len(trace) == 1
 
 
 def test_axioms_pass_untampered(aircraft_model, aircraft_graph, aircraft_script):
@@ -302,14 +300,14 @@ def test_verdicts_of_three_axioms_on_two_displays():
     # only ``ay`` fails, at its first failure, and the other two axioms go on
     # to the end of the trace.
     model, trace = two_displays_trace()
-    events = list(trace.events)
+    events = list(trace)
     recursions = [i for i, e in enumerate(events)
                   if e.kind == "recursion" and e.process == "b"]
     for index in recursions[2], recursions[4]:
         event = events[index]
         dx, dy = event.payload
         events[index] = event._replace(payload=(dx, Quantity(dy.magnitude + 1, dy.kind)))
-    verdicts = check_axioms(model, Trace(tuple(events)))
+    verdicts = check_axioms(model, tuple(events))
     assert [(v.name, v.status, v.failing_step, [str(q) for q in v.expected],
              [str(q) for q in v.actual], v.checked) for v in verdicts] == [
         ("ax", "pass", None, [], [], 6),
@@ -319,7 +317,7 @@ def test_verdicts_of_three_axioms_on_two_displays():
 
 
 def test_check_axioms_walks_the_trace_once():
-    class CountingTrace(Trace):
+    class CountingTrace(tuple):
         walks = 0
 
         def __iter__(self):
@@ -327,7 +325,7 @@ def test_check_axioms_walks_the_trace_once():
             return super().__iter__()
 
     model, trace = two_displays_trace()
-    verdicts = check_axioms(model, CountingTrace(trace.events))
+    verdicts = check_axioms(model, CountingTrace(trace))
     assert len(verdicts) == 3 and all(v.passed for v in verdicts)
     assert CountingTrace.walks == 1
 
@@ -360,7 +358,7 @@ def test_monitor_verdicts_do_not_depend_on_shared_payloads(aircraft_model, aircr
         shared = simulator.verdicts_to_json(check_axioms(model, trace))
         assert shared["verdicts"] and all(v["checked"] for v in shared["verdicts"])
         assert simulator.verdicts_to_json(
-            check_axioms(model, Trace(tuple(unshared(trace))))) == shared
+            check_axioms(model, tuple(unshared(trace)))) == shared
         statuses.update(v["status"] for v in shared["verdicts"])
     assert statuses == {"pass", "fail"}
 
@@ -385,10 +383,10 @@ def test_reused_recursion_payload_after_its_source_changed_fails(
     later = next(i for i in recursions if events[i].payload != reused)
     stale = events[:later] + [events[later]._replace(payload=reused)] + events[later + 1:]
     copied = events[:later] + list(unshared([stale[later]])) + events[later + 1:]
-    (verdict,) = check_axioms(aircraft_model, Trace(tuple(stale)))
+    (verdict,) = check_axioms(aircraft_model, tuple(stale))
     assert (verdict.status, verdict.failing_step) == ("fail", events[later].step)
     assert verdict.expected == events[later].payload and verdict.actual == reused
-    assert check_axioms(aircraft_model, Trace(tuple(copied))) == [verdict]
+    assert check_axioms(aircraft_model, tuple(copied)) == [verdict]
 
 
 def test_no_axioms_no_verdicts():
@@ -427,7 +425,7 @@ def test_axiom_on_static_target_names_axiom_and_attribute(aircraft_path):
     assert [d.code for d in check_wellformed(model)] == ["E110"]
     cause = r"E110: axiom 'displays_track_recordings': target DP\.dLO must be programmable"
     with pytest.raises(compiler.CompileError, match=cause):
-        check_axioms(model, Trace(()))
+        check_axioms(model, ())
 
 
 def test_chain_with_unknown_conversion_names_chain_and_conversion(aircraft_path):
@@ -439,7 +437,7 @@ def test_chain_with_unknown_conversion_names_chain_and_conversion(aircraft_path)
     with pytest.raises(compiler.CompileError, match=cause):
         compiler.compile_model(model)
     with pytest.raises(compiler.CompileError, match=cause):
-        check_axioms(model, Trace(()))
+        check_axioms(model, ())
 
 
 def _pair_model(f, g):
@@ -573,7 +571,7 @@ def test_tampered_receive_payload_also_fails(aircraft_model, aircraft_graph,
 
     config = instantiate(aircraft_graph, aircraft_script, seed=2)
     trace = run(config, 30)
-    events = list(trace.events)
+    events = list(trace)
     index = next(i for i, e in enumerate(events)
                  if e.kind == "receive" and e.process == "display"
                  and e.channel == "po_di_ch")
@@ -582,7 +580,7 @@ def test_tampered_receive_payload_also_fails(aircraft_model, aircraft_graph,
     events[index] = simulator.TraceEvent(
         event.step, event.kind, event.channel, event.process,
         (bumped,) + event.payload[1:])
-    (verdict,) = check_axioms(aircraft_model, Trace(tuple(events)))
+    (verdict,) = check_axioms(aircraft_model, tuple(events))
     assert not verdict.passed
     assert verdict.failing_step >= event.step
 
@@ -703,7 +701,14 @@ def test_script_step_must_be_a_json_integer(aircraft_graph, step):
     ({"attr_AL_ch": [[0, 5]]}, "'attr_AL_ch': points must be [step, \"value\"] pairs"),
     ({"attr_AL_ch": {"cycle": 2}}, "'attr_AL_ch': points must be [step, \"value\"] pairs"),
     ({"attr_AL_ch": "0 m"}, "'attr_AL_ch': points must be [step, \"value\"] pairs"),
-], ids=["unknown", "not-external", "short-point", "number-value", "no-points", "string"])
+    ({"attr_AL_ch": {"points": [[0, "1 m"], [45, "2 m"]], "cycle": 40}},
+     "'attr_AL_ch': point at step 45 is never read, as the track repeats with cycle 40"),
+    ({"attr_AL_ch": {"points": [[0, "1 m"], [40, "2 m"]], "cycle": 40}},
+     "'attr_AL_ch': point at step 40 is never read, as the track repeats with cycle 40"),
+    ({"attr_AL_ch": [[3, "2 m"], [0, "10 m"], [3, "2.0 m"], [0, "20 m"]]},
+     "'attr_AL_ch': two values at step 0: 10 point m and 20 point m"),
+], ids=["unknown", "not-external", "short-point", "number-value", "no-points", "string",
+        "past-cycle", "at-cycle", "two-values"])
 def test_script_channel_and_points_are_checked(aircraft_graph, data, message):
     with pytest.raises(ScriptError) as err:
         EnvironmentScript.from_json(data, aircraft_graph)
@@ -867,9 +872,8 @@ def test_jsonl_writer_matches_json_dumps_reference():
         TraceEvent(2 ** 70, "receive", "ümlaut_ch", "😀", (Quantity(Fraction(1, 3), wide),)),
         TraceEvent(3, "deadlock", None, ""),
     )
-    trace = Trace(events)
-    assert trace_to_jsonl(trace) == reference_jsonl(trace)
-    assert trace_to_jsonl(Trace(())) == ""
+    assert trace_to_jsonl(events) == reference_jsonl(events)
+    assert trace_to_jsonl(()) == ""
 
 
 @settings(max_examples=200, deadline=None)
@@ -878,8 +882,8 @@ def test_jsonl_writer_matches_json_dumps_reference():
 def test_jsonl_writer_matches_reference_on_any_text(names, magnitude, step):
     channel, process, kind_name, event_kind = names
     payload = (Quantity(magnitude, QuantityKind(kind_name, DIMENSIONLESS)),)
-    trace = Trace((TraceEvent(step, event_kind, channel, process, payload),
-                   TraceEvent(step, event_kind, None, process, payload * 2)))
+    trace = (TraceEvent(step, event_kind, channel, process, payload),
+             TraceEvent(step, event_kind, None, process, payload * 2))
     assert trace_to_jsonl(trace) == reference_jsonl(trace)
 
 
@@ -891,8 +895,8 @@ def test_jsonl_reader_keeps_equal_values_of_different_kinds_apart(aircraft_graph
                    (Quantity(Fraction(100), rlo), Quantity(Fraction(100), rla),
                     Quantity(Fraction(100), rlo)))
         for step in range(3))
-    back = trace_from_jsonl(trace_to_jsonl(Trace(events)), registry)
-    assert back == Trace(events)
+    back = trace_from_jsonl(trace_to_jsonl(events), registry)
+    assert back == events
     for event in back:
         assert [q.kind for q in event.payload] == [rlo, rla, rlo]
 
@@ -916,7 +920,7 @@ def oracle_trace_from_jsonl(text, registry):
                         for p in data["payload"])
         events.append(TraceEvent(data["step"], data["kind"], data["channel"],
                                  data["process"], payload))
-    return Trace(tuple(events))
+    return tuple(events)
 
 
 def _line(step, process="position", tail=""):
@@ -1016,9 +1020,9 @@ def test_jsonl_roundtrip_with_repeated_and_distinct_heads(aircraft_graph, data, 
               tuple(Quantity(m, data.draw(st.sampled_from(kinds))) for m in magnitudes))
              for kind, channel, process, magnitudes in heads]
     steps = st.one_of(st.integers(min_value=0, max_value=12), st.integers(min_value=0))
-    trace = Trace(tuple(
+    trace = tuple(
         TraceEvent(data.draw(steps), *data.draw(st.sampled_from(heads)))
-        for _ in range(length)))
+        for _ in range(length))
     back = trace_from_jsonl(trace_to_jsonl(trace), registry)
     assert back == trace
     assert all(type(event) is TraceEvent for event in back)

@@ -25,10 +25,7 @@ from .model import (
     ConversionDecl,
     DomainModel,
     EndurantDecl,
-    MereoEmpty,
     MereologyExpr,
-    MereoProduct,
-    MereoSet,
     UnknownSort,
     channel_attr,
     id_types_of,
@@ -150,7 +147,7 @@ def observe_mereology(model: DomainModel, name: str) -> DescriptionText:
     decl = model_lookup(model, name)
     if decl.kind != PART:
         raise NotAPart(name)
-    expr = decl.mereology if decl.mereology is not None else MereoEmpty()
+    expr = decl.mereology if decl.mereology is not None else MereologyExpr()
     formal = (FormalDecl("value", f"mereo_{name}: {name} → {_math_mereology(expr)}"),)
     related = expr.leaves()
     if related:
@@ -182,13 +179,9 @@ def observe_attributes(model: DomainModel, name: str) -> DescriptionText:
 
 
 def _math_mereology(expr: MereologyExpr) -> str:
-    if isinstance(expr, MereoEmpty):
-        return "()"
-    if isinstance(expr, MereoProduct):
-        return "×".join(expr.factors)
-    if isinstance(expr, MereoSet):
-        return f"{expr.id_type}-set"
-    return str(expr)
+    if expr.is_set:
+        return f"{expr.ids[0]}-set"
+    return "×".join(expr.ids) or "()"
 
 
 def _slice_source(model: DomainModel, roots: set[str]) -> str:
@@ -574,14 +567,16 @@ def _check_axioms(model: DomainModel, registry: KindRegistry) -> list[Diagnostic
                 out.append(error("E110", f"axiom {axiom.name!r}: target "
                                          f"{axiom.target_sort}.{attr_name} must be "
                                          f"programmable, is {attr.category}", axiom.span))
+            # The display target carries no span; the source clause does.
+            span = source.span or axiom.span
             source_decl = model.endurant(source.sort)
             source_attr = source_decl.attribute(source.attr) if source_decl else None
             if source_attr is None:
                 out.append(error("E112", f"axiom {axiom.name!r}: unknown source "
-                                         f"{source.sort}.{source.attr}", axiom.span))
+                                         f"{source.sort}.{source.attr}", span))
                 continue
             out.extend(_check_chain(model, registry, axiom.name, source_attr,
-                                    attr, source.chain, axiom.span))
+                                    attr, source.chain, span))
     return out
 
 

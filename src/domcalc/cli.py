@@ -149,12 +149,8 @@ def cmd_describe(args) -> None:
         if model.endurant(name) is None:
             raise _fail(f"unknown sort {name!r}")
         print(f"## {name}")
-        cls = analysis.classify(model, name)
-        prompts = [analysis.observe_unique_identifier, analysis.observe_mereology,
-                   analysis.observe_attributes]
-        if cls.is_composite:
-            prompts.insert(0, analysis.observe_part_sorts)
-        for prompt in prompts:
+        for prompt in (analysis.observe_part_sorts, analysis.observe_unique_identifier,
+                       analysis.observe_mereology, analysis.observe_attributes):
             try:
                 description = prompt(model, name)
             except (analysis.NotComposite, analysis.NoIdentifier, analysis.NotAPart):

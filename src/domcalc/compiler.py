@@ -30,7 +30,7 @@ from .model import (
     CoreStep,
     DomainModel,
     EndurantDecl,
-    MereoEmpty,
+    MereologyExpr,
     ProcessDef,
     ProcessGraph,
     ProcessNode,
@@ -386,8 +386,7 @@ def _core_process(model: DomainModel, registry: KindRegistry,
         signature=signature,
         static_consts=tuple(statics),
         init_values=tuple(inits),
-        body=CoreStep(receives=signature.in_channels,
-                      sends=tuple(sends), updates=tuple(updates)),
+        body=CoreStep(sends=tuple(sends), updates=tuple(updates)),
     )
 
 
@@ -422,7 +421,7 @@ def _uid_var(part_name: str) -> str:
 
 
 def _mereo_vars(model: DomainModel, decl: EndurantDecl) -> str:
-    expr = decl.mereology if decl.mereology is not None else MereoEmpty()
+    expr = decl.mereology if decl.mereology is not None else MereologyExpr()
     id_owner = _index(model).id_owner
     names = [_uid_var(id_owner.get(leaf, leaf)) for leaf in expr.leaves()]
     if not names:
@@ -506,9 +505,9 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
         text = fraction_str(value.magnitude) if value is not None else "···"
         body += f"let {name.lower()} = {text} in "
         ends += 1
-    if process.body.receives:
-        vars_ = [_recv_var(ch) for ch in process.body.receives]
-        reads = [f"{ch}?" for ch in process.body.receives]
+    if sig.in_channels:
+        vars_ = [_recv_var(ch) for ch in sig.in_channels]
+        reads = [f"{ch}?" for ch in sig.in_channels]
         body += f"let ({','.join(vars_)}) = ({','.join(reads)}) in "
         ends += 1
     for send in process.body.sends:
@@ -574,7 +573,7 @@ def graph_to_json(graph: ProcessGraph) -> dict:
             "controllable": list(sig.controllable_params),
             "in_channels": list(sig.in_channels),
             "out_channels": list(sig.out_channels),
-            "never_terminates": sig.never_terminates,
+            "never_terminates": True,
             "init": {name: fraction_str(value.magnitude)
                      for name, value in process.init_values},
         })

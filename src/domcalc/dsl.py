@@ -53,11 +53,7 @@ from .model import (
     ConversionDecl,
     DomainModel,
     EndurantDecl,
-    MereoEmpty,
-    MereoId,
     MereologyExpr,
-    MereoProduct,
-    MereoSet,
 )
 from .units import UnitBoundError, fraction_str, parse_fraction
 
@@ -358,18 +354,16 @@ class _Parser:
                     self.index)
             self.index += 2  # the sort and the arrow
         if self.accept("empty"):
-            return MereoEmpty()
+            return MereologyExpr()
         if self.accept("set"):
             self.expect("(")
             inner = self.expect_ident("identifier type")
             self.expect(")")
-            return MereoSet(inner)
+            return MereologyExpr((inner,), is_set=True)
         factors = [self.expect_ident("identifier type")]
         while self.accept("x"):
             factors.append(self.expect_ident("identifier type"))
-        if len(factors) == 1:
-            return MereoId(factors[0])
-        return MereoProduct(tuple(factors))
+        return MereologyExpr(tuple(factors))
 
     def parse_attribute(self) -> AttributeDecl:
         first = self.index

@@ -61,54 +61,22 @@ def _first_by_name(decls: Iterable) -> dict:
 # Mereology expressions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class MereologyExpr:
-    """Expression over unique-identifier types: empty, a single id type,
-    a product of id types, or a finite set of one id type."""
+    """Expression over unique-identifier types: empty (no ``ids``), a single
+    id type, a product of id types, or, with ``is_set``, a finite set of the
+    one id type in ``ids``."""
+
+    ids: tuple[str, ...] = ()
+    is_set: bool = False
 
     def leaves(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class MereoEmpty(MereologyExpr):
-    def leaves(self) -> tuple[str, ...]:
-        return ()
+        return self.ids
 
     def __str__(self) -> str:
-        return "empty"
-
-
-@dataclass(frozen=True)
-class MereoId(MereologyExpr):
-    id_type: str
-
-    def leaves(self) -> tuple[str, ...]:
-        return (self.id_type,)
-
-    def __str__(self) -> str:
-        return self.id_type
-
-
-@dataclass(frozen=True)
-class MereoProduct(MereologyExpr):
-    factors: tuple[str, ...]
-
-    def leaves(self) -> tuple[str, ...]:
-        return self.factors
-
-    def __str__(self) -> str:
-        return " x ".join(self.factors)
-
-
-@dataclass(frozen=True)
-class MereoSet(MereologyExpr):
-    id_type: str
-
-    def leaves(self) -> tuple[str, ...]:
-        return (self.id_type,)
-
-    def __str__(self) -> str:
-        return f"set({self.id_type})"
+        if self.is_set:
+            return f"set({self.ids[0]})"
+        return " x ".join(self.ids) or "empty"
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +280,6 @@ class BehaviourSignature:
     controllable_params: tuple[str, ...]
     in_channels: tuple[str, ...]
     out_channels: tuple[str, ...]
-    never_terminates: bool = True
 
 
 @dataclass(frozen=True)
@@ -337,10 +304,9 @@ class UpdateSpec:
 
 @dataclass(frozen=True)
 class CoreStep:
-    """Tail-recursive body: read every input channel, emit every output
-    message, update controllables, recurse."""
+    """Tail-recursive body: read every input channel of the signature, emit
+    every output message, update controllables, recurse."""
 
-    receives: tuple[str, ...]
     sends: tuple[SendSpec, ...]
     updates: tuple[UpdateSpec, ...]
 

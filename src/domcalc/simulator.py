@@ -310,7 +310,7 @@ def _schedule(config: RunConfig,
     def program(process: ProcessDef) -> tuple:
         body = process.body
         receives = [(READ, name, reading(tracks.get(name))) if name in external
-                    else (RECEIVE, name, None) for name in body.receives]
+                    else (RECEIVE, name, None) for name in process.signature.in_channels]
         # A send's payload slot: (the sender's attribute channel, its chain table).
         sends = [(SEND, spec.channel, tuple(
                      (attr_channel(attr), table(() if conv is None else (conv,)))

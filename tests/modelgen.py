@@ -17,9 +17,7 @@ from domcalc.model import (
     ConversionDecl,
     DomainModel,
     EndurantDecl,
-    MereoEmpty,
-    MereoId,
-    MereoProduct,
+    MereologyExpr,
 )
 from domcalc.simulator import EnvironmentScript, ScriptTrack, TraceEvent
 from domcalc.units import Quantity
@@ -82,20 +80,20 @@ def random_model(rng: random.Random) -> DomainModel:
 
     endurants = [EndurantDecl(
         "RT", "part", "discrete", children=tuple(child_names),
-        id_type="RTI", mereology=MereoEmpty())]
+        id_type="RTI", mereology=MereologyExpr())]
     for name in child_names:
         if name == producer:
             attrs = producer_attrs
-            mereology = MereoId(f"{consumer}I") if consumer else MereoEmpty()
+            mereology = MereologyExpr((f"{consumer}I",)) if consumer else MereologyExpr()
         elif name == consumer:
             attrs = tuple(consumer_attrs)
-            mereology = MereoId(f"{producer}I")
+            mereology = MereologyExpr((f"{producer}I",))
             middle = child_names[1] if n_children == 3 else None
             if middle and middle_attrs[middle] and rng.random() < 0.5:
-                mereology = MereoProduct((f"{producer}I", f"{middle}I"))
+                mereology = MereologyExpr((f"{producer}I", f"{middle}I"))
         else:
             attrs = middle_attrs[name]
-            mereology = MereoEmpty()
+            mereology = MereologyExpr()
         endurants.append(EndurantDecl(
             name, "part", "discrete", id_type=f"{name}I",
             mereology=mereology, attributes=attrs))
@@ -151,24 +149,24 @@ def pairs_model(rng: random.Random, n: int) -> DomainModel:
                                        (f"a2r{attr.name}", f"r2d{attr.name}")))
         sensors.append(EndurantDecl(
             sensor, "part", "discrete", id_type=f"{sensor}I",
-            mereology=MereoId(f"{display}I"), attributes=attrs,
+            mereology=MereologyExpr((f"{display}I",)), attributes=attrs,
             behaviour=f"sensor_{tag}"))
         displays.append(EndurantDecl(
             display, "part", "discrete", id_type=f"{display}I",
-            mereology=MereoId(f"{sensor}I"), attributes=tuple(targets),
+            mereology=MereologyExpr((f"{sensor}I",)), attributes=tuple(targets),
             behaviour=f"display_{tag}"))
         axioms.append(AxiomDecl(f"tracks_{i}", display,
                                 tuple(a.name for a in targets), tuple(sources)))
     children = tuple(p.name for p in sensors + displays)
     root = EndurantDecl("RT", "part", "discrete", children=children,
-                        id_type="RTI", mereology=MereoEmpty())
+                        id_type="RTI", mereology=MereologyExpr())
     return DomainModel((root, *sensors, *displays), tuple(conversions), (), tuple(axioms))
 
 
 def composite_chain(depth: int) -> DomainModel:
     """``depth`` parts, each the only child of the one before."""
     return DomainModel(tuple(
-        EndurantDecl(f"P{i}", "part", "discrete", id_type=f"P{i}I", mereology=MereoEmpty(),
+        EndurantDecl(f"P{i}", "part", "discrete", id_type=f"P{i}I", mereology=MereologyExpr(),
                      children=(f"P{i + 1}",) if i < depth - 1 else None)
         for i in range(depth)))
 

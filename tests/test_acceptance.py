@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from domcalc import analysis, compiler, dsl, simulator, units
-from domcalc.model import MereoId, MereoProduct
+from domcalc.model import MereologyExpr
 from domcalc.units import Dimension, parse_unit
 
 from conftest import GOLDEN
@@ -44,9 +44,9 @@ def test_criterion_1_aircraft_corpus_roundtrip(aircraft_path):
         assert model.endurant("AC").children == ("PP", "TD", "DP")
         assert {e.name: e.id_type for e in model.endurants} == {
             "AC": "ACI", "PP": "PPI", "TD": "TDI", "DP": "DPI"}
-        assert model.endurant("PP").mereology == MereoId("DPI")
-        assert model.endurant("TD").mereology == MereoId("DPI")
-        assert model.endurant("DP").mereology == MereoProduct(("PPI", "TDI"))
+        assert model.endurant("PP").mereology == MereologyExpr(("DPI",))
+        assert model.endurant("TD").mereology == MereologyExpr(("DPI",))
+        assert model.endurant("DP").mereology == MereologyExpr(("PPI", "TDI"))
         attrs = {e.name: [(a.name, a.quantity, a.category) for a in e.attributes]
                  for e in model.endurants}
         assert attrs["PP"] == [("LO", "point deg", "reactive"),

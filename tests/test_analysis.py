@@ -21,7 +21,7 @@ from domcalc.analysis import (
     registry_for_model,
 )
 from domcalc.dsl import parse_model
-from domcalc.model import DomainModel, EndurantDecl, MereoEmpty
+from domcalc.model import DomainModel, EndurantDecl
 from domcalc.simulator import trace_from_jsonl
 from domcalc.units import typecheck_expr
 
@@ -108,6 +108,18 @@ def test_observe_mereology(aircraft_model):
     assert display.formal[0].text == "mereo_DP: DP → PPI×TDI"
     position = observe_mereology(aircraft_model, "PP")
     assert position.formal[0].text == "mereo_PP: PP → DPI"
+    # One row per form: empty, one id, a product and a set.
+    forms = parse_ok("part A { id AI; mereo empty; } part B { id BI; mereo AI; } "
+                     "part C { id CI; mereo AI x BI; } part D { id DI; mereo set(BI); }")
+    for name, formal, narrative in (
+            ("A", "mereo_A: A → ()", "Part A has the empty mereology."),
+            ("B", "mereo_B: B → AI", "Part B is related to the parts identified by AI."),
+            ("C", "mereo_C: C → AI×BI",
+             "Part C is related to the parts identified by AI, BI."),
+            ("D", "mereo_D: D → BI-set", "Part D is related to the parts identified by BI.")):
+        description = observe_mereology(forms, name)
+        assert [d.text for d in description.formal] == [formal]
+        assert description.narrative == narrative
 
 
 def test_observe_mereology_rejects_component():
@@ -379,6 +391,36 @@ def test_later_links_must_have_inverse():
     axiom ax { display(B.dX) tracks (A.X via a2rX, r2dX); }
     """)
     assert "E114" in {d.code for d in check_wellformed(model)}
+
+
+CHAIN_BASE = """part A { id AI; mereo BI; attr X : m reactive; }
+part B { id BI; mereo AI; attr Y : rX reactive;
+  attr dX : rX programmable init 0; attr dZ : dXk programmable init 0; }
+conversion a2rX : m -> rX = affine(1, 0);
+conversion r2dX : rX -> dXk = affine(2, 0);
+conversion a2rXi : m -> rX inverse r2aX = affine(2, 0);
+conversion r2aX : rX -> m inverse a2rXi = affine(0.5, 0);
+"""
+
+
+# Each chain diagnostic points at the offending source clause, on line 8;
+# the two about the display target point at the whole axiom.
+@pytest.mark.parametrize("axiom, code, span", [
+    ("axiom ax { display(B.dX) tracks (A.X via nosuch); }", "E112", (8, 34, 8, 43)),
+    ("axiom ax { display(B.dX) tracks (A.Z via a2rX); }", "E112", (8, 34, 8, 43)),
+    ("axiom ax { display(B.dX) tracks (A.X via a2rX, a2rX); }", "E111", (8, 34, 8, 49)),
+    ("axiom ax { display(B.dX) tracks (A.X); }", "E111", (8, 34, 8, 37)),
+    ("axiom ax { display(B.dX) tracks (A.X via a2rXi); }", "E113", (8, 34, 8, 43)),
+    ("axiom ax { display(B.dZ) tracks (A.X via a2rX, r2dX); }", "E114", (8, 34, 8, 49)),
+    ("axiom ax { display(B.Y) tracks (A.X via a2rX); }", "E110", (8, 1, 8, 49)),
+    ("axiom ax { display(B.NOPE) tracks (A.X via a2rX); }", "E112", (8, 1, 8, 52)),
+], ids=["unknown-conversion", "unknown-source", "link-kind", "chain-kind",
+        "first-link-inverse", "later-link-no-inverse", "target-not-programmable",
+        "unknown-target"])
+def test_chain_diagnostic_points_at_its_clause(axiom, code, span):
+    model = parse_ok(CHAIN_BASE + axiom)
+    spans = [d.span for d in check_wellformed(model) if d.code == code]
+    assert [(s.start_line, s.start_col, s.end_line, s.end_col) for s in spans] == [span]
 
 
 def test_asymmetric_inverse_pairing():

@@ -70,6 +70,104 @@ def test_describe_all_parts(capsys, aircraft_path):
         assert f"## {sort}" in out
 
 
+# A composite, a set mereology, a product, a component and a material.
+EVERY_FORM = """part R composite(A, B) { id RI; mereo empty; }
+part A { id AI; mereo set(BI); attr X : m reactive; }
+part B { id BI; mereo AI x RI; attr V : m autonomous; }
+component C { id CI; attr W : kg static init 1; }
+material G { attr Y : kg inert; }
+"""
+
+EVERY_FORM_DESCRIBED = {
+    "R": """## R
+
+R is a composite part observed into 2 part sorts: A, B.
+
+    type A, B
+    value obs_A: R → A
+    value obs_B: R → B
+
+Part R has the unique identifier type RI.
+
+    type RI
+    value uid_R: R → RI
+
+Part R has the empty mereology.
+
+    value mereo_R: R → ()
+
+Part R has no attributes.
+
+
+""",
+    "A": """## A
+
+Part A has the unique identifier type AI.
+
+    type AI
+    value uid_A: A → AI
+
+Part A is related to the parts identified by BI.
+
+    value mereo_A: A → BI-set
+
+Part A has attributes X (reactive m).
+
+    type X
+    value attr_X: A → AT × AV  [AT: m, reactive]
+
+""",
+    "B": """## B
+
+Part B has the unique identifier type BI.
+
+    type BI
+    value uid_B: B → BI
+
+Part B is related to the parts identified by AI, RI.
+
+    value mereo_B: B → AI×RI
+
+Part B has attributes V (autonomous m).
+
+    type V
+    value attr_V: B → AT × AV  [AT: m, autonomous]
+
+""",
+    "C": """## C
+
+Component C has the unique identifier type CI.
+
+    type CI
+    value uid_C: C → CI
+
+Component C has attributes W (static kg).
+
+    type W
+    value attr_W: C → AT × AV  [AT: kg, static]
+
+""",
+    "G": """## G
+
+Material G has attributes Y (inert kg).
+
+    type Y
+    value attr_Y: G → AT × AV  [AT: kg, inert]
+
+""",
+}
+
+
+@pytest.mark.parametrize("sort", [None, "R", "A", "B", "C", "G"])
+def test_describe_output_of_every_form(capsys, tmp_path, sort):
+    path = tmp_path / "forms.dom"
+    path.write_text(EVERY_FORM, encoding="utf-8")
+    code, out, err = run_cli(capsys, "describe", str(path), *(("--sort", sort) if sort else ()))
+    assert (code, err) == (0, "")
+    sorts = [sort] if sort else ["R", "A", "B"]
+    assert out == "".join(EVERY_FORM_DESCRIBED[name] for name in sorts)
+
+
 def test_compile_emits_text_and_json(capsys, tmp_path, aircraft_path):
     out_json = tmp_path / "graph.json"
     code, out, _ = run_cli(capsys, "compile", str(aircraft_path),

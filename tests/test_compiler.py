@@ -97,7 +97,6 @@ def test_signature_position(aircraft_model):
     assert sig.out_channels == ("po_di_ch",)
     assert sig.static_params == ()
     assert sig.controllable_params == ()
-    assert sig.never_terminates
 
 
 def test_signature_display(aircraft_model):
@@ -268,7 +267,7 @@ def test_signature_completeness_generated():
         for process in graph.processes():
             sig = process.signature
             declared = set(sig.in_channels) | set(sig.out_channels)
-            used = set(process.body.receives) | {s.channel for s in process.body.sends}
+            used = set(sig.in_channels) | {s.channel for s in process.body.sends}
             assert used <= declared
             part = model.endurant(process.part)
             for attr in part.attributes:
@@ -277,7 +276,6 @@ def test_signature_completeness_generated():
                 if attr.is_controllable:
                     assert attr.name in sig.controllable_params
                     assert f"attr_{attr.name}_ch" not in declared
-            assert sig.never_terminates
 
 
 def test_compile_is_deterministic(aircraft_model):
@@ -361,6 +359,8 @@ def test_graph_json_fields(aircraft_graph):
     assert display["controllable"] == ["dLO", "dLA", "dAL", "dVEL", "dACC"]
     assert display["in_channels"] == ["po_di_ch", "td_di_ch"]
     assert {e["channel"] for e in doc["edges"] if e["from"] == "position"} == {"po_di_ch"}
+    assert {p["name"]: p["mereology"] for p in doc["processes"]} == {
+        "position": "DPI", "travel_dynamics": "DPI", "display": "PPI x TDI"}
 
 
 def test_multiple_roots_rejected():
@@ -485,6 +485,8 @@ def test_set_mereology_compiles_to_channel():
     graph = compile_model(model)
     assert graph.channel("a_b_ch") is not None
     assert graph.channel("a_b_ch").kinds == ("rX",)
+    doc = graph_to_json(graph)
+    assert {p["name"]: p["mereology"] for p in doc["processes"]} == {"a": "set(BI)", "b": "empty"}
 
 
 def test_component_and_material_attrs_have_no_channels():

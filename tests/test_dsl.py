@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from domcalc import analysis
 from domcalc.diagnostics import SourceSpan, error
 from domcalc.dsl import _tokenize, parse_model, print_model
-from domcalc.model import MereoEmpty, MereoId, MereoProduct
+from domcalc.model import MereologyExpr
 
 from conftest import short_id
 from modelgen import random_model
@@ -19,9 +19,10 @@ def test_aircraft_corpus_structure(aircraft_model):
     assert [e.name for e in model.endurants] == ["AC", "PP", "TD", "DP"]
     ac = model.endurant("AC")
     assert ac.children == ("PP", "TD", "DP")
-    assert model.endurant("PP").mereology == MereoId("DPI")
-    assert model.endurant("TD").mereology == MereoId("DPI")
-    assert model.endurant("DP").mereology == MereoProduct(("PPI", "TDI"))
+    assert model.endurant("PP").mereology == MereologyExpr(("DPI",))
+    assert model.endurant("TD").mereology == MereologyExpr(("DPI",))
+    assert model.endurant("DP").mereology == MereologyExpr(("PPI", "TDI"))
+    assert [str(e.mereology) for e in model.endurants] == ["empty", "DPI", "DPI", "PPI x TDI"]
     pp = model.endurant("PP")
     assert [(a.name, a.category) for a in pp.attributes] == [
         ("LO", "reactive"), ("LA", "reactive"), ("AL", "reactive")]
@@ -124,10 +125,15 @@ def test_comments_and_doc_strings():
 
 def test_mereology_set_form():
     model, diagnostics = parse_model(
-        "part A { id AI; mereo set(BI); } part B { id BI; mereo empty; }")
+        "part A { id AI; mereo set(BI); } part B { id BI; mereo empty; } "
+        "part C { id CI; mereo BI; }")
     assert not diagnostics
     assert model.endurant("A").mereology.leaves() == ("BI",)
     assert "mereo A -> set(BI)" in print_model(model)
+    assert str(model.endurant("A").mereology) == "set(BI)"
+    # A set of BI is not BI, though both have the one leaf.
+    set_form, one_id = model.endurant("A").mereology, model.endurant("C").mereology
+    assert set_form != one_id and hash(set_form) != hash(one_id)
 
 
 def test_bad_character_is_a_diagnostic_not_a_crash():

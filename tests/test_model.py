@@ -8,8 +8,7 @@ from domcalc.model import (
     ChannelDecl,
     DomainModel,
     EndurantDecl,
-    MereoEmpty,
-    MereoId,
+    MereologyExpr,
     UnknownSort,
     attr_channel,
     channel_attr,
@@ -20,7 +19,7 @@ from domcalc.model import (
 from modelgen import random_model
 
 
-def atomic_part(name, id_type=None, mereology=MereoEmpty(), **kw):
+def atomic_part(name, id_type=None, mereology=MereologyExpr(), **kw):
     return EndurantDecl(name, "part", "discrete", id_type=id_type or f"{name}I",
                         mereology=mereology, **kw)
 
@@ -68,7 +67,7 @@ def test_id_types_of_single_part():
 # The validator rejects each violating combination of the kind matrix.
 
 def test_material_with_mereology_rejected():
-    bad = EndurantDecl("M", "material", "continuous", mereology=MereoId("PI"))
+    bad = EndurantDecl("M", "material", "continuous", mereology=MereologyExpr(("PI",)))
     model = DomainModel((atomic_part("P"), bad))
     assert "E104" in {d.code for d in analysis.check_wellformed(model)}
 
@@ -81,13 +80,13 @@ def test_discrete_material_rejected():
 
 def test_component_with_mereology_rejected():
     bad = EndurantDecl("C", "component", "discrete", id_type="CI",
-                       mereology=MereoId("PI"))
+                       mereology=MereologyExpr(("PI",)))
     model = DomainModel((atomic_part("P"), bad))
     assert "E106" in {d.code for d in analysis.check_wellformed(model)}
 
 
 def test_part_without_identifier_rejected():
-    bad = EndurantDecl("P", "part", "discrete", mereology=MereoEmpty())
+    bad = EndurantDecl("P", "part", "discrete", mereology=MereologyExpr())
     codes = {d.code for d in analysis.check_wellformed(DomainModel((bad,)))}
     assert "E107" in codes
 

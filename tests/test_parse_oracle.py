@@ -35,11 +35,7 @@ from domcalc.model import (
     ConversionDecl,
     DomainModel,
     EndurantDecl,
-    MereoEmpty,
-    MereoId,
     MereologyExpr,
-    MereoProduct,
-    MereoSet,
 )
 from domcalc.units import UnitBoundError, parse_fraction
 
@@ -309,21 +305,21 @@ class _Parser:
                     named)
             self.next()  # arrow
         if self.accept("empty"):
-            return MereoEmpty()
+            return MereologyExpr()
         if self.at("set"):
             self.next()
             self.expect("(")
             inner = self.expect_ident("identifier type")
             self.expect(")")
-            return MereoSet(inner.value)
+            return MereologyExpr((inner.value,), is_set=True)
         first = self.expect_ident("identifier type")
         factors = [first.value]
         while self.at("x"):
             self.next()
             factors.append(self.expect_ident("identifier type").value)
         if len(factors) == 1:
-            return MereoId(factors[0])
-        return MereoProduct(tuple(factors))
+            return MereologyExpr((factors[0],))
+        return MereologyExpr(tuple(factors))
 
     def parse_attribute(self) -> AttributeDecl:
         name = self.expect_ident("attribute name")

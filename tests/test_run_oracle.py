@@ -55,7 +55,7 @@ def oracle_run(config: RunConfig, max_steps: int) -> tuple[TraceEvent, ...]:
     def program(process):
         body = process.body
         receives = [(READ, name, tracks.get(name)) if name in external else (RECEIVE, name, None)
-                    for name in body.receives]
+                    for name in process.signature.in_channels]
         sends = [(SEND, spec.channel, tuple(
                      (f"attr_{attr}_ch", map_of(() if conv is None else (conv,)))
                      for attr, conv in spec.parts)) for spec in body.sends]
@@ -166,7 +166,7 @@ def test_run_matches_oracle_on_generated_models():
         for steps in (60, 400):
             trace = assert_matches_oracle(config, steps)
         spinners += any(not p.body.sends and not any(
-            c.name in p.body.receives and not c.external for c in graph.channels)
+            c.name in p.signature.in_channels and not c.external for c in graph.channels)
             for p in graph.processes())
         exhausted += bool(trace) and trace[-1].kind == DEADLOCK and len({e.step for e in trace}) > 1
     # The cases the dirty set must get right occur in the corpus.
@@ -219,7 +219,7 @@ def test_tracks_starting_late_wake_their_readers():
         tracks = dict(script.tracks, **late)
         trace = assert_matches_oracle(RunConfig(graph, EnvironmentScript(tracks), seed), 60)
         talkers = {p.name for p in graph.processes() if p.body.sends or any(
-            name not in late for name in p.body.receives)}
+            name not in late for name in p.signature.in_channels)}
         woken += any(e.step > 0 and e.channel in late and e.process in talkers
                      for e in trace if e.kind == RECEIVE)
     assert woken

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import NotAPart, _check_wellformed, parse_value, registry_for_model
+from .analysis import (NotAPart, _check_wellformed, _math_mereology, parse_value,
+                       registry_for_model)
 from .diagnostics import Diagnostic, error
 from .model import (
     CONTROLLABLE_CATEGORIES,
@@ -486,10 +487,10 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
         type_line = f"type DA_{process.name} = " + "×".join(grouped + ungrouped)
 
     sig_line = f"{process.name}: {sig.uid_param}"
-    if sig.mereology_param is not None and sig.mereology_param.leaves():
-        leaves = sig.mereology_param.leaves()
-        mer = leaves[0] if len(leaves) == 1 else "(" + "×".join(leaves) + ")"
-        sig_line += f" × {mer}"
+    mereology = sig.mereology_param
+    if mereology is not None and mereology.leaves():
+        mer = _math_mereology(mereology)
+        sig_line += f" × ({mer})" if len(mereology.leaves()) > 1 else f" × {mer}"
     if sig.controllable_params:
         sig_line += " → DA_" + process.name
     sig_line += " →"

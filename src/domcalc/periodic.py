@@ -4,8 +4,9 @@ monitor's bulk handling of the repeated windows.
 Over a script whose tracks are cyclic or finite, a compiled graph is a
 finite-state system once every finite track has ended, so its run is
 eventually periodic: a prefix, then one window repeated.  ``Recurrence``
-finds the window as the scheduler runs; ``Replay`` is the rest of the run
-as copies of that window; ``Events`` is what ``simulator.stream`` and
+finds the window as the scheduler runs, recording the steps after each
+state key it saves; ``Replay`` is the rest of the run as copies of that
+window; ``Events`` is what ``simulator.stream`` and
 ``simulator.write_jsonl`` return, so that the writer can write the copies
 in bulk and ``check_axioms`` can take them a window at a time.
 """
@@ -87,20 +88,23 @@ class Recurrence:
     The scheduler takes a state key (each process's pc, received value
     numbers and controllables) every ``spacing`` steps.  Brent's cycle
     finding compares each key with one saved key, which it replaces by the
-    current one after 1, 2, 4, 8, ... checkpoints in turn.  When a key
-    recurs P steps later, the next P steps are recorded as the window.  If
-    P is divisible by the enabled-list length at each of its steps, the
-    seed's rotation makes at each step the choice it made P steps before,
-    from the same state, so the window ends in the state it began in and
-    repeats for good."""
+    current one after 1, 2, 4, 8, ... checkpoints in turn.  The ``spacing``
+    steps after each save are recorded.  When the next checkpoint's key
+    equals the saved one, and ``spacing`` is divisible by the enabled-list
+    length at each recorded step, the seed's rotation makes at each step
+    the choice it made ``spacing`` steps before, from the same state, so
+    the recorded steps end in the state they began in and repeat for good.
+    A key that recurs d > 1 checkpoints after its save, when nothing
+    recorded is the window, or a recorded length that does not divide
+    ``spacing`` widens the spacing to the lcm of d·``spacing`` and the
+    lengths, and the key is saved again."""
 
     def __init__(self, spacing: int, first: int) -> None:
         self.spacing = spacing
         self.next = first  # the step of the next checkpoint
         self.saved: Optional[tuple] = None
         self.power, self.distance = 1, 0  # checkpoints since the save
-        self.period = 0  # the steps of the window being recorded, 0 if none
-        self.first = 0  # the first step of the window being recorded
+        self.first = 0  # the step of the save: the first recorded step
         self._clear()
 
     @classmethod
@@ -108,8 +112,9 @@ class Recurrence:
         """The search over a run of ``tracks`` (``ScriptTrack``s) to
         ``max_steps``: checkpoints every C steps, C the lcm of the track
         cycles, from the step after every finite track's last point; None
-        when that step plus 2·C exceeds ``max_steps``, as no window could
-        be found and replayed."""
+        when that step plus 2·C exceeds ``max_steps``, as the earliest
+        window, the C steps from the first checkpoint, would leave no
+        whole copy to replay."""
         spacing = math.lcm(*(track.cycle for track in tracks if track.cycle))
         start = max((track.points[-1][0] + 1 for track in tracks
                      if not track.cycle and track.points), default=0)
@@ -130,7 +135,7 @@ class Recurrence:
         ``events`` are the events of the step before and ``enabled`` its
         enabled-list length.  True once the recorded window repeats from
         ``steps`` on; otherwise ``next`` is the next checkpoint."""
-        if self.period:
+        if self.saved is not None and not self.distance:
             offset = steps - 1 - self.first
             for event in events:
                 tail = (event[1], event[2], event[3], id(event[4]))
@@ -141,27 +146,27 @@ class Recurrence:
                 self.indices.append(found)
             self.offsets.extend([offset] * len(events))
             self.lengths.add(enabled)
-            if offset + 1 < self.period:
+            if offset + 1 < self.spacing:
                 self.next = steps + 1
                 return False
-            if all(self.period % n == 0 for n in self.lengths):
+        now = key()
+        self.distance += 1
+        if now == self.saved:
+            if self.distance == 1 and all(self.spacing % n == 0 for n in self.lengths):
                 return True
-            # The seed's rotation did not repeat: look again, with every
+            # The key recurs, but the recorded steps are not its window: it
+            # recurs after more than one checkpoint, or the seed's rotation
+            # did not repeat.  Look again, with the recurrence and every
             # enabled-list length seen dividing the checkpoint spacing.
-            self.spacing = math.lcm(self.spacing, *self.lengths)
-            self.period = 0
-            self._clear()
-            self.saved, self.power, self.distance = key(), 1, 0
+            self.spacing = math.lcm(self.distance * self.spacing, *self.lengths)
+            self.power = 1
+        elif self.distance < self.power:
+            self.next = steps + self.spacing
+            return False
         else:
-            now = key()
-            self.distance += 1
-            if now == self.saved:
-                self.period = self.distance * self.spacing
-                self.first, self.next = steps, steps + 1
-                return False
-            if self.distance == self.power:
-                self.saved, self.power, self.distance = now, 2 * self.power, 0
-        self.next = steps + self.spacing
+            self.power *= 2
+        self.saved, self.distance, self.first, self.next = now, 0, steps, steps + 1
+        self._clear()
         return False
 
     def replay(self, start: int, max_steps: int, event_type: type) -> Replay:
@@ -169,8 +174,8 @@ class Recurrence:
         the last, part copy holds the steps before ``max_steps`` and the
         reads and recursions at it, every event of that step but its send
         and receive."""
-        windows, extra = divmod(max_steps - start, self.period)
-        return Replay(event_type, self.tails, self.indices, self.offsets, self.period,
+        windows, extra = divmod(max_steps - start, self.spacing)
+        return Replay(event_type, self.tails, self.indices, self.offsets, self.spacing,
                       start, windows, bisect_right(self.offsets, extra) - 2)
 
 

@@ -487,6 +487,8 @@ def test_set_mereology_compiles_to_channel():
     assert graph.channel("a_b_ch").kinds == ("rX",)
     doc = graph_to_json(graph)
     assert {p["name"]: p["mereology"] for p in doc["processes"]} == {"a": "set(BI)", "b": "empty"}
+    # The printed signature writes the set as describe does.
+    assert "a: AI × BI-set → in attr_X_ch out a_b_ch Unit" in print_process(graph).splitlines()
 
 
 def test_component_and_material_attrs_have_no_channels():

@@ -376,21 +376,34 @@ def test_replay_matches_oracle_on_aircraft(aircraft_graph, aircraft_script_path,
         script = EnvironmentScript.from_json(json.load(handle), aircraft_graph)
     config = instantiate(aircraft_graph, script, seed)
     replay = assert_replay_matches_oracle(config, 5000)
-    # The lcm of the cycles 40, 50 and 60: the key at step 600 recurs at
-    # 1,200, and steps 1,200 to 1,799 are the window.
-    assert (replay.period, replay.start, replay.windows) == (600, 1800, 5)
+    # The lcm of the cycles 40, 50 and 60: the key saved at step 600 recurs
+    # at 1,200, and steps 600 to 1,199, recorded from the save, are the window.
+    assert (replay.period, replay.start, replay.windows) == (600, 1200, 6)
     if seed == 0:
         for steps in _edges(replay):
             assert_replay_matches_oracle(config, steps)
 
 
 @pytest.mark.parametrize("kinds", ["cyclic", "finite", "mixed"])
-def test_replay_matches_oracle_on_small_cycle_scripts(kinds):
-    periods = set()
+def test_replay_matches_oracle_on_small_cycle_scripts(monkeypatch, kinds):
+    periods, widened = set(), 0
+    later = []  # (d, spacing) of each key that recurred d > 1 checkpoints after its save
+    visit = periodic.Recurrence.visit
+
+    def spy(self, *args):
+        spacing, distance = self.spacing, self.distance
+        repeats = visit(self, *args)
+        if distance and not self.distance and self.power == 1:  # saved again as it recurred
+            later.append((distance + 1, spacing))
+        return repeats
+    monkeypatch.setattr(periodic.Recurrence, "visit", spy)
     for config in _small_cycle_cases(kinds, 40):
+        later.clear()
         replay = assert_replay_matches_oracle(config, 300)
         if replay is not None:
             periods.add(replay.period)
+            assert all(replay.period % (d * spacing) == 0 for d, spacing in later)
+            widened += bool(later)
             for steps in _edges(replay):
                 assert_replay_matches_oracle(config, steps)
     if kinds == "finite":
@@ -399,6 +412,10 @@ def test_replay_matches_oracle_on_small_cycle_scripts(kinds):
         assert not periods
     else:
         assert len(periods) > 1
+        # Some keys recur d > 1 checkpoints after their save, when nothing
+        # recorded is their window: those runs widen the spacing d-fold,
+        # record again and replay what the oracle runs.
+        assert widened
 
 
 def _rotation_case() -> RunConfig:
@@ -421,19 +438,19 @@ def test_replay_waits_for_the_seed_rotation(monkeypatch):
     verified = []
     visit = periodic.Recurrence.visit
 
-    def spy(self, *args):
-        recording = self.period
-        repeats = visit(self, *args)
-        if recording and (repeats or not self.period):
-            verified.append((recording, args[0], repeats))
+    def spy(self, steps, key, events, enabled):
+        spacing, distance, lengths = self.spacing, self.distance, self.lengths | {enabled}
+        repeats = visit(self, steps, key, events, enabled)
+        if repeats or self.spacing != spacing:
+            verified.append((spacing, distance, sorted(lengths), steps, repeats))
         return repeats
     monkeypatch.setattr(periodic.Recurrence, "visit", spy)
     replay = replay_of(config, 200)
-    # The first window recorded, 3 steps long, holds a step with 2 enabled
-    # rendezvous: it is not replayed, and the search goes on with
-    # checkpoints 6 steps apart.
-    assert verified == [(3, 15, False), (6, 27, True)]
-    assert (replay.period, replay.start) == (6, 27)
+    # The key saved at step 9 recurs at the next checkpoint, but the 3 steps
+    # recorded from the save hold a step with 2 enabled rendezvous: they are
+    # not replayed, and the search goes on with checkpoints 6 steps apart.
+    assert verified == [(3, 0, [2, 3], 12, False), (6, 0, [2, 3], 18, True)]
+    assert (replay.period, replay.start) == (6, 18)
     monkeypatch.undo()
     for steps in range(12, 40):
         assert_replay_matches_oracle(config, steps)
@@ -565,8 +582,8 @@ def test_simulate_trace_matches_oracle_on_aircraft(
         capsys, tmp_path, aircraft_path, aircraft_script_path, seed):
     text = aircraft_path.read_text(encoding="utf-8")
     script = json.loads(aircraft_script_path.read_text(encoding="utf-8"))
-    # The replay starts at step 1,800 and repeats every 600 steps.
-    for steps in (5000,) if seed else (1799, 1800, 1801, 3000, 3300, 5000):
+    # The replay starts at step 1,200 and repeats every 600 steps.
+    for steps in (5000,) if seed else (1199, 1200, 1201, 3000, 3300, 5000):
         assert_simulate_matches_oracle(capsys, tmp_path, text, script, steps, seed)
 
 

@@ -523,6 +523,10 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
 # The lines of a replayed run written at once: a bounded piece, so the
 # write's memory does not grow with the window.
 PIECE_LINES = 64
+# The characters of JSONL text that the reader splits into lines at a time
+# (about 64 KiB, more to end just after a ``\n``), so its memory does not
+# grow with a list of every line.
+PIECE_CHARS = 1 << 16
 
 
 def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceEvent]:
@@ -619,7 +623,10 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     JSON object per line with the keys ``step``, ``kind``, ``channel``,
     ``process`` and ``payload``, in any order and spacing; blank lines are
     skipped.  A malformed line raises ``ValueError("line N: ...")``, N
-    counted from 1.
+    counted from 1.  Lines and their numbers are those of
+    ``text.splitlines()``, though the text is split one piece at a time,
+    ``PIECE_CHARS`` characters and on to the next ``\\n``, so no list of
+    every line is made.
 
     A line that repeats an earlier one but for its step is not decoded
     again.  The writer ends every line in ``, "step": N}``, and the text
@@ -629,37 +636,77 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     the top-level object's last ``step``, the one ``json.loads`` keeps, so
     the event is the one it would give.  Events read this way share their
     payload tuple.
+
+    For speed, a repeated head also remembers the repeated line that last
+    followed it, and the next line is first tried as that line's head and
+    separator followed by a plain step and ``}``: a trace that cycles
+    through its heads is read without splitting or hashing most lines.
+    Which lines are read so does not change the events.
     """
     events = []
+    append = events.append
     new = tuple.__new__
+    separator = ', "step": '
     # Head -> the event of the first line with that head and a plain step.
     firsts: dict[str, TraceEvent] = {}
+    # Head -> [head + separator, (kind, channel, process, payload), the node
+    # of the repeated line that last followed a line with this head], made
+    # when the head repeats or a repeated line follows a line with it.
+    nodes: dict[str, list] = {}
     # A trace repeats a handful of (kind, value) pairs; equal ones share a Quantity.
     quantities: dict[tuple[str, str], Quantity] = {}
-    lines = text.splitlines()
-    count = len(lines)
-    lines.reverse()  # popped from the end, so each line is freed once read
-    while lines:
-        line = lines.pop()
-        head, _, tail = line.rpartition(', "step": ')
-        digits = tail[:-1]
-        # JSON integer digits: ASCII, and no leading zero.
-        plain = (tail[-1:] == "}" and digits.isdigit() and digits.isascii()
-                 and (digits[0] != "0" or digits == "0"))
-        try:
-            if plain:
-                first = firsts.get(head)
-                if first is not None:
-                    events.append(new(TraceEvent, (int(digits), *first[1:])))
+
+    def node_of(head: str) -> list:
+        node = nodes.get(head)
+        if node is None:
+            node = nodes[head] = [head + separator, firsts[head][1:], None]
+        return node
+
+    # The last line's node and the node it predicts, or the last line's head
+    # when that line was decoded.
+    node = ahead = fresh = None
+    step_text, step = None, 0  # the last predicted line's step, as text and as int
+    number, start, size = 0, 0, len(text)
+    while start < size:
+        end = text.find("\n", start + PIECE_CHARS - 1) + 1 or size
+        for number, line in enumerate(text[start:end].splitlines(), number + 1):
+            try:
+                # The predicted head and separator, a plain step and "}": as
+                # the digits hold no separator, the line's head is that head.
+                if ahead is not None and line.startswith(ahead[0]) and line[-1] == "}":
+                    digits = line[len(ahead[0]):-1]
+                    if digits == step_text or (digits.isdigit() and digits.isascii()
+                                               and (digits[0] != "0" or digits == "0")):
+                        if digits != step_text:
+                            step, step_text = int(digits), digits
+                        append(new(TraceEvent, (step, *ahead[1])))
+                        node, ahead = ahead, ahead[2]
+                        continue
+                head, _, tail = line.rpartition(separator)
+                digits = tail[:-1]
+                # JSON integer digits: ASCII, and no leading zero.
+                plain = (tail[-1:] == "}" and digits.isdigit() and digits.isascii()
+                         and (digits[0] != "0" or digits == "0"))
+                if plain:
+                    if head in firsts:
+                        repeat = node_of(head)
+                        if fresh is not None:
+                            node = node_of(fresh)
+                        if node is not None:
+                            node[2] = repeat
+                        append(new(TraceEvent, (int(digits), *repeat[1])))
+                        node, ahead, fresh = repeat, repeat[2], None
+                        continue
+                elif not line.strip():
                     continue
-            elif not line.strip():
-                continue
-            event = _decode_event(line, registry, quantities)
-        except ValueError as exc:
-            raise ValueError(f"line {count - len(lines)}: {exc}") from None
-        if plain:  # it decoded, so its tail followed the separator
-            firsts[head] = event
-        events.append(event)
+                event = _decode_event(line, registry, quantities)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+            if plain:  # it decoded, so its tail followed the separator
+                firsts[head] = event
+            append(event)
+            node, ahead, fresh = None, None, head if plain else None
+        start = end
     return tuple(events)
 
 
@@ -667,7 +714,10 @@ def _decode_event(line: str, registry: KindRegistry,
                   quantities: dict[tuple[str, str], Quantity]) -> TraceEvent:
     """One trace line through ``json.loads``, each field checked.  Payload
     values are looked up in, and added to, ``quantities``."""
-    data = json.loads(line)
+    try:
+        data = json.loads(line)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
     try:
         step, kind, channel, process, items = (
             data["step"], data["kind"], data["channel"], data["process"], data["payload"])

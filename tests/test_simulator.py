@@ -31,7 +31,7 @@ from domcalc.simulator import (
 )
 from domcalc.units import (
     DIMENSIONLESS, KindRegistry, Quantity, QuantityKind, fraction_str, parse_fraction)
-from conftest import GOLDEN, short_id
+from conftest import GOLDEN, oracle_budget, short_id
 from modelgen import pairs_model, perturb_recursion_payload, random_model, random_script
 
 
@@ -982,6 +982,13 @@ READER_ODD_TEXTS = {
     for label, process in (("", "position"), (", U+2028 process", "\u2028"))}
 READER_ODD_TEXTS["no closing brace"] = _line(7) + "\n" + _line(71)[:-1] + "\n"
 READER_ODD_TEXTS["raw U+2028"] = _raw("a\u2028b", 1) + "\n" + _raw("a\u2028b", 2)
+# The same steps after A@7, B@7, A@8, B@8: the B line before each predicts
+# that A's head comes next, so the step is checked on the predicted path.
+READER_ODD_TEXTS.update({
+    f"step {step} after a predicting line": "".join(
+        _line(at, process) + "\n" for at in (7, 8) for process in ("position", "display"))
+    + _line(step) + "\n"
+    for step in ("07", "-7", "7.0", "1e3", "٣", "true", '"7"', "7}", "7, ", "0x7", "7_0", "+7")})
 
 
 @pytest.mark.parametrize("name", sorted(READER_ODD_TEXTS))
@@ -1004,7 +1011,7 @@ def test_jsonl_reader_ends_as_under_oracle(aircraft_graph, name):
         assert back == expected
 
 
-@settings(max_examples=100, deadline=None)
+@oracle_budget(100)
 @given(data=st.data(),
        heads=st.lists(st.tuples(st.sampled_from(["send", "receive", "recursion", "deadlock"]),
                                 st.one_of(st.none(), st.text(max_size=6)),
@@ -1052,6 +1059,9 @@ READER_BAD_LINES = {
     "process null": _line(0, None),
     "bad value": _GOOD.replace('"3/2"', '"abc"'),
     "unknown kind": _GOOD.replace('"rLO"', '"nosuch_kind"'),
+    "deep nesting": "[" * 100000 + "]" * 100000,
+    "deep nesting in payload": _GOOD.replace('"payload": [', '"payload": [' + "[" * 100000)
+                                     .replace('}], "process"', "}" + "]" * 100001 + ', "process"'),
 }
 
 
@@ -1060,6 +1070,46 @@ def test_jsonl_reader_names_the_malformed_line(aircraft_graph, name):
     text = f"{_GOOD}\n\n{READER_BAD_LINES[name]}\n{_GOOD}\n"
     with pytest.raises(ValueError, match=r"^line 3: "):
         trace_from_jsonl(text, aircraft_graph.registry)
+
+
+def _read_or_message(text, registry):
+    try:
+        return trace_from_jsonl(text, registry)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 7, 64])
+def test_jsonl_reader_reads_the_same_in_any_piece_size(aircraft_graph, aircraft_script,
+                                                       monkeypatch, piece):
+    # Pieces shorter than a line, over CRLF endings, blank lines, a raw
+    # U+2028 and a text with no final newline, give the events and the line
+    # numbers of errors that the whole text gives.
+    registry = aircraft_graph.registry
+    aircraft = run(instantiate(aircraft_graph, aircraft_script, seed=0), 2000)
+    texts = {**READER_VALID_TEXTS, **READER_ODD_TEXTS, "aircraft": trace_to_jsonl(aircraft),
+             **{f"bad {name}": f"{_GOOD}\n\n{line}\n{_GOOD}\n"
+                for name, line in READER_BAD_LINES.items()}}
+    expected = {name: _read_or_message(text, registry) for name, text in texts.items()}
+    assert expected["aircraft"] == aircraft
+    monkeypatch.setattr(simulator, "PIECE_CHARS", piece)
+    for name, text in texts.items():
+        back = _read_or_message(text, registry)
+        assert back == expected[name], name
+        if name in READER_VALID_TEXTS:
+            assert back == oracle_trace_from_jsonl(text, registry), name
+        elif name in READER_ODD_TEXTS:
+            try:
+                oracle = oracle_trace_from_jsonl(text, registry)
+            except ValueError:
+                oracle = ValueError
+            if type(back) is str:
+                assert oracle is ValueError or not all(
+                    type(event.step) is int and event.step >= 0 for event in oracle), name
+            else:
+                assert back == oracle, name
+        elif name != "aircraft":
+            assert back.startswith("line 3: "), name
 
 
 @settings(max_examples=200, deadline=None)

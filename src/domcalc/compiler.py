@@ -13,6 +13,7 @@ The compiler is pure: equal models produce identical graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 from .analysis import (NotAPart, _check_wellformed, _math_mereology, parse_value,
@@ -21,6 +22,9 @@ from .diagnostics import Diagnostic, error
 from .model import (
     CONTROLLABLE_CATEGORIES,
     EXTERNAL_CATEGORIES,
+    READ,
+    RECEIVE,
+    SEND,
     STATIC,
     AttributeDecl,
     AxiomDecl,
@@ -36,7 +40,6 @@ from .model import (
     ProcessGraph,
     ProcessNode,
     ResolvedChannel,
-    SendSpec,
     UpdateSpec,
     attr_channel,
     channel_attr,
@@ -223,26 +226,23 @@ def derive_channels(model: DomainModel) -> tuple[ChannelDecl, ...]:
 
 
 def derive_signature(model: DomainModel, part_name: str) -> BehaviourSignature:
-    """Behaviour signature for a part sort.
-
-    Input channels list the external-attribute channels in declaration order,
-    then incoming mereology channels by name; output channels are the
-    outgoing mereology channels.
-    """
+    """Behaviour signature for a part sort.  Its ``actions`` state the core
+    cycle once: a read of each external attribute's channel in declaration
+    order, then a receive on each incoming and a send on each outgoing
+    mereology channel, by name."""
     index = _index(model)
     decl = model_lookup(model, part_name)
     if decl.kind != "part":
         raise NotAPart(part_name)
-    in_channels = [attr_channel(a.name) for a in _external_attrs(decl)]
-    incoming = sorted(r.channel_name for r in index.incoming.get(decl.name, ()))
-    outgoing = sorted(r.channel_name for r in index.outgoing.get(decl.name, ()))
+    actions = [(READ, attr_channel(a.name)) for a in _external_attrs(decl)]
+    for op, relations in ((RECEIVE, index.incoming), (SEND, index.outgoing)):
+        actions += sorted((op, r.channel_name) for r in relations.get(decl.name, ()))
     return BehaviourSignature(
         uid_param=decl.id_type or f"{decl.name}I",
         mereology_param=decl.mereology,
         static_params=tuple(a.name for a in decl.attributes_in((STATIC,))),
         controllable_params=tuple(a.name for a in _controllable_attrs(decl)),
-        in_channels=tuple(in_channels + incoming),
-        out_channels=tuple(outgoing),
+        actions=tuple(actions),
     )
 
 
@@ -254,9 +254,10 @@ def compile_preflight(model: DomainModel) -> list[Diagnostic]:
     without an initial value, which a run's recursion payload carries,
     E305 an axiom source that no channel carries to its target (no relating
     mereology, the target's own part, or an attribute that is not external),
-    E306 name collisions among behaviours or derived channels, E307 a display
-    attribute that is the target of a second axiom source, E308 a source
-    attribute whose first conversion differs from an earlier source's.
+    E306 name collisions among behaviours or derived channels, or of a
+    relation channel with an attribute channel, E307 a display attribute
+    that is the target of a second axiom source, E308 a source attribute
+    whose first conversion differs from an earlier source's.
     Computed once per model object; each call returns a fresh list.
     """
     return list(model.derived(_preflight))
@@ -296,6 +297,9 @@ def _preflight(model: DomainModel) -> tuple[Diagnostic, ...]:
             out.append(error(
                 "E306", f"derived channel name {relation.channel_name!r} is "
                         "ambiguous between two relations", relation.sender.span))
+        elif relation.channel_name in index.readers:
+            out.append(error("E306", f"derived channel name {relation.channel_name!r} is "
+                                     "also an attribute channel", relation.sender.span))
     return tuple(out)
 
 
@@ -362,8 +366,6 @@ def _core_process(model: DomainModel, registry: KindRegistry,
     signature = derive_signature(model, decl.name)
     wire = tuple((attr.name, conv.name if conv else None)
                  for attr, conv in index.wires[decl.name])
-    sends = sorted((SendSpec(r.channel_name, wire) for r in index.outgoing.get(decl.name, ())),
-                   key=lambda s: s.channel)
 
     controllable_order = {name: i for i, name in
                           enumerate(signature.controllable_params)}
@@ -387,7 +389,7 @@ def _core_process(model: DomainModel, registry: KindRegistry,
         signature=signature,
         static_consts=tuple(statics),
         init_values=tuple(inits),
-        body=CoreStep(sends=tuple(sends), updates=tuple(updates)),
+        body=CoreStep(wire=wire, updates=tuple(updates)),
     )
 
 
@@ -486,6 +488,33 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
         grouped = ["(" + "×".join(u.attr for u in us) + ")" for us in groups.values()]
         type_line = f"type DA_{process.name} = " + "×".join(grouped + ungrouped)
 
+    body = ""
+    ends = 0
+    for name, value in process.static_consts:
+        text = fraction_str(value.magnitude) if value is not None else "···"
+        body += f"let {name.lower()} = {text} in "
+        ends += 1
+    # The core cycle: each run of reads and receives binds in one let.
+    wire = ",".join(f"{conv}({attr.lower()})" if conv else attr.lower()
+                    for attr, conv in process.body.wire)
+    ins: list[str] = []
+    outs: list[str] = []
+    for sends, actions in groupby(sig.actions, lambda action: action[0] == SEND):
+        channels = [channel for _, channel in actions]
+        (outs if sends else ins).extend(channels)
+        if sends:
+            body += "".join(f"{channel} ! ({wire}); " for channel in channels)
+        else:
+            body += (f"let ({','.join(map(_recv_var, channels))}) = "
+                     f"({','.join(f'{channel}?' for channel in channels)}) in ")
+            ends += 1
+    tail_args = [f"conv_{ch[:-len('_ch')]}({_recv_var(ch)})" for ch in groups]
+    tail_args += [a.lower() for a in ungrouped]
+    tail = f"{process.name}{head_args}"
+    if tail_args:
+        tail += "(" + ",".join(tail_args) + ")"
+    body += tail + " end" * ends
+
     sig_line = f"{process.name}: {sig.uid_param}"
     mereology = sig.mereology_param
     if mereology is not None and mereology.leaves():
@@ -494,33 +523,11 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
     if sig.controllable_params:
         sig_line += " → DA_" + process.name
     sig_line += " →"
-    if sig.in_channels:
-        sig_line += " in " + ",".join(sig.in_channels)
-    if sig.out_channels:
-        sig_line += " out " + ",".join(sig.out_channels)
+    if ins:
+        sig_line += " in " + ",".join(ins)
+    if outs:
+        sig_line += " out " + ",".join(outs)
     sig_line += " Unit"
-
-    body = ""
-    ends = 0
-    for name, value in process.static_consts:
-        text = fraction_str(value.magnitude) if value is not None else "···"
-        body += f"let {name.lower()} = {text} in "
-        ends += 1
-    if sig.in_channels:
-        vars_ = [_recv_var(ch) for ch in sig.in_channels]
-        reads = [f"{ch}?" for ch in sig.in_channels]
-        body += f"let ({','.join(vars_)}) = ({','.join(reads)}) in "
-        ends += 1
-    for send in process.body.sends:
-        payload = ",".join(f"{conv}({attr.lower()})" if conv else attr.lower()
-                           for attr, conv in send.parts)
-        body += f"{send.channel} ! ({payload}); "
-    tail_args = [f"conv_{ch[:-len('_ch')]}({_recv_var(ch)})" for ch in groups]
-    tail_args += [a.lower() for a in ungrouped]
-    tail = f"{process.name}{head_args}"
-    if tail_args:
-        tail += "(" + ",".join(tail_args) + ")"
-    body += tail + " end" * ends
 
     out = [sig_line] if type_line is None else [type_line, sig_line]
     out.append(f"{process.name}{head_args}{ctrl_head} ≡ {body}")

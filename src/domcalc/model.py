@@ -265,30 +265,33 @@ def id_types_of(model: DomainModel) -> set[str]:
 # Compiled behaviour IR
 # ---------------------------------------------------------------------------
 
+# The actions of a compiled core cycle; a trace records a read as a receive.
+READ = "read"
+RECEIVE = "receive"
+SEND = "send"
+
+
 @dataclass(frozen=True)
 class BehaviourSignature:
-    """Signature of a compiled part behaviour.
-
-    Static attributes become body constants, controllables become recursion
-    arguments, external attributes appear as input channels, and mereology
-    channels are split by direction.  Compiled behaviours never terminate.
-    """
+    """Signature of a compiled part behaviour: static attributes become body
+    constants and controllables recursion arguments.  ``actions`` is the core
+    cycle up to the recursion, as ``(op, channel)`` pairs in the order
+    ``derive_signature`` gives; ``in_channels`` and ``out_channels`` are its
+    views.  Compiled behaviours never terminate."""
 
     uid_param: str
     mereology_param: Optional[MereologyExpr]
     static_params: tuple[str, ...]
     controllable_params: tuple[str, ...]
-    in_channels: tuple[str, ...]
-    out_channels: tuple[str, ...]
+    actions: tuple[tuple[str, str], ...]
 
+    @property
+    def in_channels(self) -> tuple[str, ...]:
+        return tuple(channel for op, channel in self.actions if op != SEND)
 
-@dataclass(frozen=True)
-class SendSpec:
-    """One output message: per tuple slot, the source attribute and the
-    conversion applied before sending (None = pass the raw value)."""
-
-    channel: str
-    parts: tuple[tuple[str, Optional[str]], ...]
+    @property
+    def out_channels(self) -> tuple[str, ...]:
+        return tuple(channel for op, channel in self.actions if op == SEND)
 
 
 @dataclass(frozen=True)
@@ -304,10 +307,11 @@ class UpdateSpec:
 
 @dataclass(frozen=True)
 class CoreStep:
-    """Tail-recursive body: read every input channel of the signature, emit
-    every output message, update controllables, recurse."""
+    """Tail-recursive body: the signature's actions, update controllables,
+    recurse.  Every send carries ``wire``: per slot, the source attribute and
+    the conversion applied before sending (None = pass the raw value)."""
 
-    sends: tuple[SendSpec, ...]
+    wire: tuple[tuple[str, Optional[str]], ...]
     updates: tuple[UpdateSpec, ...]
 
 

@@ -26,12 +26,9 @@ from typing import (Any, Callable, Generator, Iterable, Iterator, NamedTuple, Op
 
 from . import compiler, periodic
 from .analysis import parse_value
-from .model import DomainModel, ProcessDef, ProcessGraph, attr_channel
+from .model import READ, RECEIVE, SEND, DomainModel, ProcessDef, ProcessGraph, attr_channel
 from .units import KindRegistry, Quantity, fraction_str, parse_fraction
 
-SEND = "send"
-RECEIVE = "receive"
-READ = "read"  # a program step only: reads are recorded as receives
 RENDEZVOUS = "rendezvous"
 RECURSION = "recursion"
 DEADLOCK = "deadlock"
@@ -173,16 +170,13 @@ def instantiate(graph: ProcessGraph, script: EnvironmentScript, seed: int) -> Ru
         for attr in process.signature.controllable_params:
             if attr not in inits:
                 raise MissingInit(f"{process.name}: controllable {attr!r} has no init value")
-        for name in process.signature.in_channels:
-            channel = graph.channel(name)
-            if channel is None or not channel.external:
-                continue
+        for name in (channel for op, channel in process.signature.actions if op == READ):
             track = script.tracks.get(name)
             if track is None:
                 raise UncoveredChannel(f"the script has no track for external channel {name!r}")
             if not track.points or min(s for s, _ in track.points) > 0:
                 raise ScriptError(f"script for {name!r} must define a value at step 0")
-            kind = registry.resolve(channel.kinds[0])
+            kind = registry.resolve(graph.channel(name).kinds[0])
             for _, value in track.points:
                 if value.kind != kind:
                     raise ScriptError(
@@ -193,8 +187,8 @@ def instantiate(graph: ProcessGraph, script: EnvironmentScript, seed: int) -> Ru
 @dataclass
 class _ProcState:
     name: str
-    # One core cycle, resolved for the run: every receive, then every send,
-    # then the recursion; each entry is (op, channel, operand).
+    # One core cycle, resolved for the run: the signature's actions, then
+    # the recursion; each entry is (op, channel, operand).
     program: tuple
     pc: int = 0
     # Channel -> the value numbers of its last payload; attribute -> number.
@@ -296,7 +290,6 @@ def _schedule(config: RunConfig,
         return _Table(lambda n: number(apply(values[n])))
 
     tracks = config.script.tracks
-    external = {c.name for c in graph.channels if c.external}
 
     def reading(track: Optional[ScriptTrack]) -> Optional[tuple]:
         # A read's operand: the steps of the points, each point's
@@ -308,16 +301,16 @@ def _schedule(config: RunConfig,
                 track.cycle, track.points[-1][0] if track.points else -1)
 
     def program(process: ProcessDef) -> tuple:
+        # The signature's actions, then the recursion.  Every send's operand
+        # is the wire: per slot, the sender's attribute channel and chain table.
         body = process.body
-        receives = [(READ, name, reading(tracks.get(name))) if name in external
-                    else (RECEIVE, name, None) for name in process.signature.in_channels]
-        # A send's payload slot: (the sender's attribute channel, its chain table).
-        sends = [(SEND, spec.channel, tuple(
-                     (attr_channel(attr), table(() if conv is None else (conv,)))
-                     for attr, conv in spec.parts)) for spec in body.sends]
+        wire = tuple((attr_channel(attr), table(() if conv is None else (conv,)))
+                     for attr, conv in body.wire)
+        actions = [(op, channel, reading(tracks.get(channel)) if op == READ
+                    else wire if op == SEND else None)
+                   for op, channel in process.signature.actions]
         updates = tuple((u.attr, u.channel, u.index, table(u.chain)) for u in body.updates)
-        return (*receives, *sends,
-                (RECURSION, None, (process.signature.controllable_params, updates)))
+        return (*actions, (RECURSION, None, (process.signature.controllable_params, updates)))
 
     states = [_ProcState(p.name, program(p), controllables={
                   attr: number(value) for attr, value in p.init_values})

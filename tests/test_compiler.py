@@ -21,7 +21,7 @@ from domcalc.compiler import (
 )
 from domcalc.diagnostics import SourceSpan
 from domcalc.dsl import parse_model
-from domcalc.model import UnknownSort
+from domcalc.model import READ, RECEIVE, SEND, UnknownSort
 from domcalc.simulator import check_axioms
 
 from conftest import GOLDEN
@@ -267,9 +267,19 @@ def test_signature_completeness_generated():
         for process in graph.processes():
             sig = process.signature
             declared = set(sig.in_channels) | set(sig.out_channels)
-            used = set(sig.in_channels) | {s.channel for s in process.body.sends}
-            assert used <= declared
+            used = [channel for _, channel in sig.actions]
+            assert set(used) <= declared and len(set(used)) == len(used)
             part = model.endurant(process.part)
+            # The cycle: reads in attribute order, then receives, then sends,
+            # each by name; every send carries one slot per read attribute.
+            external = [f"attr_{a.name}_ch" for a in part.attributes if a.is_external]
+            ops = [op for op, _ in sig.actions]
+            assert ops == sorted(ops, key=[READ, RECEIVE, SEND].index)
+            assert [c for op, c in sig.actions if op == READ] == external
+            for kind in (RECEIVE, SEND):
+                channels = [c for op, c in sig.actions if op == kind]
+                assert channels == sorted(channels)
+            assert len(process.body.wire) == len(external)
             for attr in part.attributes:
                 if attr.is_external:
                     assert sig.in_channels.count(f"attr_{attr.name}_ch") == 1
@@ -519,6 +529,13 @@ part sensor1 { id S1I; mereo DI; attr Y : m reactive; }
 part display { id DI; mereo S0I x S1I; attr dX : m programmable init 0; }
 """
 
+# The relation S -> D derives 'attr_d_ch', which is also D's attribute channel.
+ATTRIBUTE_CHANNEL = """part R composite(S, D) { id RI; mereo empty; }
+part S { id SI; mereo DI; behaviour alpha_tango_tango_romeo; attr Y : m reactive; }
+part D { id DI; mereo SI; attr d : m reactive; attr dY : m programmable init 0; }
+axiom follow { display(D.dY) tracks (S.Y); }
+"""
+
 
 @pytest.mark.parametrize("text, code, message, span", [
     # The span is the source clause 'A.X via a2rX', not the whole axiom.
@@ -528,7 +545,9 @@ part display { id DI; mereo S0I x S1I; attr dX : m programmable init 0; }
      (3, 1, 3, 68)),
     (AMBIGUOUS_CHANNEL, "E306", "derived channel name 'se_di_ch' is ambiguous "
                                 "between two relations", (3, 1, 3, 56)),
-], ids=["no-mereology", "shared-behaviour", "ambiguous-channel"])
+    (ATTRIBUTE_CHANNEL, "E306", "derived channel name 'attr_d_ch' is also an attribute "
+                                "channel", (2, 1, 2, 84)),
+], ids=["no-mereology", "shared-behaviour", "ambiguous-channel", "attribute-channel"])
 def test_compile_refusal_code_message_and_span(text, code, message, span):
     model = parse_ok(text)
     expected = [(code, message, SourceSpan("<input>", *span))]

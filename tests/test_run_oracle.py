@@ -56,9 +56,9 @@ def oracle_run(config: RunConfig, max_steps: int) -> tuple[TraceEvent, ...]:
         body = process.body
         receives = [(READ, name, tracks.get(name)) if name in external else (RECEIVE, name, None)
                     for name in process.signature.in_channels]
-        sends = [(SEND, spec.channel, tuple(
+        sends = [(SEND, channel, tuple(
                      (f"attr_{attr}_ch", map_of(() if conv is None else (conv,)))
-                     for attr, conv in spec.parts)) for spec in body.sends]
+                     for attr, conv in body.wire)) for channel in process.signature.out_channels]
         updates = tuple((u.attr, u.channel, u.index, map_of(u.chain)) for u in body.updates)
         return (*receives, *sends,
                 (RECURSION, None, (process.signature.controllable_params, updates)))
@@ -165,7 +165,7 @@ def test_run_matches_oracle_on_generated_models():
         config = instantiate(graph, random_script(rng, graph), seed=count % 7)
         for steps in (60, 400):
             trace = assert_matches_oracle(config, steps)
-        spinners += any(not p.body.sends and not any(
+        spinners += any(not p.signature.out_channels and not any(
             c.name in p.signature.in_channels and not c.external for c in graph.channels)
             for p in graph.processes())
         exhausted += bool(trace) and trace[-1].kind == DEADLOCK and len({e.step for e in trace}) > 1
@@ -218,7 +218,7 @@ def test_tracks_starting_late_wake_their_readers():
                 for name, track in script.tracks.items() if shifts[name]}
         tracks = dict(script.tracks, **late)
         trace = assert_matches_oracle(RunConfig(graph, EnvironmentScript(tracks), seed), 60)
-        talkers = {p.name for p in graph.processes() if p.body.sends or any(
+        talkers = {p.name for p in graph.processes() if p.signature.out_channels or any(
             name not in late for name in p.signature.in_channels)}
         woken += any(e.step > 0 and e.channel in late and e.process in talkers
                      for e in trace if e.kind == RECEIVE)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from domcalc import cli, compiler, simulator
 from domcalc.analysis import check_wellformed
 from domcalc.dsl import parse_model
-from domcalc.model import ConversionDecl, DomainModel
+from domcalc.model import RECEIVE, ConversionDecl, DomainModel
 from domcalc.simulator import (
     EnvironmentScript,
     MissingInit,
@@ -620,9 +620,9 @@ def replay_oracle(model, graph, trace):
         if event.kind != "send":
             continue
         sender = processes[event.process]
-        spec = next(s for s in sender.body.sends if s.channel == event.channel)
+        assert event.channel in sender.signature.out_channels
         expected = []
-        for attr, conv_name in spec.parts:
+        for attr, conv_name in sender.body.wire:
             value = latest[(event.process, f"attr_{attr}_ch")]
             if conv_name is not None:
                 conv = model.conversion(conv_name)
@@ -631,6 +631,27 @@ def replay_oracle(model, graph, trace):
         assert tuple(expected) == event.payload, event
         checked += 1
     return checked
+
+
+def test_one_action_tuple_drives_the_printer_and_the_run(aircraft_graph, aircraft_script):
+    # Swap the display's two receives in its signature alone: the printed
+    # cycle and the run both follow the one tuple.
+    def swap(node):
+        process = node.process
+        if process is not None and process.name == "display":
+            assert [op for op, _ in process.signature.actions] == [RECEIVE, RECEIVE]
+            process = dataclasses.replace(process, signature=dataclasses.replace(
+                process.signature, actions=process.signature.actions[::-1]))
+        return dataclasses.replace(node, process=process, children=tuple(map(swap, node.children)))
+
+    def first_display_receive(graph):
+        trace = run(instantiate(graph, aircraft_script, seed=0), 10)
+        return next(e.channel for e in trace if e.kind == RECEIVE and e.process == "display")
+
+    swapped = dataclasses.replace(aircraft_graph, root=swap(aircraft_graph.root))
+    assert "let (td_d′,po_d′) = (td_di_ch?,po_di_ch?)" in compiler.print_process(swapped)
+    assert first_display_receive(aircraft_graph) == "po_di_ch"
+    assert first_display_receive(swapped) == "td_di_ch"
 
 
 def test_sends_match_replay_oracle_aircraft(aircraft_model, aircraft_graph,

@@ -56,13 +56,42 @@ class CompileError(Exception):
         self.diagnostics = diagnostics
 
 
-def behaviour_prefix(behaviour: str) -> str:
-    """Two-letter channel prefix: word initials for multi-word names
-    (travel_dynamics -> td), else the first two letters (position -> po)."""
+def behaviour_prefix(behaviour: str, length: int = 1) -> str:
+    """Channel prefix: the first ``length`` letters of each word of a
+    multi-word name (travel_dynamics -> td), else the first ``length`` + 1
+    letters (position -> po).  A longer one is used only where two derived
+    channel names would otherwise collide (``_channel_prefixes``)."""
     words = [w for w in behaviour.split("_") if w]
     if len(words) > 1:
-        return "".join(w[0] for w in words)
-    return behaviour[:2] or behaviour
+        return "".join(w[:length] for w in words)
+    return behaviour[:length + 1] or behaviour
+
+
+def _channel_prefixes(pairs: list[tuple[str, str]]) -> dict[str, str]:
+    """Each behaviour's prefix over the (sender, receiver) behaviour names
+    of the relations: ``behaviour_prefix``, lengthened one letter per word
+    at a time for the distinct behaviours on one side of two relations
+    whose channel names collide, until the names differ or the prefixes
+    can grow no more.  A model with no collision keeps the short prefixes."""
+    lengths = {name: 1 for pair in pairs for name in pair}
+    while True:
+        prefixes = {name: behaviour_prefix(name, n) for name, n in lengths.items()}
+        named: dict[str, set[tuple[str, str]]] = {}
+        for sender, receiver in pairs:
+            named.setdefault(f"{prefixes[sender]}_{prefixes[receiver]}", set()).add(
+                (sender, receiver))
+        clashing: set[str] = set()
+        for group in named.values():
+            if len(group) > 1:
+                for side in zip(*group):  # the senders, then the receivers
+                    if len(set(side)) > 1:
+                        clashing.update(side)
+        growing = [name for name in clashing
+                   if behaviour_prefix(name, lengths[name] + 1) != prefixes[name]]
+        if not growing:
+            return prefixes
+        for name in growing:
+            lengths[name] += 1
 
 
 def _external_attrs(decl: EndurantDecl) -> tuple[AttributeDecl, ...]:
@@ -107,14 +136,16 @@ class _ModelIndex:
                 other = self.id_owner.get(leaf)
                 if other is not None and other != part.name:
                     related.add(tuple(sorted((part.name, other))))
-        self.relations: list[_Relation] = []
+        ends: list[tuple[EndurantDecl, EndurantDecl]] = []
         for left_name, right_name in sorted(related):
             left, right = model_lookup(model, left_name), model_lookup(model, right_name)
-            for sender, receiver in ((left, right), (right, left)):
-                if _controllable_attrs(receiver):
-                    self.relations.append(_Relation(sender, receiver, (
-                        f"{behaviour_prefix(sender.behaviour_name)}_"
-                        f"{behaviour_prefix(receiver.behaviour_name)}_ch")))
+            ends += [(sender, receiver) for sender, receiver in ((left, right), (right, left))
+                     if _controllable_attrs(receiver)]
+        self.prefixes = _channel_prefixes(
+            [(sender.behaviour_name, receiver.behaviour_name) for sender, receiver in ends])
+        self.relations = [_Relation(sender, receiver, f"{self.prefixes[sender.behaviour_name]}_"
+                                                      f"{self.prefixes[receiver.behaviour_name]}_ch")
+                          for sender, receiver in ends]
         self.by_channel: dict[str, _Relation] = {}
         self.by_pair: dict[tuple[str, str], _Relation] = {}
         self.outgoing: dict[str, list[_Relation]] = {}
@@ -482,7 +513,7 @@ def _print_definition(model: DomainModel, process: ProcessDef) -> list[str]:
     ctrl_head = ""
     type_line = None
     if sig.controllable_params:
-        names = [f"{behaviour_prefix(index.by_channel[ch].sender.behaviour_name)}_da"
+        names = [f"{index.prefixes[index.by_channel[ch].sender.behaviour_name]}_da"
                  for ch in groups]
         ctrl_head = "(" + ",".join(names + [a.lower() for a in ungrouped]) + ")"
         grouped = ["(" + "×".join(u.attr for u in us) + ")" for us in groups.values()]

@@ -88,39 +88,55 @@ class Recurrence:
     The scheduler takes a state key (each process's pc, received value
     numbers and controllables) every ``spacing`` steps.  Brent's cycle
     finding compares each key with one saved key, which it replaces by the
-    current one after 1, 2, 4, 8, ... checkpoints in turn.  The ``spacing``
-    steps after each save are recorded.  When the next checkpoint's key
-    equals the saved one, and ``spacing`` is divisible by the enabled-list
-    length at each recorded step, the seed's rotation makes at each step
-    the choice it made ``spacing`` steps before, from the same state, so
-    the recorded steps end in the state they began in and repeat for good.
+    current one after ``power`` checkpoints, doubling ``power`` each time:
+    2, 4, 8, ... from a first checkpoint, 1, 2, 4, ... from a probe
+    (``of``).  The ``spacing`` steps after each save are recorded.  When
+    the next checkpoint's key equals the saved one, and ``spacing`` is
+    divisible by the enabled-list length at each recorded step, the seed's
+    rotation makes at each step the choice it made ``spacing`` steps
+    before, from the same state, so the recorded steps end in the state
+    they began in and repeat for good.
     A key that recurs d > 1 checkpoints after its save, when nothing
     recorded is the window, or a recorded length that does not divide
     ``spacing`` widens the spacing to the lcm of d·``spacing`` and the
     lengths, and the key is saved again."""
 
-    def __init__(self, spacing: int, first: int) -> None:
+    def __init__(self, spacing: int, first: int, power: int) -> None:
         self.spacing = spacing
         self.next = first  # the step of the next checkpoint
         self.saved: Optional[tuple] = None
-        self.power, self.distance = 1, 0  # checkpoints since the save
+        self.power, self.distance = power, 0  # checkpoints since the save
         self.first = 0  # the step of the save: the first recorded step
         self._clear()
 
     @classmethod
-    def of(cls, tracks: Collection, max_steps: int) -> Optional[Recurrence]:
+    def of(cls, tracks: Collection, max_steps: int, table: int) -> Optional[Recurrence]:
         """The search over a run of ``tracks`` (``ScriptTrack``s) to
-        ``max_steps``: checkpoints every C steps, C the lcm of the track
-        cycles, from the step after every finite track's last point; None
-        when that step plus 2·C exceeds ``max_steps``, as the earliest
-        window, the C steps from the first checkpoint, would leave no
-        whole copy to replay."""
+        ``max_steps``, whose scheduler has ``table`` possible rendezvous:
+        checkpoints every C steps, C the lcm of the track cycles.
+
+        The first checkpoint is the step after every finite track's last
+        point, or step C when every track is cyclic, and saves its key to
+        be compared at the next two checkpoints.  When every track is
+        cyclic and 2·``table`` + 1 < C, a probe at step 2·``table`` + 1
+        comes first instead: by then the seed's rotation has gone twice
+        round the rendezvous table, and the run is most often in its loop
+        already.  The probe's key is compared at the next checkpoint only;
+        if it does not recur there, that checkpoint saves its key as a
+        first checkpoint would, and the search goes on as from step C,
+        shifted by the probe's steps.
+
+        None when the first checkpoint plus 2·C exceeds ``max_steps``, as
+        the earliest window, the C steps from the first checkpoint, would
+        leave no whole copy to replay."""
         spacing = math.lcm(*(track.cycle for track in tracks if track.cycle))
         start = max((track.points[-1][0] + 1 for track in tracks
                      if not track.cycle and track.points), default=0)
-        if start + 2 * spacing > max_steps:
+        probe = not start and 2 * table + 1 < spacing
+        first = 2 * table + 1 if probe else start or spacing
+        if first + 2 * spacing > max_steps:
             return None
-        return cls(spacing, start or spacing)
+        return cls(spacing, first, 1 if probe else 2)
 
     def _clear(self) -> None:
         self.tails: list[tuple] = []
@@ -160,6 +176,8 @@ class Recurrence:
             # enabled-list length seen dividing the checkpoint spacing.
             self.spacing = math.lcm(self.distance * self.spacing, *self.lengths)
             self.power = 1
+        elif self.saved is None:
+            pass  # the first checkpoint: its key is saved with the power given
         elif self.distance < self.power:
             self.next = steps + self.spacing
             return False

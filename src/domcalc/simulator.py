@@ -254,6 +254,9 @@ def stream(config: RunConfig, max_steps: int) -> periodic.Events:
 
     An eventually periodic run is replayed once it repeats: the rest of the
     run is copies of one recorded window with shifted steps (``periodic``).
+    The search for it takes its first state key two rounds of the
+    rendezvous table in, when every track is cyclic, so a run that is
+    already in its loop there replays one checkpoint spacing later.
     The events are unchanged; the run holds one window.  The replay is the
     return value of the scheduling generator, which ``periodic.Events``
     keeps as its ``replay`` once the scheduled events are exhausted.
@@ -383,7 +386,7 @@ def _schedule(config: RunConfig,
                     break  # blocked on an inter-behaviour action
             state.pc = pc
 
-    recurrence = periodic.Recurrence.of(tracks.values(), max_steps)
+    recurrence = periodic.Recurrence.of(tracks.values(), max_steps, len(rendezvous))
     checkpoint = recurrence and recurrence.next
 
     def state_key() -> tuple:

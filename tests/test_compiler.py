@@ -22,7 +22,7 @@ from domcalc.compiler import (
 from domcalc.diagnostics import SourceSpan
 from domcalc.dsl import parse_model
 from domcalc.model import READ, RECEIVE, SEND, UnknownSort
-from domcalc.simulator import check_axioms
+from domcalc.simulator import EnvironmentScript, check_axioms, instantiate, stream
 
 from conftest import GOLDEN
 from modelgen import composite_chain, random_model
@@ -48,6 +48,32 @@ def test_behaviour_prefixes_match_the_worked_example():
     assert behaviour_prefix("position") == "po"
     assert behaviour_prefix("travel_dynamics") == "td"
     assert behaviour_prefix("display") == "di"
+
+
+def test_single_word_behaviours_with_the_same_initials_compile():
+    # sensor0 -> display and sensor1 -> display would both derive 'se_di_ch':
+    # only the two sensors' prefixes grow, until they differ.
+    model = parse_ok("""
+    part RT composite(sensor0, sensor1, display) { id RTI; mereo empty; }
+    part sensor0 { id S0I; mereo DI; attr X : m reactive; }
+    part sensor1 { id S1I; mereo DI; attr Y : m reactive; }
+    part display { id DI; mereo S0I x S1I;
+                   attr dX : m programmable init 0; attr dY : m programmable init 0; }
+    axiom ax { display(display.dX) tracks (sensor0.X); }
+    axiom ay { display(display.dY) tracks (sensor1.Y); }
+    """)
+    assert check_wellformed(model) == []
+    graph = compile_model(model)
+    assert sorted(c.name for c in graph.channels if not c.external) == [
+        "sensor0_di_ch", "sensor1_di_ch"]
+    assert ("display(displayπ,(sensor0π,sensor1π))(sensor0_da,sensor1_da) ≡ "
+            "let (sensor0_d′,sensor1_d′) = (sensor0_di_ch?,sensor1_di_ch?) in "
+            in print_process(graph))
+    script = EnvironmentScript.from_json({"attr_X_ch": {"points": [[0, "1 m"]], "cycle": 1},
+                                          "attr_Y_ch": {"points": [[0, "2 m"]], "cycle": 1}},
+                                         graph)
+    verdicts = check_axioms(model, stream(instantiate(graph, script, 0), 20))
+    assert [(v.passed, v.checked) for v in verdicts] == [(True, 10), (True, 10)]
 
 
 def test_derive_channels_aircraft(aircraft_model):
@@ -522,10 +548,11 @@ part A { behaviour twin; id AI; mereo empty; attr X : m reactive; }
 part B { behaviour twin; id BI; mereo empty; attr Y : m reactive; }
 """
 
-# sensor0 -> display and sensor1 -> display both derive 'se_di_ch'.
+# The behaviours 'ab' and 'a_b' both have the prefix 'ab', at every length,
+# so ab -> display and a_b -> display both derive 'ab_di_ch'.
 AMBIGUOUS_CHANNEL = """part RT composite(sensor0, sensor1, display) { id RTI; mereo empty; }
-part sensor0 { id S0I; mereo DI; attr X : m reactive; }
-part sensor1 { id S1I; mereo DI; attr Y : m reactive; }
+part sensor0 { behaviour ab; id S0I; mereo DI; attr X : m reactive; }
+part sensor1 { behaviour a_b; id S1I; mereo DI; attr Y : m reactive; }
 part display { id DI; mereo S0I x S1I; attr dX : m programmable init 0; }
 """
 
@@ -543,8 +570,8 @@ axiom follow { display(D.dY) tracks (S.Y); }
                            "relate them in a mereology", (5, 34, 5, 43)),
     (SHARED_BEHAVIOUR, "E306", "parts 'A' and 'B' share the behaviour name 'twin'",
      (3, 1, 3, 68)),
-    (AMBIGUOUS_CHANNEL, "E306", "derived channel name 'se_di_ch' is ambiguous "
-                                "between two relations", (3, 1, 3, 56)),
+    (AMBIGUOUS_CHANNEL, "E306", "derived channel name 'ab_di_ch' is ambiguous "
+                                "between two relations", (3, 1, 3, 71)),
     (ATTRIBUTE_CHANNEL, "E306", "derived channel name 'attr_d_ch' is also an attribute "
                                 "channel", (2, 1, 2, 84)),
 ], ids=["no-mereology", "shared-behaviour", "ambiguous-channel", "attribute-channel"])

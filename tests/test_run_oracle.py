@@ -376,9 +376,10 @@ def test_replay_matches_oracle_on_aircraft(aircraft_graph, aircraft_script_path,
         script = EnvironmentScript.from_json(json.load(handle), aircraft_graph)
     config = instantiate(aircraft_graph, script, seed)
     replay = assert_replay_matches_oracle(config, 5000)
-    # The lcm of the cycles 40, 50 and 60: the key saved at step 600 recurs
-    # at 1,200, and steps 600 to 1,199, recorded from the save, are the window.
-    assert (replay.period, replay.start, replay.windows) == (600, 1200, 6)
+    # The lcm of the cycles 40, 50 and 60 is 600, and the table has two
+    # rendezvous: the key saved by the probe at step 5 recurs at 605, and
+    # steps 5 to 604, recorded from the save, are the window.
+    assert (replay.period, replay.start, replay.windows) == (600, 605, 7)
     if seed == 0:
         for steps in _edges(replay):
             assert_replay_matches_oracle(config, steps)
@@ -455,6 +456,50 @@ def test_replay_waits_for_the_seed_rotation(monkeypatch):
     for steps in range(12, 40):
         assert_replay_matches_oracle(config, steps)
     assert_replay_matches_oracle(config, 200)
+
+
+def test_missed_probe_saves_at_the_next_checkpoint(monkeypatch):
+    rng = random.Random(10)
+    graph = compiler.compile_model(random_model(rng))
+    config = instantiate(graph, random_script(rng, graph), 0)
+    saves = []
+    visit = periodic.Recurrence.visit
+
+    def spy(self, steps, *args):
+        repeats = visit(self, steps, *args)
+        if self.first == steps:  # the key at steps was saved
+            saves.append((steps, self.power, self.spacing))
+        return repeats
+    monkeypatch.setattr(periodic.Recurrence, "visit", spy)
+    replay = replay_of(config, 4000)
+    # Cycle 81 and a table of two rendezvous: the probe at step 5 saves its
+    # key with power 1.  The key does not recur at step 86, so step 86 saves
+    # at once with power 2, as step 81 does without the probe.  That key
+    # recurs two checkpoints later, at 248: the spacing widens to 162, and
+    # the key saved at 248 recurs at 410.  Without the probe the replay
+    # starts at 405, from the key saved at 243.
+    assert saves == [(5, 1, 81), (86, 2, 81), (248, 1, 162)]
+    assert (replay.period, replay.start, replay.windows) == (162, 410, 22)
+    monkeypatch.undo()
+    for steps in (*_edges(replay), 4000):
+        assert_replay_matches_oracle(config, steps)
+
+
+def test_recurrence_needs_one_whole_window_after_the_first_checkpoint():
+    def track(cycle, last=0):
+        return ScriptTrack(((last, None),), cycle)
+
+    cases = [
+        # (tracks, table, first checkpoint, its power); C is 600 in each.
+        ((track(40), track(50), track(60)), 2, 5, 1),  # the probe at 2·2 + 1
+        ((track(40), track(50), track(60)), 299, 599, 1),
+        ((track(40), track(50), track(60)), 300, 600, 2),  # capped at C: no probe
+        ((track(600), track(None, 7)), 2, 8, 2),  # after the finite track's last point
+    ]
+    for tracks, table, first, power in cases:
+        assert periodic.Recurrence.of(tracks, first + 2 * 600 - 1, table) is None
+        recurrence = periodic.Recurrence.of(tracks, first + 2 * 600, table)
+        assert (recurrence.spacing, recurrence.next, recurrence.power) == (600, first, power)
 
 
 @oracle_budget(100)
@@ -582,8 +627,9 @@ def test_simulate_trace_matches_oracle_on_aircraft(
         capsys, tmp_path, aircraft_path, aircraft_script_path, seed):
     text = aircraft_path.read_text(encoding="utf-8")
     script = json.loads(aircraft_script_path.read_text(encoding="utf-8"))
-    # The replay starts at step 1,200 and repeats every 600 steps.
-    for steps in (5000,) if seed else (1199, 1200, 1201, 3000, 3300, 5000):
+    # The replay starts at step 605 and repeats every 600 steps; runs of
+    # 1,199 to 1,201 steps end mid-window.
+    for steps in (5000,) if seed else (604, 605, 606, 1199, 1200, 1201, 3000, 3300, 5000):
         assert_simulate_matches_oracle(capsys, tmp_path, text, script, steps, seed)
 
 

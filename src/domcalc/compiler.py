@@ -59,12 +59,15 @@ class CompileError(Exception):
 def behaviour_prefix(behaviour: str, length: int = 1) -> str:
     """Channel prefix: the first ``length`` letters of each word of a
     multi-word name (travel_dynamics -> td), else the first ``length`` + 1
-    letters (position -> po).  A longer one is used only where two derived
-    channel names would otherwise collide (``_channel_prefixes``)."""
+    letters of its one word (position -> po, s_ -> s); a name of
+    underscores alone has none.  A longer one is used only where two
+    derived channel names would otherwise collide (``_channel_prefixes``).
+    No prefix holds ``_``, so a channel name's sender prefix is the text
+    before its first ``_`` (``_recv_var``)."""
     words = [w for w in behaviour.split("_") if w]
     if len(words) > 1:
         return "".join(w[:length] for w in words)
-    return behaviour[:length + 1] or behaviour
+    return words[0][:length + 1] if words else ""
 
 
 def _channel_prefixes(pairs: list[tuple[str, str]]) -> dict[str, str]:

@@ -516,8 +516,8 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
 # Trace serialization (JSON lines)
 # ---------------------------------------------------------------------------
 
-# The lines of a replayed run written at once: a bounded piece, so the
-# write's memory does not grow with the window.
+# The lines of a replayed run written, or read back, at once: a bounded
+# piece, so that neither's memory grows with the window.
 PIECE_LINES = 64
 # The characters of JSONL text that the reader splits into lines at a time
 # (about 64 KiB, more to end just after a ``\n``), so its memory does not
@@ -637,7 +637,19 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     followed it, and the next line is first tried as that line's head and
     separator followed by a plain step and ``}``: a trace that cycles
     through its heads is read without splitting or hashing most lines.
-    Which lines are read so does not change the events.
+
+    A trace whose lines repeat as copies of one window, as ``write_jsonl``
+    writes a replayed run, is read a window at a time once the window is
+    found.  At the end of each piece, Brent's search (``_repeat_of``) looks
+    for L lines and P steps such that the lines since a later copy of a
+    marked line repeat the lines L before them with steps P higher.  The
+    lines that follow are then predicted as the last L lines with steps P
+    higher and accepted ``PIECE_LINES`` lines at a time, each piece only if
+    the text is exactly the predicted lines (``_accept``); at the first
+    piece that differs, reading goes on line by line.  A predicted line is
+    a repeated head, its separator and a plain step, so its event is the
+    one the line-by-line read gives.  Which lines are read so does not
+    change the events.
     """
     events = []
     append = events.append
@@ -649,6 +661,9 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     # of the repeated line that last followed a line with this head], made
     # when the head repeats or a repeated line follows a line with it.
     nodes: dict[str, list] = {}
+    # The ids of a node's (kind, channel, process, payload) -> the node, so
+    # that the nodes of a window are found from its events.
+    by_fields: dict[tuple[int, ...], list] = {}
     # A trace repeats a handful of (kind, value) pairs; equal ones share a Quantity.
     quantities: dict[tuple[str, str], Quantity] = {}
 
@@ -656,8 +671,14 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
         node = nodes.get(head)
         if node is None:
             node = nodes[head] = [head + separator, firsts[head][1:], None]
+            by_fields[tuple(map(id, node[1]))] = node
         return node
 
+    # Brent's search for a window: the node of the marked line, its index,
+    # the line count from which the mark moves on to the last line of a
+    # piece (the next power of two), and the indices of the later lines
+    # with the marked head.
+    mark, marked, due, hits = None, 0, 1, []
     # The last line's node and the node it predicts, or the last line's head
     # when that line was decoded.
     node = ahead = fresh = None
@@ -676,6 +697,8 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
                         if digits != step_text:
                             step, step_text = int(digits), digits
                         append(new(TraceEvent, (step, *ahead[1])))
+                        if ahead is mark:
+                            hits.append(len(events) - 1)
                         node, ahead = ahead, ahead[2]
                         continue
                 head, _, tail = line.rpartition(separator)
@@ -691,6 +714,8 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
                         if node is not None:
                             node[2] = repeat
                         append(new(TraceEvent, (int(digits), *repeat[1])))
+                        if repeat is mark:
+                            hits.append(len(events) - 1)
                         node, ahead, fresh = repeat, repeat[2], None
                         continue
                 elif not line.strip():
@@ -703,7 +728,101 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
             append(event)
             node, ahead, fresh = None, None, head if plain else None
         start = end
+        if start == size:
+            break
+        found = hits and _repeat_of(events, hits, marked)
+        if found:
+            start, count = _accept(text, start, events, by_fields, *found)
+            if count:  # the search starts again after the accepted lines
+                number += count
+                node = ahead = fresh = mark = None
+                due = len(events)
+                hits.clear()
+        if node is not None and len(events) >= due:
+            mark, marked, due = node, len(events) - 1, 1 << len(events).bit_length()
+            hits.clear()
     return tuple(events)
+
+
+def _repeat_of(events: list[TraceEvent], hits: list[int],
+               marked: int) -> Optional[tuple[int, int]]:
+    """The length L and step period P of a window that the last events
+    repeat, or None.  Each hit, a later line with the marked line's head,
+    proposes L lines and P steps from the marked line to it; the hit holds
+    when P >= 0 and every line since it, at most the last L, has the same
+    fields (as objects) as the line L before and a step P higher.  A hit
+    is judged once at least ``min(L, PIECE_LINES)`` lines follow it; the
+    judged hits leave ``hits``, the rest stay for a later piece."""
+    count = len(events)
+    first = events[marked][0]
+    for at, hit in enumerate(hits):
+        length = hit - marked
+        if count - hit < min(length, PIECE_LINES):
+            del hits[:at]  # this hit and the later ones are too recent
+            return None
+        period = events[hit][0] - first
+        if period >= 0:
+            for index in range(max(hit, count - length), count):
+                now, before = events[index], events[index - length]
+                if (now[0] - before[0] != period or now[4] is not before[4]
+                        or now[3] is not before[3] or now[1] is not before[1]
+                        or now[2] is not before[2]):
+                    break
+            else:
+                del hits[:at + 1]
+                return length, period
+    hits.clear()
+    return None
+
+
+def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[int, ...], list],
+            length: int, period: int) -> tuple[int, int]:
+    """Append to ``events`` the copies of the last ``length`` events that
+    ``text`` holds from offset ``at``, each copy with steps ``period``
+    higher than the one before, and return the offset after them and their
+    number.  Lines are taken ``PIECE_LINES`` at a time, up to the end of a
+    copy, and a piece is taken only if the text is exactly its lines: each
+    the head and separator of the node that ``by_fields`` gives for the
+    event ``length`` lines back, a plain step, ``}`` and ``\\n``.  Its
+    events are built from those nodes' fields, so each is the event a
+    line-by-line read of the same line gives.  No copy is taken if an
+    event of the window has no node.
+
+    A window shorter than ``PIECE_LINES`` lines is taken as several copies
+    at once, as far as the events reach back.  Each copy makes one step
+    number and one text per distinct step of the window, shared by the
+    lines of that step, as the line-by-line read shares one number among
+    consecutive lines with the same step."""
+    if length < PIECE_LINES:
+        copies = min(-(-PIECE_LINES // length), len(events) // length)
+        length, period = length * copies, period * copies
+    window = events[-length:]
+    nodes = [by_fields.get((id(kind), id(channel), id(process), id(payload)))
+             for _, kind, channel, process, payload in window]
+    if None in nodes:
+        return at, 0
+    heads = [node[0] for node in nodes]
+    fields = list(zip(*[node[1] for node in nodes]))  # the kinds, channels, ... of the lines
+    distinct = sorted({event[0] for event in window})
+    position = {step: index for index, step in enumerate(distinct)}
+    steps = [position[event[0]] for event in window]  # each line's step, as a position in distinct
+    new = tuple.__new__
+    count = k = shift = 0
+    while True:
+        if not k:
+            shift += period
+            numbers = [step + shift for step in distinct]
+            texts = list(map(int.__repr__, numbers))
+        stop = min(k + PIECE_LINES, length)
+        piece = "".join(chain.from_iterable(zip(
+            heads[k:stop], map(texts.__getitem__, steps[k:stop]), repeat("}\n"))))
+        if not text.startswith(piece, at):
+            return at, count
+        events.extend(map(new, repeat(TraceEvent), zip(
+            map(numbers.__getitem__, steps[k:stop]), *[column[k:stop] for column in fields])))
+        at += len(piece)
+        count += stop - k
+        k = stop % length
 
 
 def _decode_event(line: str, registry: KindRegistry,

@@ -50,6 +50,25 @@ def test_behaviour_prefixes_match_the_worked_example():
     assert behaviour_prefix("display") == "di"
 
 
+@pytest.mark.parametrize("behaviour, prefix", [("s_", "s"), ("_s", "s"), ("___", "")])
+def test_a_one_word_prefix_is_spelled_one_way(behaviour, prefix):
+    # The prefix comes from the word alone, so it holds no "_": the channel
+    # name, the head's <prefix>_da and the received value's <prefix>_d′ agree.
+    assert behaviour_prefix(behaviour) == prefix
+    assert behaviour_prefix(behaviour, 3) == prefix
+    model = parse_ok(f"""
+    part R composite(S, D) {{ id RI; mereo empty; }}
+    part S {{ id SI; mereo DI; behaviour {behaviour}; attr Y : m reactive; }}
+    part D {{ id DI; mereo SI; attr d : m reactive; attr dY : m programmable init 0; }}
+    axiom follow {{ display(D.dY) tracks (S.Y); }}
+    """)
+    assert check_wellformed(model) == []
+    graph = compile_model(model)
+    assert [c.name for c in graph.channels if not c.external] == [f"{prefix}_d_ch"]
+    assert (f"d(dπ,sπ)({prefix}_da) ≡ let (d,{prefix}_d′) = (attr_d_ch?,{prefix}_d_ch?) in "
+            f"d(dπ,sπ)(conv_{prefix}_d({prefix}_d′)) end" in print_process(graph))
+
+
 def test_single_word_behaviours_with_the_same_initials_compile():
     # sensor0 -> display and sensor1 -> display would both derive 'se_di_ch':
     # only the two sensors' prefixes grow, until they differ.

@@ -641,3 +641,57 @@ def test_simulate_trace_matches_oracle_on_small_cycle_scripts(capsys, tmp_path, 
         script = _script_json(config.script)
         for steps in _edges(replay) if replay else (300,):
             assert_simulate_matches_oracle(capsys, tmp_path, text, script, steps, config.seed)
+
+
+# A process that reads two attributes, receives on three channels and sends
+# on three.  Every part related to one with controllable attributes sends to
+# it, so a process sending to three such parts also receives from them, and
+# each of the pair waits on its receive first: the run stops at step 0.
+HUB = """
+part R composite(H, C, D, E) { id RI; mereo empty; }
+part H { id HI; mereo CI x DI x EI; attr X : m reactive; attr Y : m reactive;
+         attr hC : m programmable init 0; attr hD : m programmable init 0;
+         attr hE : m programmable init 0; }
+part C { id CI; mereo HI; attr U : m reactive; attr cX : m programmable init 0; }
+part D { id DI; mereo HI; attr V : m reactive; attr dY : m programmable init 0; }
+part E { id EI; mereo HI; attr W : m reactive;
+         attr eX : m programmable init 0; attr eY : m programmable init 0; }
+axiom hc { display(H.hC) tracks (C.U); }
+axiom hd { display(H.hD) tracks (D.V); }
+axiom he { display(H.hE) tracks (E.W); }
+axiom cx { display(C.cX) tracks (H.X); }
+axiom dy { display(D.dY) tracks (H.Y); }
+axiom ex { display(E.eX, E.eY) tracks (H.X; H.Y); }
+"""
+
+
+def test_a_process_with_reads_receives_and_several_sends():
+    model, diagnostics = dsl.parse_model(HUB)
+    assert not diagnostics
+    graph = compiler.compile_model(model)
+    (hub,) = (p for p in graph.processes() if p.name == "h")
+    assert hub.signature.actions == (
+        (READ, "attr_X_ch"), (READ, "attr_Y_ch"),
+        (RECEIVE, "c_h_ch"), (RECEIVE, "d_h_ch"), (RECEIVE, "e_h_ch"),
+        (SEND, "h_c_ch"), (SEND, "h_d_ch"), (SEND, "h_e_ch"))
+    printed = compiler.print_process(graph)
+    assert ("h: HI × (CI×DI×EI) → DA_h → in attr_X_ch,attr_Y_ch,c_h_ch,d_h_ch,e_h_ch "
+            "out h_c_ch,h_d_ch,h_e_ch Unit\n"
+            "h(hπ,(cπ,dπ,eπ))(c_da,d_da,e_da) ≡ let (x,y,c_d′,d_d′,e_d′) = "
+            "(attr_X_ch?,attr_Y_ch?,c_h_ch?,d_h_ch?,e_h_ch?) in "
+            "h_c_ch ! (x,y); h_d_ch ! (x,y); h_e_ch ! (x,y); "
+            "h(hπ,(cπ,dπ,eπ))(conv_c_h(c_d′),conv_d_h(d_d′),conv_e_h(e_d′)) end\n") in printed
+    assert ("c(cπ,hπ)(h_da) ≡ let (u,h_d′) = (attr_U_ch?,h_c_ch?) in c_h_ch ! (u); "
+            "c(cπ,hπ)(conv_h_c(h_d′)) end\n") in printed
+    script = EnvironmentScript.from_json(
+        {f"attr_{name}_ch": {"points": [[0, f"{value} m"], [2, "7 m"]], "cycle": 4}
+         for value, name in enumerate("UVWXY", 1)}, graph)
+    for seed in range(3):
+        config = instantiate(graph, script, seed)
+        trace = tuple(stream(config, 10))
+        assert trace == oracle_run(config, 10)
+        assert [(e.step, e.kind, e.channel, e.process, [str(q) for q in e.payload])
+                for e in trace] == [
+            (0, RECEIVE, "attr_U_ch", "c", ["1 m"]), (0, RECEIVE, "attr_V_ch", "d", ["2 m"]),
+            (0, RECEIVE, "attr_W_ch", "e", ["3 m"]), (0, RECEIVE, "attr_X_ch", "h", ["4 m"]),
+            (0, RECEIVE, "attr_Y_ch", "h", ["5 m"]), (0, DEADLOCK, None, "", [])]

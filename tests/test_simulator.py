@@ -2,7 +2,9 @@ import copy
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import operator
 import pickle
 import random
 import time
@@ -1131,6 +1133,211 @@ def test_jsonl_reader_reads_the_same_in_any_piece_size(aircraft_graph, aircraft_
                 assert back == oracle, name
         elif name != "aircraft":
             assert back.startswith("line 3: "), name
+
+
+# The piece sizes above, and the reader's own.
+READER_PIECE_SIZES = [1, 2, 3, 7, 64, simulator.PIECE_CHARS]
+
+
+def _oracle_or_line(text, registry):
+    # The oracle's events, or "line N" for the first line that it refuses or
+    # whose event has a field of a type that no trace holds.
+    events = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            (event,) = oracle_trace_from_jsonl(line, registry)
+        except (ValueError, KeyError, TypeError):  # bad JSON, a missing key, item or value
+            return f"line {number}"
+        if not (type(event.step) is int and event.step >= 0 and type(event.kind) is str
+                and type(event.process) is str
+                and (event.channel is None or type(event.channel) is str)):
+            return f"line {number}"
+        events.append(event)
+    return tuple(events)
+
+
+def _read_all_sizes(text, registry):
+    # The events, or the "line N" of the error, read at every piece size.
+    results = []
+    for piece in READER_PIECE_SIZES:
+        saved, simulator.PIECE_CHARS = simulator.PIECE_CHARS, piece
+        try:
+            back = trace_from_jsonl(text, registry)
+        except ValueError as exc:
+            back = str(exc).partition(":")[0]
+        finally:
+            simulator.PIECE_CHARS = saved
+        results.append(back)
+    return results
+
+
+def _windowed(heads, prefix, window, period, copies, tail=0):
+    # The writer's text of the ``prefix`` events, then ``copies`` copies of
+    # the ``window`` events, each ``period`` steps after the one before,
+    # then the first ``tail`` events of one more.  An event is (step, index
+    # into heads).
+    events = [*prefix, *((step + k * period, head) for k in range(copies)
+                          for step, head in window),
+              *((step + copies * period, head) for step, head in window[:tail])]
+    return trace_to_jsonl(TraceEvent(step, *heads[head]) for step, head in events)
+
+
+@pytest.fixture(scope="module")
+def reader_heads(aircraft_graph):
+    registry = aircraft_graph.registry
+    rlo, deg = registry.resolve("rLO"), registry.resolve("point deg")
+    position = (Quantity(Fraction(3, 2), rlo), Quantity(Fraction(-1), deg))
+    return [("send", "po_di_ch", "position", position),
+            ("receive", "po_di_ch", "display", position),
+            ("recursion", None, "display", (Quantity(Fraction(7), rlo),)),
+            ("recursion", None, "position", ()),
+            ("receive", "attr_LO_ch", "position", (Quantity(Fraction(10), deg),))]
+
+
+def _edit_line(text, index, old, new):
+    # ``text`` with the last ``old`` in line ``index`` (from 0) made ``new``.
+    lines = text.split("\n")
+    before, found, after = lines[index].rpartition(old)
+    assert found
+    lines[index] = before + new + after
+    return "\n".join(lines)
+
+
+REPEATED_WINDOW_NAMES = (
+    "aircraft 10,000 steps", "aircraft 3,000 steps", "aircraft changed value",
+    "aircraft changed brace", "aircraft wrong step", "aircraft blank line", "aircraft crlf",
+    "small", "small changed byte", "small wrong step", "small ends mid-window",
+    "small no final newline", "small ends mid-line", "small crlf", "small blank line",
+    "steps 999 to 1000", "steps 9999 to 10000", "widths in the window", "one-line window",
+    "one-line window, edited", "one-line window, one step", "steps falling below 0")
+
+
+@pytest.fixture(scope="module")
+def repeated_window_texts(aircraft_graph, aircraft_script, reader_heads):
+    # Copies of one window, as the writer writes a replayed run, and edits
+    # of them inside a late copy; one text per name above.
+    config = instantiate(aircraft_graph, aircraft_script, seed=0)
+    aircraft = trace_to_jsonl(run(config, 3000))  # 18,005 lines, copies of 3,600 lines
+    window = [(0, 0), (0, 1), (1, 2), (1, 3), (1, 4), (1, 0), (1, 1)]
+    small = _windowed(reader_heads, [(0, 4), (0, 3)], window, 2, 40, tail=3)
+    one_line = _windowed(reader_heads, [(0, 4)], [(1, 2)], 1, 300)
+    texts = {
+        "aircraft 10,000 steps": trace_to_jsonl(run(config, 10000)),
+        "aircraft 3,000 steps": aircraft,
+        "aircraft changed value": _edit_line(aircraft, 15000, '"905"', '"906"'),
+        "aircraft changed brace": _edit_line(aircraft, 15000, "2499}", "2499]"),
+        "aircraft wrong step": _edit_line(aircraft, 17000, "2833}", "2834}"),
+        "aircraft blank line": _edit_line(aircraft, 16000, "2666}", "2666}\n"),
+        "aircraft crlf": aircraft.replace("\n", "\r\n"),
+        "small": small,
+        "small changed byte": _edit_line(small, 205, "1.5", "2.5"),
+        "small wrong step": _edit_line(small, 250, '"step": ', '"step": 1'),
+        "small ends mid-window": _windowed(reader_heads, [], window, 2, 40, tail=5),
+        "small no final newline": small[:-1],
+        "small ends mid-line": small[:-3],
+        "small crlf": small.replace("\n", "\r\n"),
+        "small blank line": _edit_line(small, 150, "}", "}\n\n"),
+        "steps 999 to 1000": _windowed(
+            reader_heads, [(990, 3)], [(990 + step, head) for step, head in window], 2, 10),
+        "steps 9999 to 10000": _windowed(
+            reader_heads, [(9980, 3)], [(9980 + step, head) for step, head in window], 2, 15),
+        "widths in the window": _windowed(
+            reader_heads, [], [(998, 0), (999, 1), (1000, 2)], 3, 30, tail=2),
+        "one-line window": one_line,
+        "one-line window, edited": _edit_line(one_line, 250, '"7"', '"8"'),
+        "one-line window, one step": _windowed(reader_heads, [], [(5, 3)], 0, 200),
+        "steps falling below 0": _windowed(reader_heads, [], [(40, 2), (40, 3)], -1, 60),
+    }
+    assert tuple(texts) == REPEATED_WINDOW_NAMES
+    return texts
+
+
+@pytest.mark.parametrize("name", REPEATED_WINDOW_NAMES)
+def test_jsonl_reader_reads_repeated_windows_as_the_oracle(aircraft_graph,
+                                                           repeated_window_texts, name):
+    # Every piece size reads the oracle's events, or stops at its line.
+    text = repeated_window_texts[name]
+    registry = aircraft_graph.registry
+    expected = _oracle_or_line(text, registry)
+    for piece, back in zip(READER_PIECE_SIZES, _read_all_sizes(text, registry)):
+        assert back == expected, (name, piece)
+        if type(back) is tuple:
+            assert all(type(event) is TraceEvent for event in back)
+
+
+def test_jsonl_reader_takes_repeated_windows_in_bulk(aircraft_graph, repeated_window_texts,
+                                                    monkeypatch):
+    # The texts above reach the bulk path: most of the aircraft trace at the
+    # reader's own piece size, and part of each small text in 1-character
+    # pieces, which end after every line.
+    accepted = []
+
+    def counting(*args):
+        at, count = accept(*args)
+        accepted.append(count)
+        return at, count
+
+    accept = simulator._accept
+    monkeypatch.setattr(simulator, "_accept", counting)
+    trace_from_jsonl(repeated_window_texts["aircraft 10,000 steps"], aircraft_graph.registry)
+    assert sum(accepted) > 50000
+    monkeypatch.setattr(simulator, "PIECE_CHARS", 1)
+    for name in ("small", "small ends mid-line", "steps 999 to 1000", "steps 9999 to 10000",
+                 "widths in the window", "one-line window", "one-line window, one step"):
+        accepted.clear()
+        try:
+            trace_from_jsonl(repeated_window_texts[name], aircraft_graph.registry)
+        except ValueError:
+            pass
+        assert sum(accepted) > 0, name
+
+
+def test_jsonl_reader_reads_a_long_aircraft_trace_as_run(aircraft_graph, aircraft_script,
+                                                       tmp_path):
+    # 100,000 steps: 600,005 lines, copies of one 3,600-line window and part
+    # of one more.  The read is the run's events, and the oracle's for
+    # sampled lines.  The trace goes through a file, so that no second copy
+    # of its text or its events is held.
+    config = instantiate(aircraft_graph, aircraft_script, seed=0)
+    path = tmp_path / "long.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for _ in write_jsonl(simulator.stream(config, 100000), handle):
+            pass
+    text = path.read_text(encoding="utf-8")
+    back = trace_from_jsonl(text, aircraft_graph.registry)
+    assert len(back) == 600005
+    assert all(itertools.starmap(operator.eq, zip(back, simulator.stream(config, 100000))))
+    assert all(type(event) is TraceEvent for event in back)
+    for share in (0, 0.01, 0.5, 0.995):
+        start = text.rfind("\n", 0, int(share * len(text))) + 1
+        end, first = start, text.count("\n", 0, start)
+        for _ in range(4000):
+            end = text.find("\n", end) + 1 or len(text)
+        assert (oracle_trace_from_jsonl(text[start:end], aircraft_graph.registry)
+                == back[first:first + 4000])
+
+
+@oracle_budget(60)
+@given(data=st.data(),
+       prefix=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=6),
+       window=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), min_size=1, max_size=12),
+       period=st.integers(-2, 4), copies=st.integers(0, 12))
+def test_jsonl_reader_reads_copies_with_one_edit_as_the_oracle(aircraft_graph, reader_heads,
+                                                               data, prefix, window, period,
+                                                               copies):
+    # A prefix, copies of a window and part of one more, with at most one
+    # character replaced: every piece size reads the oracle's events, or
+    # stops at the line where the oracle does.
+    tail = data.draw(st.integers(0, len(window)))
+    text = _windowed(reader_heads, sorted(prefix), sorted(window), period, copies, tail)
+    if text and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(text) - 1))
+        text = text[:at] + data.draw(st.sampled_from('0123456789"{}[],: x\n\r')) + text[at + 1:]
+    expected = _oracle_or_line(text, aircraft_graph.registry)
+    for piece, back in zip(READER_PIECE_SIZES, _read_all_sizes(text, aircraft_graph.registry)):
+        assert back == expected, piece
 
 
 @settings(max_examples=200, deadline=None)

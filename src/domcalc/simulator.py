@@ -19,7 +19,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import (Any, Callable, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence,
                     TextIO)
@@ -544,11 +544,12 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     tuples are written the same, only slower.
 
     Over ``stream``, a replayed run is written whole when its scheduled
-    events end: every copy of the window and the tail, joined from the
-    window's heads and shifted steps ``PIECE_LINES`` lines to a write,
-    before the first replayed event is passed on.  The writing generator
-    then returns the stream's own ``Replay``, so the ``periodic.Events``
-    returned takes it as its ``replay``.  The bytes are unchanged."""
+    events end: every copy of the window and the tail, ``PIECE_LINES``
+    lines to a write, joined from one list of the window's line parts,
+    each head (fixed for the run) then its step text, which each copy
+    fills in, before the first replayed event is passed on.  The writing
+    generator then returns the stream's own ``Replay``, so the
+    ``periodic.Events`` returned takes it as its ``replay``."""
     # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
     # its text; ``payloads`` keeps each keyed payload, and so each keyed
     # quantity, alive, so no id can be reused.
@@ -591,17 +592,17 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
         replay = events.replay
         if replay is None:
             return None
-        write, indices, offsets, period = handle.write, replay.indices, replay.offsets, replay.period
-        head = [head_of(*tail) for tail in replay.tails].__getitem__
+        write, offsets, period = handle.write, replay.offsets, replay.period
+        parts = [""] * (2 * len(offsets))
+        parts[0::2] = map([head_of(*tail) for tail in replay.tails].__getitem__, replay.indices)
         for k in range(replay.windows + 1):  # the whole copies, then the tail
             base = replay.start + k * period
-            count = len(indices) if k < replay.windows else replay.rest
+            count = len(offsets) if k < replay.windows else replay.rest
             # Each step's text once, for the several events of the step.
-            step = list(map(int.__repr__, range(base, base + period))).__getitem__
+            parts[1::2] = map(list(map("%d}\n".__mod__, range(base, base + period))).__getitem__,
+                              offsets)
             for at in range(0, count, PIECE_LINES):
-                piece = slice(at, min(at + PIECE_LINES, count))
-                write("".join(chain.from_iterable(zip(
-                    map(head, indices[piece]), map(step, offsets[piece]), repeat("}\n")))))
+                write("".join(parts[2 * at:2 * min(at + PIECE_LINES, count)]))
         return replay
     return periodic.Events(scheduled())
 
@@ -640,16 +641,17 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
 
     A trace whose lines repeat as copies of one window, as ``write_jsonl``
     writes a replayed run, is read a window at a time once the window is
-    found.  At the end of each piece, Brent's search (``_repeat_of``) looks
-    for L lines and P steps such that the lines since a later copy of a
-    marked line repeat the lines L before them with steps P higher.  The
-    lines that follow are then predicted as the last L lines with steps P
-    higher and accepted ``PIECE_LINES`` lines at a time, each piece only if
-    the text is exactly the predicted lines (``_accept``); at the first
-    piece that differs, reading goes on line by line.  A predicted line is
-    a repeated head, its separator and a plain step, so its event is the
-    one the line-by-line read gives.  Which lines are read so does not
-    change the events.
+    found.  At the end of each piece, a search (``_repeat_of``) looks for
+    L lines and P steps such that the lines since a later copy of a marked
+    line, the first piece's last line or Brent's mark, repeat the lines L
+    before them with steps P higher.  The lines that follow are then
+    predicted as the last L lines with steps P higher and accepted
+    ``PIECE_LINES`` lines at a time, each piece only if the text is
+    exactly the predicted lines (``_accept``); at the first piece that
+    differs, reading goes on line by line.  A predicted line is a repeated
+    head, its separator and a plain step, so its event is the one the
+    line-by-line read gives.  Which lines are read so does not change the
+    events.
     """
     events = []
     append = events.append
@@ -674,11 +676,13 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
             by_fields[tuple(map(id, node[1]))] = node
         return node
 
-    # Brent's search for a window: the node of the marked line, its index,
-    # the line count from which the mark moves on to the last line of a
-    # piece (the next power of two), and the indices of the later lines
-    # with the marked head.
-    mark, marked, due, hits = None, 0, 1, []
+    # The search for a window marks two lines, each the last line of a piece
+    # that ends in a repeated line: the first such, kept while the search
+    # lasts, and Brent's mark, which moves on once the line count reaches
+    # ``due`` (the next power of two).  Each is its line's node, its index
+    # and the indices of the later lines with its head.
+    anchor, anchored, anchor_hits = None, 0, []
+    mark, marked, hits, due = None, 0, [], 1
     # The last line's node and the node it predicts, or the last line's head
     # when that line was decoded.
     node = ahead = fresh = None
@@ -699,6 +703,8 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
                         append(new(TraceEvent, (step, *ahead[1])))
                         if ahead is mark:
                             hits.append(len(events) - 1)
+                        elif ahead is anchor:
+                            anchor_hits.append(len(events) - 1)
                         node, ahead = ahead, ahead[2]
                         continue
                 head, _, tail = line.rpartition(separator)
@@ -716,6 +722,8 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
                         append(new(TraceEvent, (int(digits), *repeat[1])))
                         if repeat is mark:
                             hits.append(len(events) - 1)
+                        elif repeat is anchor:
+                            anchor_hits.append(len(events) - 1)
                         node, ahead, fresh = repeat, repeat[2], None
                         continue
                 elif not line.strip():
@@ -730,17 +738,20 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
         start = end
         if start == size:
             break
-        found = hits and _repeat_of(events, hits, marked)
+        found = ((anchor_hits and _repeat_of(events, anchor_hits, anchored))
+                 or (hits and _repeat_of(events, hits, marked)))
         if found:
             start, count = _accept(text, start, events, by_fields, *found)
             if count:  # the search starts again after the accepted lines
                 number += count
-                node = ahead = fresh = mark = None
-                due = len(events)
-                hits.clear()
+                node = ahead = fresh = anchor = mark = None
+                due, anchor_hits, hits = len(events), [], []
         if node is not None and len(events) >= due:
-            mark, marked, due = node, len(events) - 1, 1 << len(events).bit_length()
-            hits.clear()
+            if anchor is None:
+                anchor, anchored = node, len(events) - 1
+            else:
+                mark, marked, hits = node, len(events) - 1, []
+            due = 1 << len(events).bit_length()
     return tuple(events)
 
 
@@ -783,10 +794,11 @@ def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[
     number.  Lines are taken ``PIECE_LINES`` at a time, up to the end of a
     copy, and a piece is taken only if the text is exactly its lines: each
     the head and separator of the node that ``by_fields`` gives for the
-    event ``length`` lines back, a plain step, ``}`` and ``\\n``.  Its
-    events are built from those nodes' fields, so each is the event a
-    line-by-line read of the same line gives.  No copy is taken if an
-    event of the window has no node.
+    event ``length`` lines back, a plain step, ``}`` and ``\\n``, joined
+    from one list of heads and step texts as ``write_jsonl`` joins a
+    copy.  Its events are built from those nodes' fields, so each is the
+    event a line-by-line read of the same line gives.  No copy is taken
+    if an event of the window has no node.
 
     A window shorter than ``PIECE_LINES`` lines is taken as several copies
     at once, as far as the events reach back.  Each copy makes one step
@@ -801,21 +813,21 @@ def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[
              for _, kind, channel, process, payload in window]
     if None in nodes:
         return at, 0
-    heads = [node[0] for node in nodes]
     fields = list(zip(*[node[1] for node in nodes]))  # the kinds, channels, ... of the lines
     distinct = sorted({event[0] for event in window})
     position = {step: index for index, step in enumerate(distinct)}
     steps = [position[event[0]] for event in window]  # each line's step, as a position in distinct
+    parts = [""] * (2 * length)  # each line's head and separator, then its step text
+    parts[0::2] = [node[0] for node in nodes]
     new = tuple.__new__
     count = k = shift = 0
     while True:
         if not k:
             shift += period
             numbers = [step + shift for step in distinct]
-            texts = list(map(int.__repr__, numbers))
+            parts[1::2] = map(list(map("%d}\n".__mod__, numbers)).__getitem__, steps)
         stop = min(k + PIECE_LINES, length)
-        piece = "".join(chain.from_iterable(zip(
-            heads[k:stop], map(texts.__getitem__, steps[k:stop]), repeat("}\n"))))
+        piece = "".join(parts[2 * k:2 * stop])
         if not text.startswith(piece, at):
             return at, count
         events.extend(map(new, repeat(TraceEvent), zip(

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import oracle_budget
-from domcalc import cli, compiler, dsl, periodic
+from domcalc import cli, compiler, dsl, periodic, simulator
 from domcalc.simulator import (
     DEADLOCK, READ, RECEIVE, RECURSION, SEND, EnvironmentScript, RunConfig, ScriptTrack,
     TraceEvent, _chain_apply, check_axioms, instantiate, run, stream,
@@ -544,6 +544,39 @@ def test_replay_is_written_whole_when_the_scheduled_events_end(
     assert buffer.getvalue() == text
 
 
+@pytest.fixture(scope="module")
+def replayed_texts(aircraft_graph, aircraft_script_path):
+    """Replayed runs, each with the oracle's text: the aircraft at seed 0
+    with tails of 4, 10, 64 and 1,804 lines after two whole copies of its
+    3,600-line window (no tail is empty, as the reads and recursions of the
+    last step follow the last copy), the aircraft over 10,300 steps, whose
+    copy from step 9,605 goes from step 9,999 to 10,000, and a generated
+    model whose window of 12 lines is shorter than a 64-line piece."""
+    with open(aircraft_script_path, encoding="utf-8") as handle:
+        script = EnvironmentScript.from_json(json.load(handle), aircraft_graph)
+    aircraft = instantiate(aircraft_graph, script, 0)
+    small = next(_small_cycle_cases("cyclic", 1))
+    cases = []
+    for config, steps, rest in ((aircraft, 1805, 4), (aircraft, 1806, 10), (aircraft, 1815, 64),
+                                (aircraft, 2105, 1804), (aircraft, 10300, 574), (small, 25, 10)):
+        replay = replay_of(config, steps)
+        assert replay.rest == rest and replay.windows >= 2
+        cases.append((config, steps, oracle_jsonl(oracle_run(config, steps))))
+    assert len(replay_of(small, 25).indices) == 12
+    return cases
+
+
+@pytest.mark.parametrize("piece", [1, 2, 7, 64])
+def test_replayed_copies_are_written_as_the_oracle_in_any_piece(monkeypatch, replayed_texts,
+                                                                 piece):
+    monkeypatch.setattr(simulator, "PIECE_LINES", piece)
+    for config, steps, text in replayed_texts:
+        buffer = io.StringIO()
+        for _ in write_jsonl(stream(config, steps), buffer):
+            pass
+        assert buffer.getvalue() == text, steps
+
+
 def test_events_take_the_replay_their_generator_returns():
     stand_in = ["replayed 0", "replayed 1"]
 
@@ -590,9 +623,15 @@ class _FullAfter(io.StringIO):
 def test_write_failing_in_the_replay_raises_and_leaves_whole_lines(
         aircraft_graph, aircraft_script_path):
     config, _, text, scheduled = _aircraft_replayed(aircraft_graph, aircraft_script_path)
-    prefix = len("".join(text.splitlines(keepends=True)[:scheduled]))
-    # In the first copy, mid-run and in the tail.
-    for limit in (prefix + 1000, (prefix + len(text)) // 2, len(text) - 100):
+    lines = text.splitlines(keepends=True)
+    prefix = len("".join(lines[:scheduled]))
+    # The end of the tenth piece of the first copy: a write that fills the
+    # handle to it succeeds, and the next one fails.
+    boundary = len("".join(lines[:scheduled + 10 * simulator.PIECE_LINES]))
+    # In the first copy, on a piece boundary and a character past it,
+    # mid-run and in the tail.
+    for limit in (prefix + 1000, boundary, boundary + 1, (prefix + len(text)) // 2,
+                  len(text) - 100):
         handle = _FullAfter(limit)
         with pytest.raises(OSError) as raised:
             check_axioms(config.graph.model, write_jsonl(stream(config, 5000), handle))
@@ -600,6 +639,8 @@ def test_write_failing_in_the_replay_raises_and_leaves_whole_lines(
         written = handle.getvalue()
         assert prefix <= len(written) <= limit
         assert text.startswith(written) and written.endswith("\n")
+        if limit in (boundary, boundary + 1):
+            assert len(written) == boundary
 
 
 def assert_simulate_matches_oracle(capsys, tmp_path, text: str, script: dict, steps: int,

@@ -188,8 +188,9 @@ def cmd_simulate(args) -> None:
         verdicts = simulator.check_axioms(graph.model, simulator.run(config, args.steps))
     else:
         # One pass: each event is written and monitored as the run yields it.
-        # The writer hands the file one line at a time; a 64 KiB buffer keeps
-        # the system calls as few as whole-chunk writes would.
+        # The writer hands the file each scheduled line on its own and each
+        # replayed copy 64 lines to a write; a 64 KiB buffer keeps the system
+        # calls as few as whole-chunk writes would.
         try:
             with open(args.trace, "w", encoding="utf-8", buffering=1 << 16) as handle:
                 verdicts = simulator.check_axioms(graph.model, simulator.write_jsonl(

@@ -634,11 +634,6 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     the event is the one it would give.  Events read this way share their
     payload tuple.
 
-    For speed, a repeated head also remembers the repeated line that last
-    followed it, and the next line is first tried as that line's head and
-    separator followed by a plain step and ``}``: a trace that cycles
-    through its heads is read without splitting or hashing most lines.
-
     A trace whose lines repeat as copies of one window, as ``write_jsonl``
     writes a replayed run, is read a window at a time once the window is
     found.  At the end of each piece, a search (``_repeat_of``) looks for
@@ -657,74 +652,45 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     append = events.append
     new = tuple.__new__
     separator = ', "step": '
-    # Head -> the event of the first line with that head and a plain step.
-    firsts: dict[str, TraceEvent] = {}
-    # Head -> [head + separator, (kind, channel, process, payload), the node
-    # of the repeated line that last followed a line with this head], made
-    # when the head repeats or a repeated line follows a line with it.
-    nodes: dict[str, list] = {}
-    # The ids of a node's (kind, channel, process, payload) -> the node, so
-    # that the nodes of a window are found from its events.
-    by_fields: dict[tuple[int, ...], list] = {}
+    # Head -> the (kind, channel, process, payload) of the first line with
+    # that head and a plain step, which every later such line shares; until
+    # the head repeats, that line's event, so that a head read once costs no
+    # more than its decoding.
+    firsts: dict[str, tuple] = {}
+    # The ids of a repeated head's fields -> the head and separator, so that
+    # the lines of a window are spelled from its events.
+    by_fields: dict[tuple[int, ...], str] = {}
     # A trace repeats a handful of (kind, value) pairs; equal ones share a Quantity.
     quantities: dict[tuple[str, str], Quantity] = {}
-
-    def node_of(head: str) -> list:
-        node = nodes.get(head)
-        if node is None:
-            node = nodes[head] = [head + separator, firsts[head][1:], None]
-            by_fields[tuple(map(id, node[1]))] = node
-        return node
-
     # The search for a window marks two lines, each the last line of a piece
     # that ends in a repeated line: the first such, kept while the search
     # lasts, and Brent's mark, which moves on once the line count reaches
-    # ``due`` (the next power of two).  Each is its line's node, its index
+    # ``due`` (the next power of two).  Each is its line's fields, its index
     # and the indices of the later lines with its head.
     anchor, anchored, anchor_hits = None, 0, []
     mark, marked, hits, due = None, 0, [], 1
-    # The last line's node and the node it predicts, or the last line's head
-    # when that line was decoded.
-    node = ahead = fresh = None
-    step_text, step = None, 0  # the last predicted line's step, as text and as int
+    fields = None  # the last line's fields, when that line repeated a head
     number, start, size = 0, 0, len(text)
     while start < size:
         end = text.find("\n", start + PIECE_CHARS - 1) + 1 or size
         for number, line in enumerate(text[start:end].splitlines(), number + 1):
             try:
-                # The predicted head and separator, a plain step and "}": as
-                # the digits hold no separator, the line's head is that head.
-                if ahead is not None and line.startswith(ahead[0]) and line[-1] == "}":
-                    digits = line[len(ahead[0]):-1]
-                    if digits == step_text or (digits.isdigit() and digits.isascii()
-                                               and (digits[0] != "0" or digits == "0")):
-                        if digits != step_text:
-                            step, step_text = int(digits), digits
-                        append(new(TraceEvent, (step, *ahead[1])))
-                        if ahead is mark:
-                            hits.append(len(events) - 1)
-                        elif ahead is anchor:
-                            anchor_hits.append(len(events) - 1)
-                        node, ahead = ahead, ahead[2]
-                        continue
                 head, _, tail = line.rpartition(separator)
                 digits = tail[:-1]
                 # JSON integer digits: ASCII, and no leading zero.
                 plain = (tail[-1:] == "}" and digits.isdigit() and digits.isascii()
                          and (digits[0] != "0" or digits == "0"))
                 if plain:
-                    if head in firsts:
-                        repeat = node_of(head)
-                        if fresh is not None:
-                            node = node_of(fresh)
-                        if node is not None:
-                            node[2] = repeat
-                        append(new(TraceEvent, (int(digits), *repeat[1])))
-                        if repeat is mark:
+                    fields = firsts.get(head)
+                    if fields is not None:
+                        if type(fields) is TraceEvent:  # the head's first repeat
+                            fields = firsts[head] = fields[1:]
+                            by_fields[tuple(map(id, fields))] = head + separator
+                        append(new(TraceEvent, (int(digits), *fields)))
+                        if fields is mark:
                             hits.append(len(events) - 1)
-                        elif repeat is anchor:
+                        elif fields is anchor:
                             anchor_hits.append(len(events) - 1)
-                        node, ahead, fresh = repeat, repeat[2], None
                         continue
                 elif not line.strip():
                     continue
@@ -734,7 +700,7 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
             if plain:  # it decoded, so its tail followed the separator
                 firsts[head] = event
             append(event)
-            node, ahead, fresh = None, None, head if plain else None
+            fields = None
         start = end
         if start == size:
             break
@@ -744,13 +710,13 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
             start, count = _accept(text, start, events, by_fields, *found)
             if count:  # the search starts again after the accepted lines
                 number += count
-                node = ahead = fresh = anchor = mark = None
+                fields = anchor = mark = None
                 due, anchor_hits, hits = len(events), [], []
-        if node is not None and len(events) >= due:
+        if fields is not None and len(events) >= due:
             if anchor is None:
-                anchor, anchored = node, len(events) - 1
+                anchor, anchored = fields, len(events) - 1
             else:
-                mark, marked, hits = node, len(events) - 1, []
+                mark, marked, hits = fields, len(events) - 1, []
             due = 1 << len(events).bit_length()
     return tuple(events)
 
@@ -786,19 +752,20 @@ def _repeat_of(events: list[TraceEvent], hits: list[int],
     return None
 
 
-def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[int, ...], list],
+def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[int, ...], str],
             length: int, period: int) -> tuple[int, int]:
     """Append to ``events`` the copies of the last ``length`` events that
     ``text`` holds from offset ``at``, each copy with steps ``period``
     higher than the one before, and return the offset after them and their
     number.  Lines are taken ``PIECE_LINES`` at a time, up to the end of a
     copy, and a piece is taken only if the text is exactly its lines: each
-    the head and separator of the node that ``by_fields`` gives for the
+    the head and separator that ``by_fields`` gives for the fields of the
     event ``length`` lines back, a plain step, ``}`` and ``\\n``, joined
     from one list of heads and step texts as ``write_jsonl`` joins a
-    copy.  Its events are built from those nodes' fields, so each is the
-    event a line-by-line read of the same line gives.  No copy is taken
-    if an event of the window has no node.
+    copy.  Its events take those events' fields, the objects that the
+    line-by-line read of the same line shares, so each is the event it
+    gives.  No copy is taken if an event of the window has the fields of
+    no repeated head.
 
     A window shorter than ``PIECE_LINES`` lines is taken as several copies
     at once, as far as the events reach back.  Each copy makes one step
@@ -809,16 +776,16 @@ def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[
         copies = min(-(-PIECE_LINES // length), len(events) // length)
         length, period = length * copies, period * copies
     window = events[-length:]
-    nodes = [by_fields.get((id(kind), id(channel), id(process), id(payload)))
+    heads = [by_fields.get((id(kind), id(channel), id(process), id(payload)))
              for _, kind, channel, process, payload in window]
-    if None in nodes:
+    if None in heads:
         return at, 0
-    fields = list(zip(*[node[1] for node in nodes]))  # the kinds, channels, ... of the lines
+    fields = list(zip(*window))[1:]  # the kinds, channels, ... of the lines
     distinct = sorted({event[0] for event in window})
     position = {step: index for index, step in enumerate(distinct)}
     steps = [position[event[0]] for event in window]  # each line's step, as a position in distinct
     parts = [""] * (2 * length)  # each line's head and separator, then its step text
-    parts[0::2] = [node[0] for node in nodes]
+    parts[0::2] = heads
     new = tuple.__new__
     count = k = shift = 0
     while True:

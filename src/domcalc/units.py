@@ -369,9 +369,6 @@ class QuantityKind:
     def mean_kind_or_self(self) -> "QuantityKind":
         return self.mean_kind or self
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Quantity:

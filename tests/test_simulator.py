@@ -1005,8 +1005,8 @@ READER_ODD_TEXTS = {
     for label, process in (("", "position"), (", U+2028 process", "\u2028"))}
 READER_ODD_TEXTS["no closing brace"] = _line(7) + "\n" + _line(71)[:-1] + "\n"
 READER_ODD_TEXTS["raw U+2028"] = _raw("a\u2028b", 1) + "\n" + _raw("a\u2028b", 2)
-# The same steps after A@7, B@7, A@8, B@8: the B line before each predicts
-# that A's head comes next, so the step is checked on the predicted path.
+# The same steps after A@7, B@7, A@8, B@8: a repeated head after another
+# repeated head, as in a trace that cycles through its heads.
 READER_ODD_TEXTS.update({
     f"step {step} after a predicting line": "".join(
         _line(at, process) + "\n" for at in (7, 8) for process in ("position", "display"))
@@ -1295,6 +1295,55 @@ def test_jsonl_reader_takes_repeated_windows_in_bulk(aircraft_graph, repeated_wi
         except ValueError:
             pass
         assert sum(accepted) > 0, name
+
+
+def test_jsonl_reader_moves_brent_mark_past_prefix_heads(aircraft_graph, reader_heads,
+                                                       monkeypatch):
+    # In 1-character pieces the first mark is the second line, whose head
+    # never comes back, and Brent's first mark is the fourth, whose head
+    # does not either: only the mark that moves into the window finds it.
+    text = _windowed(reader_heads, [(0, 4), (0, 4), (0, 3), (0, 3)],
+                     [(1, 0), (1, 1), (2, 2)], 2, 60)
+    accepted = []
+
+    def counting(*args):
+        at, count = accept(*args)
+        accepted.append(count)
+        return at, count
+
+    accept = simulator._accept
+    monkeypatch.setattr(simulator, "_accept", counting)
+    monkeypatch.setattr(simulator, "PIECE_CHARS", 1)
+    back = trace_from_jsonl(text, aircraft_graph.registry)
+    assert back == oracle_trace_from_jsonl(text, aircraft_graph.registry)
+    assert sum(accepted) > 0
+
+
+def test_jsonl_reader_decodes_each_distinct_head_once(aircraft_graph, aircraft_script,
+                                                     monkeypatch):
+    # The 10,000-step aircraft trace: 60,005 lines and 32 distinct heads.
+    # Each head goes through json.loads once, and all its lines share the
+    # payload tuple of that decoding; the two recursion heads with an empty
+    # payload share the empty tuple, so there are 31 payload objects.
+    text = trace_to_jsonl(run(instantiate(aircraft_graph, aircraft_script, seed=0), 10000))
+    heads = [line.rpartition(', "step": ')[0] for line in text.splitlines()]
+    calls = []
+
+    def loads(line, *args, **kwargs):
+        calls.append(line)
+        return decode(line, *args, **kwargs)
+
+    decode = json.loads
+    monkeypatch.setattr(json, "loads", loads)
+    back = trace_from_jsonl(text, aircraft_graph.registry)
+    monkeypatch.undo()
+    assert len(back) == len(heads) == 60005
+    assert len(calls) == len(set(heads)) == 32
+    payloads = {}
+    for head, event in zip(heads, back):
+        payloads.setdefault(head, set()).add(id(event.payload))
+    assert all(len(ids) == 1 for ids in payloads.values())
+    assert len(set().union(*payloads.values())) == 31
 
 
 def test_jsonl_reader_reads_a_long_aircraft_trace_as_run(aircraft_graph, aircraft_script,

@@ -4,19 +4,22 @@ monitor's bulk handling of the repeated windows.
 Over a script whose tracks are cyclic or finite, a compiled graph is a
 finite-state system once every finite track has ended, so its run is
 eventually periodic: a prefix, then one window repeated.  ``Recurrence``
-finds the window as the scheduler runs, recording the steps after each
-state key it saves; ``Replay`` is the rest of the run as copies of that
-window; ``Events`` is what ``simulator.stream`` and
-``simulator.write_jsonl`` return, so that the writer can write the copies
-in bulk and ``check_axioms`` can take them a window at a time.
+finds the window as the scheduler runs, recording the events of the steps
+after each state key it saves; ``Replay`` is the rest of the run as copies
+of those events with shifted steps.  It is the one form of a repeated
+window: the scheduler returns it, ``simulator.write_jsonl`` writes its
+copies in bulk, ``simulator.trace_from_jsonl`` takes the copies it reads
+in bulk from one, and ``check_axioms`` folds it a window at a time.
+``Events`` is what ``simulator.stream`` and ``simulator.write_jsonl``
+return, with the ``Replay`` once the scheduled events end.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Any, Callable, Collection, Generator, Iterable, Iterator, Optional
 
 
@@ -51,35 +54,39 @@ class Events:
 
 
 class Replay:
-    """The rest of a run that repeats one window of ``period`` steps:
-    ``windows`` copies of it, the first from step ``start``, then the first
-    ``rest`` events of one more copy.  The window is held as ``indices``
-    into its distinct event ``tails`` (kind, channel, process, payload),
-    with each event's step ``offsets`` from the window's first step, both
-    arrays of machine integers; events are built as ``event_type`` tuples."""
+    """The rest of a run that repeats one window of ``period`` steps, whose
+    ``events`` are held as recorded: ``windows`` copies of them, each with
+    steps ``period`` higher than the one before, the first from step
+    ``start``, then the first ``rest`` events of one more copy.
 
-    def __init__(self, event_type: type, tails: list[tuple], indices: array, offsets: array,
-                 period: int, start: int, windows: int, rest: int) -> None:
-        self.event_type, self.tails, self.indices, self.offsets = event_type, tails, indices, offsets
-        self.period, self.start, self.windows, self.rest = period, start, windows, rest
+    ``steps`` are the window's distinct steps, in order, and ``positions``
+    each event's index into them, so that a copy makes one step number per
+    distinct step.  A copy's events have the type of the window's and share
+    their other fields."""
+
+    def __init__(self, events: list, period: int, windows: int, rest: int) -> None:
+        self.events, self.period, self.windows, self.rest = events, period, windows, rest
+        self.start = events[0][0] + period
+        self.steps = sorted({event[0] for event in events})
+        position = {step: index for index, step in enumerate(self.steps)}
+        self.positions = [position[event[0]] for event in events]
+        self._columns = list(zip(*events))[1:]  # the kinds, channels, processes and payloads
 
     def window(self, k: int) -> Iterator:
-        """The events of copy ``k``, counted from 0."""
-        return self._shifted(self.start + k * self.period, len(self.indices))
+        """The events of copy ``k``, counted from 0; copy ``windows`` is the
+        tail, the events after the last whole copy."""
+        shift = (k + 1) * self.period
+        numbers = [step + shift for step in self.steps]
+        count = len(self.events) if k < self.windows else self.rest
+        return map(tuple.__new__, repeat(type(self.events[0])), zip(
+            map(numbers.__getitem__, islice(self.positions, count)), *self._columns))
 
     def tail(self) -> Iterator:
         """The events after the last whole copy."""
-        return self._shifted(self.start + self.windows * self.period, self.rest)
-
-    def _shifted(self, base: int, count: int) -> Iterator:
-        new, event_type, tails = tuple.__new__, self.event_type, self.tails
-        for offset, index in islice(zip(self.offsets, self.indices), count):
-            yield new(event_type, (base + offset, *tails[index]))
+        return self.window(self.windows)
 
     def __iter__(self) -> Iterator:
-        for k in range(self.windows):
-            yield from self.window(k)
-        yield from self.tail()
+        return chain.from_iterable(map(self.window, range(self.windows + 1)))
 
 
 class Recurrence:
@@ -139,10 +146,7 @@ class Recurrence:
         return cls(spacing, first, 1 if probe else 2)
 
     def _clear(self) -> None:
-        self.tails: list[tuple] = []
-        self.numbered: dict[tuple, int] = {}  # (kind, channel, process, id(payload)) -> tail
-        self.indices = array("I")
-        self.offsets = array("I")
+        self.events: list[tuple] = []
         self.lengths: set[int] = set()
 
     def visit(self, steps: int, key: Callable[[], tuple], events: list[tuple],
@@ -152,17 +156,9 @@ class Recurrence:
         enabled-list length.  True once the recorded window repeats from
         ``steps`` on; otherwise ``next`` is the next checkpoint."""
         if self.saved is not None and not self.distance:
-            offset = steps - 1 - self.first
-            for event in events:
-                tail = (event[1], event[2], event[3], id(event[4]))
-                found = self.numbered.get(tail)
-                if found is None:
-                    found = self.numbered[tail] = len(self.tails)
-                    self.tails.append(event[1:])
-                self.indices.append(found)
-            self.offsets.extend([offset] * len(events))
+            self.events += events
             self.lengths.add(enabled)
-            if offset + 1 < self.spacing:
+            if steps - self.first < self.spacing:
                 self.next = steps + 1
                 return False
         now = key()
@@ -187,14 +183,14 @@ class Recurrence:
         self._clear()
         return False
 
-    def replay(self, start: int, max_steps: int, event_type: type) -> Replay:
-        """The recorded window repeated from step ``start`` to ``max_steps``:
-        the last, part copy holds the steps before ``max_steps`` and the
-        reads and recursions at it, every event of that step but its send
-        and receive."""
-        windows, extra = divmod(max_steps - start, self.spacing)
-        return Replay(event_type, self.tails, self.indices, self.offsets, self.spacing,
-                      start, windows, bisect_right(self.offsets, extra) - 2)
+    def replay(self, max_steps: int) -> Replay:
+        """The recorded window repeated from the step after it to
+        ``max_steps``: the last, part copy holds the steps before
+        ``max_steps`` and the reads and recursions at it, every event of
+        that step but its send and receive."""
+        windows, extra = divmod(max_steps - self.first, self.spacing)
+        return Replay(self.events, self.spacing, windows - 1,
+                      bisect_right(self.events, self.first + extra, key=itemgetter(0)) - 2)
 
 
 def segments(events: Events, checked: list[int]) -> Iterator[Iterable]:

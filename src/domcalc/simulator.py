@@ -19,7 +19,6 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import (Any, Callable, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence,
                     TextIO)
@@ -416,7 +415,7 @@ def _schedule(config: RunConfig,
         if steps == checkpoint:
             if recurrence.visit(steps, state_key, events, len(pairs)):
                 yield from events
-                return recurrence.replay(steps, max_steps, TraceEvent)
+                return recurrence.replay(max_steps)
             checkpoint = recurrence.next
         yield from events
         events.clear()
@@ -544,10 +543,9 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     tuples are written the same, only slower.
 
     Over ``stream``, a replayed run is written whole when its scheduled
-    events end: every copy of the window and the tail, ``PIECE_LINES``
-    lines to a write, joined from one list of the window's line parts,
-    each head (fixed for the run) then its step text, which each copy
-    fills in, before the first replayed event is passed on.  The writing
+    events end, before the first replayed event is passed on: every copy
+    of the ``Replay``'s window and the tail, from the heads of the window's
+    events, ``PIECE_LINES`` lines to a write (``_copies``).  The writing
     generator then returns the stream's own ``Replay``, so the
     ``periodic.Events`` returned takes it as its ``replay``."""
     # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
@@ -592,19 +590,32 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
         replay = events.replay
         if replay is None:
             return None
-        write, offsets, period = handle.write, replay.offsets, replay.period
-        parts = [""] * (2 * len(offsets))
-        parts[0::2] = map([head_of(*tail) for tail in replay.tails].__getitem__, replay.indices)
-        for k in range(replay.windows + 1):  # the whole copies, then the tail
-            base = replay.start + k * period
-            count = len(offsets) if k < replay.windows else replay.rest
-            # Each step's text once, for the several events of the step.
-            parts[1::2] = map(list(map("%d}\n".__mod__, range(base, base + period))).__getitem__,
-                              offsets)
-            for at in range(0, count, PIECE_LINES):
-                write("".join(parts[2 * at:2 * min(at + PIECE_LINES, count)]))
+        write = handle.write
+        window = [head_of(*event[1:]) for event in replay.events]
+        for piece, _ in _copies(window, replay, replay.windows * len(window) + replay.rest):
+            write(piece)
         return replay
     return periodic.Events(scheduled())
+
+
+def _copies(heads: list[str], replay: periodic.Replay, lines: int) -> Iterator[tuple[str, int]]:
+    """The text of the first ``lines`` lines of ``replay``'s copies, as
+    ``write_jsonl`` writes them: each line the head and separator in
+    ``heads`` of its window event, its step, ``}`` and ``\\n``.  The text
+    comes in pieces of ``PIECE_LINES`` lines, up to each copy's end, each
+    with its number of lines.  The pieces of a copy are joined from one
+    list of the heads and the copy's step texts, one per distinct step."""
+    length = len(heads)
+    parts = [""] * (2 * length)
+    parts[0::2] = heads
+    for k in range(-(-lines // length)):  # the copies that hold the lines
+        shift = (k + 1) * replay.period
+        parts[1::2] = map(list(map("%d}\n".__mod__, [step + shift for step in replay.steps]))
+                          .__getitem__, replay.positions)
+        end = min(length, lines - k * length)
+        for at in range(0, end, PIECE_LINES):
+            stop = min(at + PIECE_LINES, end)
+            yield "".join(parts[2 * at:2 * stop]), stop - at
 
 
 def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:
@@ -640,10 +651,10 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     L lines and P steps such that the lines since a later copy of a marked
     line, the first piece's last line or Brent's mark, repeat the lines L
     before them with steps P higher.  The lines that follow are then
-    predicted as the last L lines with steps P higher and accepted
-    ``PIECE_LINES`` lines at a time, each piece only if the text is
-    exactly the predicted lines (``_accept``); at the first piece that
-    differs, reading goes on line by line.  A predicted line is a repeated
+    spelled as the copies of a ``periodic.Replay`` of the last L events
+    and accepted ``PIECE_LINES`` lines at a time, each piece only if the
+    text is exactly its lines (``_accept``); at the first piece that
+    differs, reading goes on line by line.  A spelled line is a repeated
     head, its separator and a plain step, so its event is the one the
     line-by-line read gives.  Which lines are read so does not change the
     events.
@@ -754,24 +765,20 @@ def _repeat_of(events: list[TraceEvent], hits: list[int],
 
 def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[int, ...], str],
             length: int, period: int) -> tuple[int, int]:
-    """Append to ``events`` the copies of the last ``length`` events that
-    ``text`` holds from offset ``at``, each copy with steps ``period``
-    higher than the one before, and return the offset after them and their
-    number.  Lines are taken ``PIECE_LINES`` at a time, up to the end of a
-    copy, and a piece is taken only if the text is exactly its lines: each
-    the head and separator that ``by_fields`` gives for the fields of the
-    event ``length`` lines back, a plain step, ``}`` and ``\\n``, joined
-    from one list of heads and step texts as ``write_jsonl`` joins a
-    copy.  Its events take those events' fields, the objects that the
-    line-by-line read of the same line shares, so each is the event it
-    gives.  No copy is taken if an event of the window has the fields of
-    no repeated head.
+    """Append to ``events`` the copies of the last ``length`` events, the
+    window, that ``text`` holds from offset ``at``, each copy with steps
+    ``period`` higher than the one before, and return the offset after them
+    and their number.  The copies' text is spelled as ``write_jsonl``
+    writes a ``Replay`` of the window (``_copies``), each line from the head
+    and separator that ``by_fields`` gives for its window event's fields, and
+    a piece is taken only if the text is exactly its lines.  The events
+    taken are that ``Replay``'s, which share the window's fields, the
+    objects that the line-by-line read of the same lines shares, so each is
+    the event that read gives.  No copy is taken if an event of the window
+    has the fields of no repeated head.
 
     A window shorter than ``PIECE_LINES`` lines is taken as several copies
-    at once, as far as the events reach back.  Each copy makes one step
-    number and one text per distinct step of the window, shared by the
-    lines of that step, as the line-by-line read shares one number among
-    consecutive lines with the same step."""
+    at once, as far as the events reach back."""
     if length < PIECE_LINES:
         copies = min(-(-PIECE_LINES // length), len(events) // length)
         length, period = length * copies, period * copies
@@ -780,28 +787,16 @@ def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[
              for _, kind, channel, process, payload in window]
     if None in heads:
         return at, 0
-    fields = list(zip(*window))[1:]  # the kinds, channels, ... of the lines
-    distinct = sorted({event[0] for event in window})
-    position = {step: index for index, step in enumerate(distinct)}
-    steps = [position[event[0]] for event in window]  # each line's step, as a position in distinct
-    parts = [""] * (2 * length)  # each line's head and separator, then its step text
-    parts[0::2] = heads
-    new = tuple.__new__
-    count = k = shift = 0
-    while True:
-        if not k:
-            shift += period
-            numbers = [step + shift for step in distinct]
-            parts[1::2] = map(list(map("%d}\n".__mod__, numbers)).__getitem__, steps)
-        stop = min(k + PIECE_LINES, length)
-        piece = "".join(parts[2 * k:2 * stop])
+    replay = periodic.Replay(window, period, 0, 0)
+    taken = 0
+    for piece, lines in _copies(heads, replay, len(text) - at):
         if not text.startswith(piece, at):
-            return at, count
-        events.extend(map(new, repeat(TraceEvent), zip(
-            map(numbers.__getitem__, steps[k:stop]), *[column[k:stop] for column in fields])))
+            break
         at += len(piece)
-        count += stop - k
-        k = stop % length
+        taken += lines
+    replay.windows, replay.rest = divmod(taken, length)
+    events.extend(replay)
+    return at, taken
 
 
 def _decode_event(line: str, registry: KindRegistry,

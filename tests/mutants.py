@@ -36,6 +36,7 @@ RUN = "tests/test_run_oracle.py::"
 BULK = SIM + "test_jsonl_reader_takes_repeated_windows_in_bulk"
 WINDOWS = SIM + "test_jsonl_reader_reads_repeated_windows_as_the_oracle"
 ONE_EDIT = SIM + "test_jsonl_reader_reads_copies_with_one_edit_as_the_oracle"
+WRITER = RUN + "test_replayed_copies_are_written_as_the_oracle_in_any_piece"
 
 
 class Mutant(NamedTuple):
@@ -49,13 +50,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # The bulk reader, ``simulator._accept`` and the window search.
     Mutant("reader first copy shifted twice", "simulator.py",
-           "    count = k = shift = 0\n",
-           "    count = k = 0\n    shift = period\n",
+           "    replay = periodic.Replay(window, period, 0, 0)\n",
+           "    replay = periodic.Replay(window, period, 0, 0)\n"
+           "    replay.steps = [step + period for step in replay.steps]\n",
            (BULK,)),
     Mutant("reader channel and process columns swapped", "simulator.py",
-           "    fields = list(zip(*window))[1:]",
-           "    fields = list(zip(*window))\n"
-           "    fields = [fields[1], fields[3], fields[2], fields[4]]",
+           "    replay = periodic.Replay(window, period, 0, 0)\n",
+           "    replay = periodic.Replay(\n"
+           "        [event._replace(channel=event.process, process=event.channel)\n"
+           "         for event in window], period, 0, 0)\n",
            (WINDOWS, ONE_EDIT)),
     Mutant("reader compares only the piece's length", "simulator.py",
            "        if not text.startswith(piece, at):",
@@ -70,8 +73,8 @@ MUTANTS = (
            "                number += 0\n",
            (WINDOWS, ONE_EDIT)),
     Mutant("reader groups without their newlines", "simulator.py",
-           'map("%d}\\n".__mod__, numbers)',
-           'map("%d}".__mod__, numbers)',
+           'map("%d}\\n".__mod__, [step + shift',
+           'map("%d}".__mod__, [step + shift',
            (BULK,)),
     Mutant("reader takes a window line of no head", "simulator.py",
            "    if None in heads:\n        return at, 0\n",
@@ -89,12 +92,16 @@ MUTANTS = (
            "            else:\n                mark, marked, hits = fields,",
            "            elif mark is None:\n                mark, marked, hits = fields,",
            (SIM + "test_jsonl_reader_moves_brent_mark_past_prefix_heads",)),
-    # The bulk writer of a replayed run.
+    # The copies of a window, as the writer writes them and the reader
+    # spells them (``simulator._copies``).
     Mutant("writer skips the last piece of a copy", "simulator.py",
-           "            for at in range(0, count, PIECE_LINES):",
-           "            for at in range(0, count - PIECE_LINES, PIECE_LINES):",
-           (RUN + "test_replayed_copies_are_written_as_the_oracle_in_any_piece",
-            RUN + "test_simulate_trace_matches_oracle_on_aircraft")),
+           "        for at in range(0, end, PIECE_LINES):",
+           "        for at in range(0, end - PIECE_LINES, PIECE_LINES):",
+           (WRITER, RUN + "test_simulate_trace_matches_oracle_on_aircraft")),
+    Mutant("copies start one copy late", "simulator.py",
+           "        shift = (k + 1) * replay.period\n",
+           "        shift = (k + 2) * replay.period\n",
+           (BULK, WRITER)),
     # The replay and the window monitor.
     Mutant("segments counts one copy too many", "periodic.py",
            "(checked[index] - count) * (replay.windows - 1)",
@@ -113,8 +120,8 @@ MUTANTS = (
             RUN + "test_missed_probe_saves_at_the_next_checkpoint",
             RUN + "test_replay_waits_for_the_seed_rotation")),
     Mutant("replay tail takes one event more", "periodic.py",
-           "bisect_right(self.offsets, extra) - 2)",
-           "bisect_right(self.offsets, extra) - 1)",
+           "key=itemgetter(0)) - 2)",
+           "key=itemgetter(0)) - 1)",
            (RUN + "test_replay_matches_oracle_on_aircraft",)),
 )
 

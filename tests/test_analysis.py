@@ -423,6 +423,37 @@ def test_chain_diagnostic_points_at_its_clause(axiom, code, span):
     assert [(s.start_line, s.start_col, s.end_line, s.end_col) for s in spans] == [span]
 
 
+# Diagnostics that only hand-written text meets, as ``domcalc check``
+# prints them: the parser's, or else the errors of ``check_wellformed``.
+@pytest.mark.parametrize("text, expected", [
+    ("material M composite(A) { }", ["1:12: E001: materials cannot be composite"]),
+    ("part A { id AI;", ["1:16: E001: unterminated block"]),
+    ("part A { doc 3; }", ["1:14: E001: expected string after 'doc'"]),
+    ("part A { attr x : ; }", ["1:19: E001: expected a quantity kind after ':'"]),
+    ("conversion f : m m;", ["1:20: E001: expected '->' in conversion declaration"]),
+    ("conversion f : -> q = affine(1,0);",
+     ["1:1: E001: conversion needs source and target kinds"]),
+    ("channel c : ;", ["1:1: E001: channel declaration needs message kinds"]),
+    ("axiom ax { display(A.x, B.y) tracks (C.z; D.w); }",
+     ["1:28: E001: display attributes must share one sort"]),
+    ("conversion f : m -> q inverse g = affine(2, 0);",
+     ["1:1: E115: conversion 'f' names unknown inverse 'g'"]),
+    ("conversion f : m -> q1 inverse g = affine(2, 0);\n"
+     "conversion g : q1 -> q2 inverse f = affine(0.5, 0);",
+     ["1:1: E115: inverse 'g' does not map 'q1' back to 'm'",
+      "2:1: E115: inverse 'f' does not map 'q2' back to 'q1'"]),
+    ("axiom ax { display(A.x) tracks (B.y); }",
+     ["1:1: E112: axiom 'ax' targets unknown sort 'A'"]),
+], ids=["material-composite", "unterminated-block", "doc-not-string", "no-quantity-kind",
+        "conversion-no-arrow", "conversion-no-kinds", "channel-no-kinds", "display-two-sorts",
+        "unknown-inverse", "inverse-not-back", "axiom-unknown-sort"])
+def test_text_only_diagnostics(text, expected):
+    model, diagnostics = parse_model(text)
+    if not diagnostics:
+        diagnostics = [d for d in check_wellformed(model) if d.is_error]
+    assert [str(d) for d in diagnostics] == [f"<input>:{line}" for line in expected]
+
+
 def test_asymmetric_inverse_pairing():
     model = parse_ok("""
     conversion f : m -> q1 inverse g = affine(2, 0);

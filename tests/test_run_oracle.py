@@ -225,6 +225,28 @@ def test_tracks_starting_late_wake_their_readers():
     assert woken
 
 
+def test_a_channel_without_a_track_blocks_its_reader_for_good(aircraft_graph,
+                                                              aircraft_script_path):
+    # ``instantiate`` refuses a script that lacks a track; a hand-made
+    # configuration can still lack one, and the reader of that channel then
+    # never reads, as in the oracle.
+    with open(aircraft_script_path, encoding="utf-8") as handle:
+        script = EnvironmentScript.from_json(json.load(handle), aircraft_graph)
+    configs = [(aircraft_graph, script, 0)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        graph = compiler.compile_model(random_model(rng))
+        configs.append((graph, random_script(rng, graph), seed))
+    dropped = 0
+    for graph, script, seed in configs:
+        for name in sorted(script.tracks)[:3]:
+            tracks = {other: track for other, track in script.tracks.items() if other != name}
+            trace = assert_matches_oracle(RunConfig(graph, EnvironmentScript(tracks), seed), 60)
+            assert not any(event.channel == name for event in trace)
+            dropped += 1
+    assert dropped > len(configs)
+
+
 def test_long_script_costs_no_more_than_reading_it(aircraft_graph):
     # Far more points than steps: numbering them all at the start must stay
     # cheaper than parsing them.
@@ -562,7 +584,7 @@ def replayed_texts(aircraft_graph, aircraft_script_path):
         replay = replay_of(config, steps)
         assert replay.rest == rest and replay.windows >= 2
         cases.append((config, steps, oracle_jsonl(oracle_run(config, steps))))
-    assert len(replay_of(small, 25).indices) == 12
+    assert len(replay_of(small, 25).events) == 12
     return cases
 
 

@@ -710,6 +710,32 @@ def test_script_zero_divisor_is_script_error(aircraft_graph, value, cause):
         EnvironmentScript.from_json({"attr_AL_ch": [[0, value]]}, aircraft_graph)
 
 
+@pytest.mark.parametrize("value, cause", [
+    ("", "empty value literal"),
+    ("  ", "empty value literal"),
+    ("5 s", "value unit 's' has dimension s^1, kind 'point m' needs m^1"),
+], ids=["empty", "blank", "wrong-dimension"])
+def test_script_value_that_does_not_parse_names_channel_and_step(aircraft_graph, value, cause):
+    with pytest.raises(ScriptError) as err:
+        EnvironmentScript.from_json({"attr_AL_ch": [[0, "1 m"], [3, value]]}, aircraft_graph)
+    assert str(err.value) == f"'attr_AL_ch' at step 3: {cause}"
+
+
+def test_script_value_off_an_affine_kind_scale_names_channel_and_step():
+    model, _ = parse_model("""part R composite(S, D) { id RI; mereo empty; }
+    part S { id SI; mereo DI; attr T : Celsius reactive; }
+    part D { id DI; mereo SI; attr dT : Celsius programmable init 0; }
+    axiom follow { display(D.dT) tracks (S.T); }
+    """)
+    graph = compiler.compile_model(model)
+    script = EnvironmentScript.from_json({"attr_T_ch": [[0, "5 K"], [2, "5 degC"]]}, graph)
+    assert len(script.tracks["attr_T_ch"].points) == 2
+    with pytest.raises(ScriptError) as err:
+        EnvironmentScript.from_json({"attr_T_ch": [[0, "5 K"], [2, "5 mK"]]}, graph)
+    assert str(err.value) == ("'attr_T_ch' at step 2: "
+                              "affine kind 'Celsius' only accepts values on its own scale")
+
+
 @pytest.mark.parametrize("step", [2.7, "3", True, False, None, [1]])
 def test_script_step_must_be_a_json_integer(aircraft_graph, step):
     with pytest.raises(ScriptError, match="not an integer"):

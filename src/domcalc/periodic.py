@@ -8,10 +8,16 @@ finds the window as the scheduler runs, recording the events of the steps
 after each state key it saves; ``Replay`` is the rest of the run as copies
 of those events with shifted steps.  It is the one form of a repeated
 window: the scheduler returns it, ``simulator.write_jsonl`` writes its
-copies in bulk, ``simulator.trace_from_jsonl`` takes the copies it reads
-in bulk from one, and ``check_axioms`` folds it a window at a time.
-``Events`` is what ``simulator.stream`` and ``simulator.write_jsonl``
-return, with the ``Replay`` once the scheduled events end.
+copies in bulk, ``simulator.trace_from_jsonl`` returns one for each run of
+copies it reads in bulk, and ``check_axioms`` folds it a window at a time
+(``segments``).
+
+Both sides hold a replayed run as a lasso: ``parts`` that are runs of
+events and ``Replay``s, in order.  ``Events``, what ``simulator.stream``
+and ``simulator.write_jsonl`` return, is one pass over a generator whose
+``Replay`` is known only once its events end, so it can be neither iterated
+again nor counted without being spent.  ``Lasso``, what
+``simulator.trace_from_jsonl`` returns, holds its parts, and can be.
 """
 
 from __future__ import annotations
@@ -31,20 +37,22 @@ class Events:
     Iterating it yields every event.  A consumer that knows the replay can
     instead take ``scheduled``, the scheduled events, and then, once those
     are exhausted, ``replay``, the generator's return value: the rest of the
-    run, one window at a time."""
+    run, one window at a time.  ``parts`` yields the two in turn, the
+    ``replay`` only if there is one."""
 
     def __init__(self, scheduled: Generator[Any, None, Optional[Replay]]) -> None:
         self.replay: Optional[Replay] = None
         self.scheduled = self._returned(scheduled)
-        self._all = self._chain()
+        self.parts = self._parts()
+        self._all = chain.from_iterable(self.parts)
 
     def _returned(self, scheduled: Generator[Any, None, Optional[Replay]]) -> Iterator:
         self.replay = yield from scheduled
 
-    def _chain(self) -> Iterator:
-        yield from self.scheduled
+    def _parts(self) -> Iterator[Iterable]:
+        yield self.scheduled
         if self.replay is not None:
-            yield from self.replay
+            yield self.replay
 
     def __iter__(self) -> Iterator:
         return self._all
@@ -62,7 +70,7 @@ class Replay:
     ``steps`` are the window's distinct steps, in order, and ``positions``
     each event's index into them, so that a copy makes one step number per
     distinct step.  A copy's events have the type of the window's and share
-    their other fields."""
+    their other fields.  Its length is its number of events."""
 
     def __init__(self, events: list, period: int, windows: int, rest: int) -> None:
         self.events, self.period, self.windows, self.rest = events, period, windows, rest
@@ -87,6 +95,25 @@ class Replay:
 
     def __iter__(self) -> Iterator:
         return chain.from_iterable(map(self.window, range(self.windows + 1)))
+
+    def __len__(self) -> int:
+        return self.windows * len(self.events) + self.rest
+
+
+class Lasso:
+    """Events held as ``parts``, in order: lists of events, and ``Replay``s
+    whose window is the events just before them, of which only the last
+    part may have a tail (``segments``).  It iterates every event, as often
+    as asked, and its length is their number."""
+
+    def __init__(self, parts: list) -> None:
+        self.parts = parts
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(self.parts)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
 
 
 class Recurrence:
@@ -193,21 +220,35 @@ class Recurrence:
                       bisect_right(self.events, self.first + extra, key=itemgetter(0)) - 2)
 
 
-def segments(events: Events, checked: list[int]) -> Iterator[Iterable]:
-    """The parts of ``events`` for a monitor to fold in turn, ``checked``
-    being its check count per axiom: the scheduled events, the first
-    replayed copy and the tail.  The first copy is folded event by event,
-    as it may meet states the window before it did not; each later whole
-    copy meets the state the first one left and makes the same checks,
-    each a hit of the monitor's memo or one of an axiom that has failed, so
-    it adds the first copy's counts without its events."""
-    yield events.scheduled
-    replay = events.replay
-    if replay is None:
-        return
-    if replay.windows:
-        before = checked.copy()
-        yield replay.window(0)
-        for index, count in enumerate(before):
-            checked[index] += (checked[index] - count) * (replay.windows - 1)
-    yield replay.tail()
+def segments(trace: Iterable, checked: list[int]) -> Iterator[Iterable]:
+    """The runs of ``trace``'s events for a monitor to fold in turn,
+    ``checked`` being its check count per axiom.  A plain iterable is one
+    run; the parts of ``Events`` or a ``Lasso`` are taken in order, each
+    list or iterator of events as one run.
+
+    A ``Replay`` meets, at its first copy, the state that its window left,
+    as its window is the events just before it.  The monitor's state is the
+    last payload on each channel, and a copy sets each channel it receives
+    on to what the window did and leaves the others, so every copy, and the
+    tail, meets that same state and makes the same checks: each a hit of
+    the monitor's memo, or one of an axiom that has failed.  So the first
+    copy is folded event by event, in two runs split after its first
+    ``rest`` events; each later whole copy adds the first copy's counts,
+    and the tail those of its first ``rest`` events, without their events.
+    A ``Replay`` with no whole copy is its tail, folded event by event.
+    The fold of one with whole copies leaves the monitor as a whole copy
+    does, not as its tail does, so only the last part may have a tail."""
+    for part in trace.parts if isinstance(trace, (Events, Lasso)) else (trace,):
+        if type(part) is not Replay:
+            yield part
+        elif not part.windows:
+            yield part.tail()
+        else:
+            before = checked.copy()
+            first = part.window(0)
+            yield islice(first, part.rest)
+            at_rest = checked.copy()
+            yield first
+            for index, count in enumerate(before):
+                checked[index] += ((checked[index] - count) * (part.windows - 1)
+                                   + at_rest[index] - count)

@@ -450,8 +450,9 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     tuples, so most checks are a dict hit; unshared tuples get the same
     verdicts, only slower.
 
-    Over ``stream``, direct or through ``write_jsonl``, the first replayed
-    window is walked and each further one adds its check counts
+    Over a lasso, ``stream`` direct or through ``write_jsonl`` and what
+    ``trace_from_jsonl`` returns, the first copy of each ``Replay`` is
+    walked, and each later copy and the tail add their check counts
     (``periodic.segments``).  The verdicts, counts included, are those of
     the walk over every event.
     """
@@ -479,9 +480,7 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     passed: dict[tuple[int, ...], tuple] = {}
     checked = [0] * len(model.axioms)
     failed: dict[int, Verdict] = {}
-    segments = (periodic.segments(trace, checked) if isinstance(trace, periodic.Events)
-                else (trace,))
-    for events in segments:
+    for events in periodic.segments(trace, checked):
         for step, kind, channel, name, payload in events:
             received = last.get(name)
             if received is None:
@@ -626,11 +625,11 @@ def trace_to_jsonl(trace: Iterable[TraceEvent]) -> str:
     return buffer.getvalue()
 
 
-def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...]:
-    """Read a trace back from JSON lines, as a tuple of ``TraceEvent``s: one
-    JSON object per line with the keys ``step``, ``kind``, ``channel``,
-    ``process`` and ``payload``, in any order and spacing; blank lines are
-    skipped.  A malformed line raises ``ValueError("line N: ...")``, N
+def trace_from_jsonl(text: str, registry: KindRegistry) -> periodic.Lasso:
+    """Read a trace back from JSON lines, as a ``periodic.Lasso`` of
+    ``TraceEvent``s: one JSON object per line with the keys ``step``,
+    ``kind``, ``channel``, ``process`` and ``payload``, in any order and
+    spacing; blank lines are skipped.  A malformed line raises ``ValueError("line N: ...")``, N
     counted from 1.  Lines and their numbers are those of
     ``text.splitlines()``, though the text is split one piece at a time,
     ``PIECE_CHARS`` characters and on to the next ``\\n``, so no list of
@@ -658,9 +657,23 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
     head, its separator and a plain step, so its event is the one the
     line-by-line read gives.  Which lines are read so does not change the
     events.
+
+    The result holds the events read line by line and, after each run of
+    them, the ``Replay`` of the whole copies accepted next, whose events are
+    not built: ``tuple(...)`` of it is every event, ``len`` their number,
+    and ``check_axioms`` folds each ``Replay`` a window at a time.  A window
+    is the lines just before its first copy, read since the last bulk run,
+    so each copy meets the monitor state that the window left.  The events
+    of a part copy accepted after the whole ones are built, and begin the
+    next run, as a tail would leave the monitor mid-window.
     """
     events = []
     append = events.append
+    # The events read line by line before each bulk run, then its Replay;
+    # ``since`` is the index in ``events`` of the first event after the last
+    # bulk run.
+    parts: list = []
+    since = 0
     new = tuple.__new__
     separator = ', "step": '
     # Head -> the (kind, channel, process, payload) of the first line with
@@ -718,9 +731,14 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
         found = ((anchor_hits and _repeat_of(events, anchor_hits, anchored))
                  or (hits and _repeat_of(events, hits, marked)))
         if found:
-            start, count = _accept(text, start, events, by_fields, *found)
-            if count:  # the search starts again after the accepted lines
-                number += count
+            start, replay = _accept(text, start, events, since, by_fields, *found)
+            if replay is not None:  # the search starts again after the accepted lines
+                parts += (events[since:], replay)
+                number, since = number + len(replay), len(events)
+                # A tail would leave the monitor mid-window, so the part copy
+                # after the whole ones is built, as if read line by line.
+                events += replay.tail()
+                replay.rest = 0
                 fields = anchor = mark = None
                 due, anchor_hits, hits = len(events), [], []
         if fields is not None and len(events) >= due:
@@ -729,7 +747,8 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> tuple[TraceEvent, ...
             else:
                 mark, marked, hits = fields, len(events) - 1, []
             due = 1 << len(events).bit_length()
-    return tuple(events)
+    parts.append(events[since:] if since else events)
+    return periodic.Lasso(parts)
 
 
 def _repeat_of(events: list[TraceEvent], hits: list[int],
@@ -763,30 +782,31 @@ def _repeat_of(events: list[TraceEvent], hits: list[int],
     return None
 
 
-def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[int, ...], str],
-            length: int, period: int) -> tuple[int, int]:
-    """Append to ``events`` the copies of the last ``length`` events, the
-    window, that ``text`` holds from offset ``at``, each copy with steps
-    ``period`` higher than the one before, and return the offset after them
-    and their number.  The copies' text is spelled as ``write_jsonl``
-    writes a ``Replay`` of the window (``_copies``), each line from the head
-    and separator that ``by_fields`` gives for its window event's fields, and
-    a piece is taken only if the text is exactly its lines.  The events
-    taken are that ``Replay``'s, which share the window's fields, the
-    objects that the line-by-line read of the same lines shares, so each is
-    the event that read gives.  No copy is taken if an event of the window
-    has the fields of no repeated head.
+def _accept(text: str, at: int, events: list[TraceEvent], since: int,
+            by_fields: dict[tuple[int, ...], str], length: int,
+            period: int) -> tuple[int, Optional[periodic.Replay]]:
+    """The copies of the last ``length`` events, the window, that ``text``
+    holds from offset ``at``, each copy with steps ``period`` higher than the
+    one before: the offset after them and their ``Replay``, or None when no
+    line is taken.  The copies' text is spelled as ``write_jsonl`` writes the
+    ``Replay`` (``_copies``), each line from the head and separator that
+    ``by_fields`` gives for its window event's fields, and a piece is taken
+    only if the text is exactly its lines.  The ``Replay``'s events share
+    the window's fields, the objects that the line-by-line read of the same
+    lines shares, so each is the event that read gives.  No copy is taken if
+    an event of the window has the fields of no repeated head.
 
     A window shorter than ``PIECE_LINES`` lines is taken as several copies
-    at once, as far as the events reach back."""
+    at once, as far as the events read since index ``since``, the last bulk
+    run, reach back: so the window is the lines just before its first copy."""
     if length < PIECE_LINES:
-        copies = min(-(-PIECE_LINES // length), len(events) // length)
+        copies = min(-(-PIECE_LINES // length), (len(events) - since) // length)
         length, period = length * copies, period * copies
     window = events[-length:]
     heads = [by_fields.get((id(kind), id(channel), id(process), id(payload)))
              for _, kind, channel, process, payload in window]
     if None in heads:
-        return at, 0
+        return at, None
     replay = periodic.Replay(window, period, 0, 0)
     taken = 0
     for piece, lines in _copies(heads, replay, len(text) - at):
@@ -795,8 +815,7 @@ def _accept(text: str, at: int, events: list[TraceEvent], by_fields: dict[tuple[
         at += len(piece)
         taken += lines
     replay.windows, replay.rest = divmod(taken, length)
-    events.extend(replay)
-    return at, taken
+    return at, replay if taken else None
 
 
 def _decode_event(line: str, registry: KindRegistry,

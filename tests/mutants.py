@@ -37,6 +37,7 @@ BULK = SIM + "test_jsonl_reader_takes_repeated_windows_in_bulk"
 WINDOWS = SIM + "test_jsonl_reader_reads_repeated_windows_as_the_oracle"
 ONE_EDIT = SIM + "test_jsonl_reader_reads_copies_with_one_edit_as_the_oracle"
 WRITER = RUN + "test_replayed_copies_are_written_as_the_oracle_in_any_piece"
+READ_FOLD = SIM + "test_read_lasso_verdicts_equal_the_walk_over_every_event"
 
 
 class Mutant(NamedTuple):
@@ -69,15 +70,15 @@ MUTANTS = (
            "        if True:",
            (WINDOWS,)),
     Mutant("reader line numbers not advanced past a bulk read", "simulator.py",
-           "                number += count\n",
-           "                number += 0\n",
+           "number, since = number + len(replay), len(events)",
+           "number, since = number, len(events)",
            (WINDOWS, ONE_EDIT)),
     Mutant("reader groups without their newlines", "simulator.py",
            'map("%d}\\n".__mod__, [step + shift',
            'map("%d}".__mod__, [step + shift',
            (BULK,)),
     Mutant("reader takes a window line of no head", "simulator.py",
-           "    if None in heads:\n        return at, 0\n",
+           "    if None in heads:\n        return at, None\n",
            "",
            (WINDOWS,)),
     Mutant("reader unrolls a short window with one copy's period", "simulator.py",
@@ -88,6 +89,18 @@ MUTANTS = (
            "            if anchor is None:\n",
            "            if False:\n",
            (BULK,)),
+    Mutant("reader unrolls a short window back past the last bulk run", "simulator.py",
+           "(len(events) - since) // length)",
+           "len(events) // length)",
+           (SIM + "test_jsonl_reader_takes_a_short_window_after_a_bulk_run",)),
+    Mutant("reader Replay holds one copy too many", "simulator.py",
+           "    replay.windows, replay.rest = divmod(taken, length)\n",
+           "    replay.windows, replay.rest = divmod(taken + length, length)\n",
+           (WINDOWS, ONE_EDIT)),
+    Mutant("reader judges a hit one line early", "simulator.py",
+           "        if count - hit < min(length, PIECE_LINES):",
+           "        if count - hit < min(length, PIECE_LINES) - 1:",
+           (SIM + "test_repeat_of_judges_a_hit_once_a_window_or_a_piece_follows",)),
     Mutant("reader Brent mark never moves", "simulator.py",
            "            else:\n                mark, marked, hits = fields,",
            "            elif mark is None:\n                mark, marked, hits = fields,",
@@ -104,9 +117,17 @@ MUTANTS = (
            (BULK, WRITER)),
     # The replay and the window monitor.
     Mutant("segments counts one copy too many", "periodic.py",
-           "(checked[index] - count) * (replay.windows - 1)",
-           "(checked[index] - count) * replay.windows",
-           (RUN + "test_replay_matches_oracle_on_aircraft",)),
+           "(checked[index] - count) * (part.windows - 1)",
+           "(checked[index] - count) * part.windows",
+           (RUN + "test_replay_matches_oracle_on_aircraft", READ_FOLD)),
+    Mutant("segments counts one copy too few", "periodic.py",
+           "(checked[index] - count) * (part.windows - 1)",
+           "(checked[index] - count) * (part.windows - 2)",
+           (READ_FOLD,)),
+    Mutant("segments counts the tail with one event more", "periodic.py",
+           "yield islice(first, part.rest)",
+           "yield islice(first, part.rest + 1)",
+           (RUN + "test_monitor_folds_copies_and_tail_as_the_walk_over_every_event",)),
     Mutant("recurrence probes one step late", "periodic.py",
            "first = 2 * table + 1 if probe else start or spacing",
            "first = 2 * table + 2 if probe else start or spacing",

@@ -232,7 +232,7 @@ def test_registry_is_not_written_by_reads(aircraft_model):
     line = json.dumps({"channel": "c", "kind": "send", "process": "p", "step": 0,
                        "payload": [{"kind": "kPa", "value": "3/2"},
                                    {"kind": "point K", "value": "-1"}]})
-    payload = trace_from_jsonl(line + "\n", registry)[0].payload
+    payload = tuple(trace_from_jsonl(line + "\n", registry))[0].payload
     assert [q.kind.name for q in payload] == ["kPa", "point K"]
     assert typecheck_expr("kPa * m / N", {}, registry).kind.name == "kPa*m/N"
     assert registry.kinds() == before

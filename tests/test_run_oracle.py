@@ -621,11 +621,78 @@ def test_run_and_reader_return_tuples_of_a_replayed_run(aircraft_graph, aircraft
     assert replay_of(config, 5000) is not None
     trace = run(config, 5000)
     assert type(trace) is tuple and trace == tuple(stream(config, 5000))
-    back = trace_from_jsonl(trace_to_jsonl(trace), aircraft_graph.registry)
+    back = tuple(trace_from_jsonl(trace_to_jsonl(trace), aircraft_graph.registry))
     assert type(back) is tuple and back == trace
     source = stream(config, 5000)
     written = write_jsonl(source, io.StringIO())
     assert tuple(written) == trace and written.replay is source.replay is not None
+
+
+def _replayed_cases(graph, script_path):
+    """(config, steps) of replayed runs: the aircraft at seed 0 over 2,000
+    steps, and the generated models over 300 steps with cyclic scripts
+    whose runs replay."""
+    with open(script_path, encoding="utf-8") as handle:
+        script = EnvironmentScript.from_json(json.load(handle), graph)
+    yield instantiate(graph, script, 0), 2000
+    for config in _small_cycle_cases("cyclic", 16):
+        if replay_of(config, 300) is not None:
+            yield config, 300
+
+
+def test_monitor_folds_copies_and_tail_as_the_walk_over_every_event(aircraft_graph,
+                                                                    aircraft_script_path):
+    # A Replay after the events it repeats, with no whole copy or some, and
+    # a tail that is empty, one event into a copy, one event short of a
+    # whole one, or ends just before or after one of the window's first
+    # recursions: the fold's verdicts, counts included, are the walk's.
+    for config, steps in _replayed_cases(aircraft_graph, aircraft_script_path):
+        events = stream(config, steps)
+        scheduled = list(events.scheduled)
+        window, period = events.replay.events, events.replay.period
+        assert scheduled[len(scheduled) - len(window):] == window
+        recursions = [index for index, event in enumerate(window) if event.kind == RECURSION]
+        rests = {0, 1, len(window) - 1, *recursions[:4], *(r + 1 for r in recursions[:4])}
+        model = config.graph.model
+        for windows in (0, 1, 2, 5):
+            for rest in sorted(rest for rest in rests if rest < len(window)):
+                lasso = periodic.Lasso([scheduled, periodic.Replay(window, period, windows,
+                                                                   rest)])
+                assert len(lasso) == len(scheduled) + windows * len(window) + rest
+                assert check_axioms(model, lasso) == check_axioms(model, tuple(lasso))
+
+
+def test_read_run_texts_monitor_as_the_walk_wherever_they_end(monkeypatch, aircraft_graph,
+                                                              aircraft_script_path):
+    # Runs whose budget ends on a window boundary and one step either side,
+    # and the same texts cut to end a whole copy of the first Replay read in
+    # one-line pieces, one line into the next copy and one line short: the
+    # verdicts over the read lasso, counts included, are those of the walk
+    # over its events, in one-line pieces and at the reader's piece size.
+    whole = simulator.PIECE_CHARS
+    for config, steps in _replayed_cases(aircraft_graph, aircraft_script_path):
+        replay, model = replay_of(config, steps), config.graph.model
+        texts = []
+        monkeypatch.setattr(simulator, "PIECE_CHARS", 1)
+        for budget in (steps, *(replay.start + 2 * replay.period + d for d in (-1, 0, 1))):
+            text = trace_to_jsonl(stream(config, budget))
+            texts.append(text)
+            parts = trace_from_jsonl(text, config.graph.registry).parts
+            first = next((index for index, part in enumerate(parts)
+                          if type(part) is periodic.Replay), None)
+            if first is not None:
+                end = sum(map(len, parts[:first])) + len(parts[first].events)
+                lines = text.splitlines(keepends=True)
+                texts += ["".join(lines[:end + d]) for d in (-1, 0, 1)]
+        folded = 0
+        for piece in (1, whole):
+            monkeypatch.setattr(simulator, "PIECE_CHARS", piece)
+            for text in texts:
+                lasso = trace_from_jsonl(text, config.graph.registry)
+                assert check_axioms(model, lasso) == check_axioms(model, tuple(lasso))
+                folded += any(type(part) is periodic.Replay and part.windows > 1
+                              for part in lasso.parts)
+        assert folded
 
 
 class _FullAfter(io.StringIO):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domcalc import cli, compiler, simulator
+from domcalc import cli, compiler, periodic, simulator
 from domcalc.analysis import check_wellformed
 from domcalc.dsl import parse_model
 from domcalc.model import RECEIVE, ConversionDecl, DomainModel
@@ -505,7 +505,7 @@ def test_trace_jsonl_roundtrip(aircraft_graph, aircraft_script):
     config = instantiate(aircraft_graph, aircraft_script, seed=6)
     trace = run(config, 12)
     text = trace_to_jsonl(trace)
-    assert trace_from_jsonl(text, aircraft_graph.registry) == trace
+    assert tuple(trace_from_jsonl(text, aircraft_graph.registry)) == trace
 
 
 def test_trace_event_surface():
@@ -944,7 +944,7 @@ def test_jsonl_reader_keeps_equal_values_of_different_kinds_apart(aircraft_graph
                    (Quantity(Fraction(100), rlo), Quantity(Fraction(100), rla),
                     Quantity(Fraction(100), rlo)))
         for step in range(3))
-    back = trace_from_jsonl(trace_to_jsonl(events), registry)
+    back = tuple(trace_from_jsonl(trace_to_jsonl(events), registry))
     assert back == events
     for event in back:
         assert [q.kind for q in event.payload] == [rlo, rla, rlo]
@@ -1018,7 +1018,7 @@ READER_VALID_TEXTS = {
 @pytest.mark.parametrize("name", sorted(READER_VALID_TEXTS))
 def test_jsonl_reader_matches_json_loads_oracle(aircraft_graph, name):
     text = READER_VALID_TEXTS[name]
-    back = trace_from_jsonl(text, aircraft_graph.registry)
+    back = tuple(trace_from_jsonl(text, aircraft_graph.registry))
     assert back == oracle_trace_from_jsonl(text, aircraft_graph.registry)
     assert all(type(event) is TraceEvent for event in back)
 
@@ -1048,7 +1048,7 @@ def test_jsonl_reader_ends_as_under_oracle(aircraft_graph, name):
 
     def ending(reader):
         try:
-            return reader(text, aircraft_graph.registry)
+            return tuple(reader(text, aircraft_graph.registry))
         except ValueError:
             return ValueError
 
@@ -1079,7 +1079,7 @@ def test_jsonl_roundtrip_with_repeated_and_distinct_heads(aircraft_graph, data, 
     trace = tuple(
         TraceEvent(data.draw(steps), *data.draw(st.sampled_from(heads)))
         for _ in range(length))
-    back = trace_from_jsonl(trace_to_jsonl(trace), registry)
+    back = tuple(trace_from_jsonl(trace_to_jsonl(trace), registry))
     assert back == trace
     assert all(type(event) is TraceEvent for event in back)
 
@@ -1123,7 +1123,7 @@ def test_jsonl_reader_names_the_malformed_line(aircraft_graph, name):
 
 def _read_or_message(text, registry):
     try:
-        return trace_from_jsonl(text, registry)
+        return tuple(trace_from_jsonl(text, registry))
     except ValueError as exc:
         return str(exc)
 
@@ -1184,13 +1184,26 @@ def _oracle_or_line(text, registry):
     return tuple(events)
 
 
+def _lasso_events(lasso):
+    # The events of a read, once its lasso is checked: each Replay holds
+    # whole copies of the events just before it, and the length is the
+    # number of events.
+    events = []
+    for part in lasso.parts:
+        if type(part) is periodic.Replay:
+            assert part.events == events[len(events) - len(part.events):] and not part.rest
+        events += part
+    assert len(lasso) == len(events)
+    return tuple(events)
+
+
 def _read_all_sizes(text, registry):
     # The events, or the "line N" of the error, read at every piece size.
     results = []
     for piece in READER_PIECE_SIZES:
         saved, simulator.PIECE_CHARS = simulator.PIECE_CHARS, piece
         try:
-            back = trace_from_jsonl(text, registry)
+            back = _lasso_events(trace_from_jsonl(text, registry))
         except ValueError as exc:
             back = str(exc).partition(":")[0]
         finally:
@@ -1304,9 +1317,9 @@ def test_jsonl_reader_takes_repeated_windows_in_bulk(aircraft_graph, repeated_wi
     accepted = []
 
     def counting(*args):
-        at, count = accept(*args)
-        accepted.append(count)
-        return at, count
+        at, replay = accept(*args)
+        accepted.append(len(replay) if replay else 0)
+        return at, replay
 
     accept = simulator._accept
     monkeypatch.setattr(simulator, "_accept", counting)
@@ -1333,16 +1346,81 @@ def test_jsonl_reader_moves_brent_mark_past_prefix_heads(aircraft_graph, reader_
     accepted = []
 
     def counting(*args):
-        at, count = accept(*args)
-        accepted.append(count)
-        return at, count
+        at, replay = accept(*args)
+        accepted.append(len(replay) if replay else 0)
+        return at, replay
 
     accept = simulator._accept
     monkeypatch.setattr(simulator, "_accept", counting)
     monkeypatch.setattr(simulator, "PIECE_CHARS", 1)
-    back = trace_from_jsonl(text, aircraft_graph.registry)
+    back = tuple(trace_from_jsonl(text, aircraft_graph.registry))
     assert back == oracle_trace_from_jsonl(text, aircraft_graph.registry)
     assert sum(accepted) > 0
+
+
+def test_jsonl_reader_takes_a_short_window_after_a_bulk_run(aircraft_graph, reader_heads,
+                                                           monkeypatch):
+    # Copies of a 7-line window, then a one-line window: in one-line pieces
+    # the reader takes each in bulk, the second before PIECE_LINES lines of
+    # it are read one by one, as its copies are unrolled only as far back as
+    # the first bulk run.
+    registry = aircraft_graph.registry
+    window = [(0, 0), (0, 1), (1, 2), (1, 3), (1, 4), (1, 0), (1, 1)]
+    events = [(0, 4), (0, 3), *((step + 2 * k, head) for k in range(40) for step, head in window),
+              *((200 + k, 3) for k in range(100))]
+    text = trace_to_jsonl(TraceEvent(step, *reader_heads[head]) for step, head in events)
+    expected = oracle_trace_from_jsonl(text, registry)
+    assert _read_all_sizes(text, registry) == [expected] * len(READER_PIECE_SIZES)
+    monkeypatch.setattr(simulator, "PIECE_CHARS", 1)
+    parts = trace_from_jsonl(text, registry).parts
+    assert [type(part) for part in parts[:4]] == [list, periodic.Replay, list, periodic.Replay]
+    assert len(parts[2]) < simulator.PIECE_LINES
+
+
+def test_repeat_of_judges_a_hit_once_a_window_or_a_piece_follows(reader_heads):
+    # A hit L lines after the mark is judged once min(L, PIECE_LINES) lines,
+    # itself included, end the events; until then it stays, with the later
+    # hits, and the judged hits leave.
+    for length in (3, 100):
+        events = [TraceEvent(index, *reader_heads[index % length % 3])
+                  for index in range(3 * length)]
+        due = length + min(length, simulator.PIECE_LINES)
+        hits = [length, 2 * length]
+        assert simulator._repeat_of(events[:due - 1], hits, 0) is None
+        assert hits == [length, 2 * length]
+        assert simulator._repeat_of(events[:due], hits, 0) == (length, length)
+        assert hits == [2 * length]
+
+
+@pytest.mark.parametrize("name", [name for name in REPEATED_WINDOW_NAMES
+                                  if name.startswith("aircraft")])
+def test_read_lasso_verdicts_equal_the_walk_over_every_event(aircraft_model, aircraft_graph,
+                                                             repeated_window_texts, name,
+                                                             monkeypatch):
+    # At every piece size, the verdicts over the read lasso, counts
+    # included, are those of the walk over its events.
+    for piece in READER_PIECE_SIZES:
+        monkeypatch.setattr(simulator, "PIECE_CHARS", piece)
+        try:
+            lasso = trace_from_jsonl(repeated_window_texts[name], aircraft_graph.registry)
+        except ValueError:
+            continue
+        assert check_axioms(aircraft_model, lasso) == check_axioms(aircraft_model,
+                                                                   tuple(lasso)), piece
+
+
+def test_read_lasso_fails_at_a_payload_changed_in_a_late_copy(aircraft_model, aircraft_graph,
+                                                              repeated_window_texts):
+    # A display recursion of step 8,334, in a late copy of the window,
+    # shows an altitude 1 m off: the lasso fails there, with the walk's
+    # check count, and the copies after it are read in bulk again.
+    text = _edit_line(repeated_window_texts["aircraft 10,000 steps"], 50005,
+                      '"dAL", "value": "10100"', '"dAL", "value": "10101"')
+    lasso = trace_from_jsonl(text, aircraft_graph.registry)
+    (verdict,) = check_axioms(aircraft_model, lasso)
+    assert verdict.status == "fail" and verdict.failing_step == 8334
+    assert [verdict] == check_axioms(aircraft_model, tuple(lasso))
+    assert sum(type(part) is periodic.Replay for part in lasso.parts) == 2
 
 
 def test_jsonl_reader_decodes_each_distinct_head_once(aircraft_graph, aircraft_script,
@@ -1384,7 +1462,7 @@ def test_jsonl_reader_reads_a_long_aircraft_trace_as_run(aircraft_graph, aircraf
         for _ in write_jsonl(simulator.stream(config, 100000), handle):
             pass
     text = path.read_text(encoding="utf-8")
-    back = trace_from_jsonl(text, aircraft_graph.registry)
+    back = tuple(trace_from_jsonl(text, aircraft_graph.registry))
     assert len(back) == 600005
     assert all(itertools.starmap(operator.eq, zip(back, simulator.stream(config, 100000))))
     assert all(type(event) is TraceEvent for event in back)

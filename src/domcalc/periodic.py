@@ -12,12 +12,11 @@ copies in bulk, ``simulator.trace_from_jsonl`` returns one for each run of
 copies it reads in bulk, and ``check_axioms`` folds it a window at a time
 (``segments``).
 
-Both sides hold a replayed run as a lasso: ``parts`` that are runs of
-events and ``Replay``s, in order.  ``Events``, what ``simulator.stream``
-and ``simulator.write_jsonl`` return, is one pass over a generator whose
-``Replay`` is known only once its events end, so it can be neither iterated
-again nor counted without being spent.  ``Lasso``, what
-``simulator.trace_from_jsonl`` returns, holds its parts, and can be.
+A run is held as a ``Lasso``: ``parts`` that are runs of events and
+``Replay``s, in order.  ``simulator.stream`` and ``simulator.write_jsonl``
+return one whose parts are one pass (``one_pass``), as a ``Replay`` is
+known only once the events before it end; ``simulator.trace_from_jsonl``
+returns one that holds its parts.
 """
 
 from __future__ import annotations
@@ -29,36 +28,20 @@ from operator import itemgetter
 from typing import Any, Callable, Collection, Generator, Iterable, Iterator, Optional
 
 
-class Events:
-    """An iterator over a run's events, from the generator that schedules
-    them: it yields the events it took one at a time and returns the
-    ``Replay`` of the rest, or None.
+def one_pass(scheduled: Generator[Any, None, Optional[Replay]]) -> Iterator[Iterable]:
+    """The parts of one pass over ``scheduled``, a generator that yields
+    events and returns the ``Replay`` of the rest, or None: an iterator
+    over the events it yields, then, once they are exhausted, that
+    ``Replay``, if there is one."""
+    replay = None
 
-    Iterating it yields every event.  A consumer that knows the replay can
-    instead take ``scheduled``, the scheduled events, and then, once those
-    are exhausted, ``replay``, the generator's return value: the rest of the
-    run, one window at a time.  ``parts`` yields the two in turn, the
-    ``replay`` only if there is one."""
+    def events() -> Iterator:
+        nonlocal replay
+        replay = yield from scheduled
 
-    def __init__(self, scheduled: Generator[Any, None, Optional[Replay]]) -> None:
-        self.replay: Optional[Replay] = None
-        self.scheduled = self._returned(scheduled)
-        self.parts = self._parts()
-        self._all = chain.from_iterable(self.parts)
-
-    def _returned(self, scheduled: Generator[Any, None, Optional[Replay]]) -> Iterator:
-        self.replay = yield from scheduled
-
-    def _parts(self) -> Iterator[Iterable]:
-        yield self.scheduled
-        if self.replay is not None:
-            yield self.replay
-
-    def __iter__(self) -> Iterator:
-        return self._all
-
-    def __next__(self):
-        return next(self._all)
+    yield events()
+    if replay is not None:
+        yield replay
 
 
 class Replay:
@@ -89,10 +72,6 @@ class Replay:
         return map(tuple.__new__, repeat(type(self.events[0])), zip(
             map(numbers.__getitem__, islice(self.positions, count)), *self._columns))
 
-    def tail(self) -> Iterator:
-        """The events after the last whole copy."""
-        return self.window(self.windows)
-
     def __iter__(self) -> Iterator:
         return chain.from_iterable(map(self.window, range(self.windows + 1)))
 
@@ -101,18 +80,24 @@ class Replay:
 
 
 class Lasso:
-    """Events held as ``parts``, in order: lists of events, and ``Replay``s
-    whose window is the events just before them, of which only the last
-    part may have a tail (``segments``).  It iterates every event, as often
-    as asked, and its length is their number."""
+    """A run as ``parts``, in order: runs of events, and ``Replay``s whose
+    window is the events just before them, any of which may have a tail
+    (``segments``).  Iterating it yields every event.
 
-    def __init__(self, parts: list) -> None:
+    Held parts (a list) iterate as often as asked, and the length is the
+    number of events.  Parts that are an iterator are one pass: ``len``
+    raises ``TypeError`` without taking a part, so that ``tuple`` and
+    ``list``, which ask for it first, still see every event."""
+
+    def __init__(self, parts: Iterable[Iterable]) -> None:
         self.parts = parts
 
     def __iter__(self) -> Iterator:
         return chain.from_iterable(self.parts)
 
     def __len__(self) -> int:
+        if isinstance(self.parts, Iterator):
+            raise TypeError("a one-pass Lasso has no length")
         return sum(map(len, self.parts))
 
 
@@ -220,35 +205,37 @@ class Recurrence:
                       bisect_right(self.events, self.first + extra, key=itemgetter(0)) - 2)
 
 
-def segments(trace: Iterable, checked: list[int]) -> Iterator[Iterable]:
+def segments(trace: Iterable, checked: list[int],
+             last: dict[str, dict[str, Any]]) -> Iterator[Iterable]:
     """The runs of ``trace``'s events for a monitor to fold in turn,
-    ``checked`` being its check count per axiom.  A plain iterable is one
-    run; the parts of ``Events`` or a ``Lasso`` are taken in order, each
-    list or iterator of events as one run.
+    ``checked`` being its check count per axiom and ``last`` its state: per
+    process, the last payload on each channel.  A plain iterable is one
+    run; the parts of a ``Lasso`` are taken in order, each run of events as
+    one run.
 
     A ``Replay`` meets, at its first copy, the state that its window left,
-    as its window is the events just before it.  The monitor's state is the
-    last payload on each channel, and a copy sets each channel it receives
-    on to what the window did and leaves the others, so every copy, and the
-    tail, meets that same state and makes the same checks: each a hit of
-    the monitor's memo, or one of an axiom that has failed.  So the first
-    copy is folded event by event, in two runs split after its first
-    ``rest`` events; each later whole copy adds the first copy's counts,
-    and the tail those of its first ``rest`` events, without their events.
-    A ``Replay`` with no whole copy is its tail, folded event by event.
-    The fold of one with whole copies leaves the monitor as a whole copy
-    does, not as its tail does, so only the last part may have a tail."""
-    for part in trace.parts if isinstance(trace, (Events, Lasso)) else (trace,):
+    as its window is the events just before it.  A copy sets each channel
+    it receives on to what the window did and leaves the others, so every
+    copy, and the tail, meets that same state and makes the same checks:
+    each a hit of the monitor's memo, or one of an axiom that has failed.
+    So the first copy is folded event by event, in two runs split after its
+    first ``rest`` events, where the state is the one the tail leaves; each
+    later whole copy adds the first copy's counts, and the tail those of
+    its first ``rest`` events, without their events.  The state saved at
+    the split is then put back, so the events after a tail meet the state
+    it leaves.  A ``Replay`` with no whole copy is its tail, folded event
+    by event."""
+    for part in trace.parts if isinstance(trace, Lasso) else (trace,):
         if type(part) is not Replay:
             yield part
-        elif not part.windows:
-            yield part.tail()
-        else:
-            before = checked.copy()
-            first = part.window(0)
-            yield islice(first, part.rest)
-            at_rest = checked.copy()
-            yield first
-            for index, count in enumerate(before):
-                checked[index] += ((checked[index] - count) * (part.windows - 1)
-                                   + at_rest[index] - count)
+            continue
+        before = checked.copy()
+        first = part.window(0)
+        yield islice(first, part.rest)
+        at_rest = checked.copy()
+        tail = {name: received.copy() for name, received in last.items()}
+        yield first
+        for index, count in enumerate(before):
+            checked[index] += ((checked[index] - count) * (part.windows - 1)
+                               + at_rest[index] - count)
+        last.update(tail)

@@ -231,7 +231,7 @@ def run(config: RunConfig, max_steps: int) -> tuple[TraceEvent, ...]:
     return tuple(stream(config, max_steps))
 
 
-def stream(config: RunConfig, max_steps: int) -> periodic.Events:
+def stream(config: RunConfig, max_steps: int) -> periodic.Lasso:
     """Execute until ``max_steps`` rendezvous or quiescence, yielding each
     event as the run produces it.
 
@@ -256,11 +256,12 @@ def stream(config: RunConfig, max_steps: int) -> periodic.Events:
     The search for it takes its first state key two rounds of the
     rendezvous table in, when every track is cyclic, so a run that is
     already in its loop there replays one checkpoint spacing later.
-    The events are unchanged; the run holds one window.  The replay is the
-    return value of the scheduling generator, which ``periodic.Events``
-    keeps as its ``replay`` once the scheduled events are exhausted.
+    The events are unchanged; the run holds one window.  The events come as
+    a one-pass ``periodic.Lasso``: the scheduled events, then the
+    ``Replay`` that the scheduling generator returns, if there is one
+    (``periodic.one_pass``).
     """
-    return periodic.Events(_schedule(config, max_steps))
+    return periodic.Lasso(periodic.one_pass(_schedule(config, max_steps)))
 
 
 def _schedule(config: RunConfig,
@@ -450,11 +451,12 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     tuples, so most checks are a dict hit; unshared tuples get the same
     verdicts, only slower.
 
-    Over a lasso, ``stream`` direct or through ``write_jsonl`` and what
-    ``trace_from_jsonl`` returns, the first copy of each ``Replay`` is
-    walked, and each later copy and the tail add their check counts
-    (``periodic.segments``).  The verdicts, counts included, are those of
-    the walk over every event.
+    Over a ``periodic.Lasso``, what ``stream``, ``write_jsonl`` and
+    ``trace_from_jsonl`` return, the first copy of each ``Replay`` is
+    walked, and each later copy and the tail add their check counts; the
+    state that the tail leaves, ``last``, is put back for the events after
+    it (``periodic.segments``).  The verdicts, counts included, are those
+    of the walk over every event.
     """
     graph = compiler.compile_model(model)
     processes = {p.name: p for p in graph.processes()}
@@ -480,7 +482,7 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     passed: dict[tuple[int, ...], tuple] = {}
     checked = [0] * len(model.axioms)
     failed: dict[int, Verdict] = {}
-    for events in periodic.segments(trace, checked):
+    for events in periodic.segments(trace, checked, last):
         for step, kind, channel, name, payload in events:
             received = last.get(name)
             if received is None:
@@ -523,7 +525,7 @@ PIECE_LINES = 64
 PIECE_CHARS = 1 << 16
 
 
-def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceEvent]:
+def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> periodic.Lasso:
     """Write each event to ``handle`` as one JSON line and pass it on.
 
     A line is the event as ``json.dumps(..., sort_keys=True)`` writes it:
@@ -541,12 +543,12 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
     per distinct message, so most lines only add their step; unshared
     tuples are written the same, only slower.
 
-    Over ``stream``, a replayed run is written whole when its scheduled
-    events end, before the first replayed event is passed on: every copy
-    of the ``Replay``'s window and the tail, from the heads of the window's
-    events, ``PIECE_LINES`` lines to a write (``_copies``).  The writing
-    generator then returns the stream's own ``Replay``, so the
-    ``periodic.Events`` returned takes it as its ``replay``."""
+    The events are passed on as a one-pass ``periodic.Lasso`` of the parts
+    of ``events``, a plain iterable being one part.  A run of events is
+    written line by line.  A ``Replay`` is written whole when the events
+    before it end, before it is passed on: every copy of its window and the
+    tail, from the heads of the window's events, ``PIECE_LINES`` lines to a
+    write (``_copies``)."""
     # (kind, channel, process, id(payload)) -> the head, and id(quantity) ->
     # its text; ``payloads`` keeps each keyed payload, and so each keyed
     # quantity, alive, so no id can be reused.
@@ -581,20 +583,16 @@ def write_jsonl(events: Iterable[TraceEvent], handle: TextIO) -> Iterator[TraceE
             write(head + int.__repr__(step) + "}\n")
             yield event
 
-    if not isinstance(events, periodic.Events):
-        return lines(events)
-
-    def scheduled() -> Generator[TraceEvent, None, Optional[periodic.Replay]]:
-        yield from lines(events.scheduled)
-        replay = events.replay
-        if replay is None:
-            return None
-        write = handle.write
-        window = [head_of(*event[1:]) for event in replay.events]
-        for piece, _ in _copies(window, replay, replay.windows * len(window) + replay.rest):
-            write(piece)
-        return replay
-    return periodic.Events(scheduled())
+    def parts() -> Iterator[Iterable[TraceEvent]]:
+        for part in events.parts if isinstance(events, periodic.Lasso) else (events,):
+            if type(part) is not periodic.Replay:
+                yield lines(part)
+                continue
+            window = [head_of(*event[1:]) for event in part.events]
+            for piece, _ in _copies(window, part, len(part)):
+                handle.write(piece)
+            yield part
+    return periodic.Lasso(parts())
 
 
 def _copies(heads: list[str], replay: periodic.Replay, lines: int) -> Iterator[tuple[str, int]]:
@@ -659,13 +657,12 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> periodic.Lasso:
     events.
 
     The result holds the events read line by line and, after each run of
-    them, the ``Replay`` of the whole copies accepted next, whose events are
-    not built: ``tuple(...)`` of it is every event, ``len`` their number,
-    and ``check_axioms`` folds each ``Replay`` a window at a time.  A window
-    is the lines just before its first copy, read since the last bulk run,
-    so each copy meets the monitor state that the window left.  The events
-    of a part copy accepted after the whole ones are built, and begin the
-    next run, as a tail would leave the monitor mid-window.
+    them, the ``Replay`` of the copies accepted next, whole and partial,
+    whose events are not built: ``tuple(...)`` of it is every event, ``len``
+    their number, ``check_axioms`` folds each ``Replay`` a window at a time,
+    and ``write_jsonl`` writes each in bulk.  A window is the lines just
+    before its first copy, read since the last bulk run, so each copy meets
+    the monitor state that the window left.
     """
     events = []
     append = events.append
@@ -735,10 +732,6 @@ def trace_from_jsonl(text: str, registry: KindRegistry) -> periodic.Lasso:
             if replay is not None:  # the search starts again after the accepted lines
                 parts += (events[since:], replay)
                 number, since = number + len(replay), len(events)
-                # A tail would leave the monitor mid-window, so the part copy
-                # after the whole ones is built, as if read line by line.
-                events += replay.tail()
-                replay.rest = 0
                 fields = anchor = mark = None
                 due, anchor_hits, hits = len(events), [], []
         if fields is not None and len(events) >= due:
@@ -787,8 +780,9 @@ def _accept(text: str, at: int, events: list[TraceEvent], since: int,
             period: int) -> tuple[int, Optional[periodic.Replay]]:
     """The copies of the last ``length`` events, the window, that ``text``
     holds from offset ``at``, each copy with steps ``period`` higher than the
-    one before: the offset after them and their ``Replay``, or None when no
-    line is taken.  The copies' text is spelled as ``write_jsonl`` writes the
+    one before: the offset after them and their ``Replay``, whose tail is
+    the lines of a last, partial copy, or None when no line is taken.  The
+    copies' text is spelled as ``write_jsonl`` writes the
     ``Replay`` (``_copies``), each line from the head and separator that
     ``by_fields`` gives for its window event's fields, and a piece is taken
     only if the text is exactly its lines.  The ``Replay``'s events share

@@ -38,6 +38,7 @@ WINDOWS = SIM + "test_jsonl_reader_reads_repeated_windows_as_the_oracle"
 ONE_EDIT = SIM + "test_jsonl_reader_reads_copies_with_one_edit_as_the_oracle"
 WRITER = RUN + "test_replayed_copies_are_written_as_the_oracle_in_any_piece"
 READ_FOLD = SIM + "test_read_lasso_verdicts_equal_the_walk_over_every_event"
+FOLD = RUN + "test_monitor_folds_copies_and_tail_as_the_walk_over_every_event"
 
 
 class Mutant(NamedTuple):
@@ -115,6 +116,10 @@ MUTANTS = (
            "        shift = (k + 1) * replay.period\n",
            "        shift = (k + 2) * replay.period\n",
            (BULK, WRITER)),
+    Mutant("writer writes a Replay one line short", "simulator.py",
+           "_copies(window, part, len(part))",
+           "_copies(window, part, len(part) - 1)",
+           (WRITER, SIM + "test_jsonl_writer_writes_a_read_lasso_back_as_its_text")),
     # The replay and the window monitor.
     Mutant("segments counts one copy too many", "periodic.py",
            "(checked[index] - count) * (part.windows - 1)",
@@ -127,7 +132,16 @@ MUTANTS = (
     Mutant("segments counts the tail with one event more", "periodic.py",
            "yield islice(first, part.rest)",
            "yield islice(first, part.rest + 1)",
-           (RUN + "test_monitor_folds_copies_and_tail_as_the_walk_over_every_event",)),
+           (FOLD,)),
+    Mutant("segments leaves the state of a whole copy after a tail", "periodic.py",
+           "        last.update(tail)\n",
+           "",
+           (FOLD,)),
+    Mutant("lasso len takes a part before it refuses", "periodic.py",
+           "        if isinstance(self.parts, Iterator):\n"
+           "            raise TypeError(\"a one-pass Lasso has no length\")\n",
+           "",
+           (RUN + "test_a_one_pass_lasso_has_no_length_and_keeps_its_run",)),
     Mutant("recurrence probes one step late", "periodic.py",
            "first = 2 * table + 1 if probe else start or spacing",
            "first = 2 * table + 2 if probe else start or spacing",

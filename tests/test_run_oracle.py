@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -336,10 +336,10 @@ def test_streamed_simulate_matches_run_at_the_edges(
 
 def replay_of(config: RunConfig, steps: int):
     """The replay ``stream`` found, or None."""
-    events = stream(config, steps)
-    for _ in events.scheduled:
+    parts = stream(config, steps).parts
+    for _ in next(parts):
         pass
-    return events.replay
+    return next(parts, None)
 
 
 def assert_replay_matches_oracle(config: RunConfig, steps: int):
@@ -550,20 +550,20 @@ def test_replay_is_written_whole_when_the_scheduled_events_end(
         aircraft_graph, aircraft_script_path):
     config, expected, text, scheduled = _aircraft_replayed(aircraft_graph, aircraft_script_path)
     ends = list(accumulate(map(len, text.splitlines(keepends=True))))
-    source = stream(config, 5000)
     buffer = io.StringIO()
-    written = write_jsonl(source, buffer)
+    parts = write_jsonl(stream(config, 5000), buffer).parts
     count = 0
-    for count, event in enumerate(written.scheduled, 1):
+    for count, event in enumerate(next(parts), 1):
         # Its line, and no later one, is on the buffer.
         assert event == expected[count - 1]
         assert buffer.tell() == ends[count - 1]
     assert count == scheduled
-    # The writer passes on the stream's own replay, and the first replayed
-    # event comes after every line of the run.
-    assert written.replay is source.replay is not None
-    assert next(written) == expected[count]
-    assert buffer.getvalue() == text
+    # The writer passes on the stream's replay once every line of the run
+    # is on the buffer, and it is the last part.
+    replay = next(parts)
+    assert type(replay) is periodic.Replay and buffer.getvalue() == text
+    assert tuple(replay) == expected[count:]
+    assert next(parts, None) is None
 
 
 @pytest.fixture(scope="module")
@@ -599,19 +599,25 @@ def test_replayed_copies_are_written_as_the_oracle_in_any_piece(monkeypatch, rep
         assert buffer.getvalue() == text, steps
 
 
-def test_events_take_the_replay_their_generator_returns():
+def test_one_pass_takes_the_replay_its_generator_returns():
     stand_in = ["replayed 0", "replayed 1"]
 
-    def scheduled():
+    def scheduled(replay):
         yield "event 0"
         yield "event 1"
-        return stand_in
+        return replay
 
-    events = periodic.Events(scheduled())
-    assert next(events.scheduled) == "event 0" and events.replay is None
-    assert next(events.scheduled) == "event 1" and events.replay is None
-    assert list(events.scheduled) == [] and events.replay is stand_in
-    assert list(periodic.Events(scheduled())) == ["event 0", "event 1", *stand_in]
+    # The events come one at a time, and the replay after them, once they
+    # are exhausted; a generator that returns None has no second part.
+    parts = periodic.one_pass(scheduled(stand_in))
+    events = next(parts)
+    assert next(events) == "event 0" and next(events) == "event 1"
+    assert list(events) == [] and next(parts) is stand_in
+    assert next(parts, None) is None
+    parts = periodic.one_pass(scheduled(None))
+    assert list(next(parts)) == ["event 0", "event 1"] and next(parts, None) is None
+    assert list(periodic.Lasso(periodic.one_pass(scheduled(stand_in)))) == [
+        "event 0", "event 1", *stand_in]
 
 
 def test_run_and_reader_return_tuples_of_a_replayed_run(aircraft_graph, aircraft_script_path):
@@ -621,11 +627,23 @@ def test_run_and_reader_return_tuples_of_a_replayed_run(aircraft_graph, aircraft
     assert replay_of(config, 5000) is not None
     trace = run(config, 5000)
     assert type(trace) is tuple and trace == tuple(stream(config, 5000))
-    back = tuple(trace_from_jsonl(trace_to_jsonl(trace), aircraft_graph.registry))
-    assert type(back) is tuple and back == trace
-    source = stream(config, 5000)
-    written = write_jsonl(source, io.StringIO())
-    assert tuple(written) == trace and written.replay is source.replay is not None
+    # The stream, the writer and the reader each return the run as a lasso.
+    back = trace_from_jsonl(trace_to_jsonl(trace), aircraft_graph.registry)
+    for lasso in (stream(config, 5000), write_jsonl(stream(config, 5000), io.StringIO()), back):
+        assert type(lasso) is periodic.Lasso and tuple(lasso) == trace
+
+
+def test_a_one_pass_lasso_has_no_length_and_keeps_its_run(aircraft_graph,
+                                                          aircraft_script_path):
+    # ``len`` of the stream, or of the writer over it, refuses without
+    # taking a part, so the run is whole afterwards; a read lasso counts.
+    # ``run`` asks for the length too, so the oracle is the reference.
+    config, expected, text, _ = _aircraft_replayed(aircraft_graph, aircraft_script_path)
+    for lasso in (stream(config, 5000), write_jsonl(stream(config, 5000), io.StringIO())):
+        with pytest.raises(TypeError):
+            len(lasso)
+        assert tuple(lasso) == expected
+    assert len(trace_from_jsonl(text, aircraft_graph.registry)) == len(expected)
 
 
 def _replayed_cases(graph, script_path):
@@ -645,21 +663,27 @@ def test_monitor_folds_copies_and_tail_as_the_walk_over_every_event(aircraft_gra
     # A Replay after the events it repeats, with no whole copy or some, and
     # a tail that is empty, one event into a copy, one event short of a
     # whole one, or ends just before or after one of the window's first
-    # recursions: the fold's verdicts, counts included, are the walk's.
+    # recursions, last or followed by the walk's events after the tail, the
+    # rest of its copy and one more: the fold's verdicts, counts included,
+    # are the walk's.
     for config, steps in _replayed_cases(aircraft_graph, aircraft_script_path):
-        events = stream(config, steps)
-        scheduled = list(events.scheduled)
-        window, period = events.replay.events, events.replay.period
+        parts = stream(config, steps).parts
+        scheduled = list(next(parts))
+        replay = next(parts)
+        window, period = replay.events, replay.period
         assert scheduled[len(scheduled) - len(window):] == window
         recursions = [index for index, event in enumerate(window) if event.kind == RECURSION]
         rests = {0, 1, len(window) - 1, *recursions[:4], *(r + 1 for r in recursions[:4])}
         model = config.graph.model
         for windows in (0, 1, 2, 5):
             for rest in sorted(rest for rest in rests if rest < len(window)):
-                lasso = periodic.Lasso([scheduled, periodic.Replay(window, period, windows,
-                                                                   rest)])
-                assert len(lasso) == len(scheduled) + windows * len(window) + rest
-                assert check_axioms(model, lasso) == check_axioms(model, tuple(lasso))
+                tail = periodic.Replay(window, period, windows, rest)
+                later = list(islice(periodic.Replay(window, period, windows + 2, 0),
+                                    len(tail), None))
+                assert len(tail) == windows * len(window) + rest
+                for lasso in (periodic.Lasso([scheduled, tail]),
+                              periodic.Lasso([scheduled, tail, later])):
+                    assert check_axioms(model, lasso) == check_axioms(model, tuple(lasso))
 
 
 def test_read_run_texts_monitor_as_the_walk_wherever_they_end(monkeypatch, aircraft_graph,

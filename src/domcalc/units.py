@@ -19,12 +19,11 @@ so equality checks in axiom verdicts are meaningful.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .diagnostics import Diagnostic, SourceSpan, error
+from .diagnostics import Diagnostic, Frozen, SourceSpan, error
 
 BASE_SYMBOLS = ("m", "kg", "s", "A", "K", "mol", "cd")
 
@@ -82,15 +81,15 @@ class ZeroTimeInterval(ZeroDivisionError):
     pass
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Dimension(Frozen):
     """Exponent vector over the seven SI base units.
 
     Multiplication of quantities adds exponent vectors, division subtracts
     them and integer powers scale them; the zero vector is dimensionless.
     """
 
-    exponents: tuple[int, int, int, int, int, int, int] = (0,) * 7
+    def __init__(self, exponents: tuple[int, int, int, int, int, int, int] = (0,) * 7) -> None:
+        self.__dict__["exponents"] = exponents
 
     @staticmethod
     def base(symbol: str) -> "Dimension":
@@ -341,8 +340,7 @@ def canonical_unit_text(text: str) -> str:
 # Quantity kinds and values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuantityKind:
+class QuantityKind(Frozen):
     """A named attribute-value type.
 
     ``scale`` and ``offset`` map a magnitude to the coherent SI value
@@ -352,30 +350,34 @@ class QuantityKind:
     (possibly nominal) kind of mean values, defaulting to the kind itself.
     """
 
-    name: str
-    dimension: Dimension
-    role: str = PLAIN
-    scale: Fraction = Fraction(1)
-    offset: Fraction = Fraction(0)
-    interval_kind: Optional["QuantityKind"] = None
-    mean_kind: Optional["QuantityKind"] = None
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"bad role {self.role!r}")
-        if self.offset != 0 and self.role != POINT:
+    def __init__(self, name: str, dimension: Dimension, role: str = PLAIN,
+                 scale: Fraction = Fraction(1), offset: Fraction = Fraction(0),
+                 interval_kind: Optional[QuantityKind] = None,
+                 mean_kind: Optional[QuantityKind] = None) -> None:
+        if role not in ROLES:
+            raise ValueError(f"bad role {role!r}")
+        if offset != 0 and role != POINT:
             raise ValueError("only point kinds may have an affine offset")
+        fields = self.__dict__
+        fields["name"] = name
+        fields["dimension"] = dimension
+        fields["role"] = role
+        fields["scale"] = scale
+        fields["offset"] = offset
+        fields["interval_kind"] = interval_kind
+        fields["mean_kind"] = mean_kind
 
     def mean_kind_or_self(self) -> "QuantityKind":
         return self.mean_kind or self
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Frozen):
     """An exact magnitude tagged with its kind."""
 
-    magnitude: Fraction
-    kind: QuantityKind
+    def __init__(self, magnitude: Fraction, kind: QuantityKind) -> None:
+        fields = self.__dict__
+        fields["magnitude"] = magnitude
+        fields["kind"] = kind
 
     def to_coherent(self) -> Fraction:
         return self.magnitude * self.kind.scale + self.kind.offset
@@ -522,17 +524,19 @@ def builtin_registry() -> KindRegistry:
 # The operator-permission ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpVerdict:
+class OpVerdict(Frozen):
     """Outcome of a ledger query: a result kind, or a refusal with a reason.
 
     ``precondition`` carries a runtime side-condition the static ledger cannot
     discharge (point subtraction requires lhs >= rhs).
     """
 
-    result: Optional[QuantityKind]
-    reason: Optional[str] = None
-    precondition: Optional[str] = None
+    def __init__(self, result: Optional[QuantityKind], reason: Optional[str] = None,
+                 precondition: Optional[str] = None) -> None:
+        fields = self.__dict__
+        fields["result"] = result
+        fields["reason"] = reason
+        fields["precondition"] = precondition
 
     @property
     def allowed(self) -> bool:
@@ -680,10 +684,12 @@ _EXPR_TOKEN = re.compile(
     r"|(?P<op><=|>=|==|[+\-*/<>()]))")
 
 
-@dataclass(frozen=True)
-class TypecheckResult:
-    kind: Optional[QuantityKind]
-    diagnostics: tuple[Diagnostic, ...] = ()
+class TypecheckResult(Frozen):
+    def __init__(self, kind: Optional[QuantityKind],
+                 diagnostics: tuple[Diagnostic, ...] = ()) -> None:
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["diagnostics"] = diagnostics
 
 
 def typecheck_expr(text: str, env: Mapping[str, QuantityKind],

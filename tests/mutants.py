@@ -1,8 +1,10 @@
 """A mutation gate for the fast paths: the bulk trace reader and writer,
-the replay and the window monitor.
+the replay and the window monitor; and for the equality and hash of the
+hand-written value types of ``units`` and ``diagnostics``.
 
 These paths are optimisations over an oracle, so a bug in them gives bytes
-and verdicts that look right.  Each mutant below is one exact edit of one
+and verdicts that look right; a value type that compares too little merges
+kinds that differ.  Each mutant below is one exact edit of one
 file of ``src/domcalc`` and the tests that must kill it.  The runner copies
 ``src`` to a temporary directory, applies the edit, which must match
 exactly once, and runs the tests in a subprocess with ``PYTHONPATH`` on the
@@ -39,6 +41,7 @@ ONE_EDIT = SIM + "test_jsonl_reader_reads_copies_with_one_edit_as_the_oracle"
 WRITER = RUN + "test_replayed_copies_are_written_as_the_oracle_in_any_piece"
 READ_FOLD = SIM + "test_read_lasso_verdicts_equal_the_walk_over_every_event"
 FOLD = RUN + "test_monitor_folds_copies_and_tail_as_the_walk_over_every_event"
+VALUES = "tests/test_values.py::"
 
 
 class Mutant(NamedTuple):
@@ -158,6 +161,24 @@ MUTANTS = (
            "key=itemgetter(0)) - 2)",
            "key=itemgetter(0)) - 1)",
            (RUN + "test_replay_matches_oracle_on_aircraft",)),
+    # The value types of ``units`` and ``diagnostics`` (``diagnostics.Frozen``).
+    Mutant("values of another class compared by their fields", "diagnostics.py",
+           "        if other.__class__ is self.__class__:\n"
+           "            return self.__dict__ == other.__dict__\n"
+           "        return NotImplemented\n",
+           "        return self.__dict__ == other.__dict__\n",
+           (VALUES + "test_values_of_another_class_are_not_compared",)),
+    Mutant("kinds equal and hashed without their offset", "units.py",
+           "    def mean_kind_or_self(self) -> \"QuantityKind\":\n",
+           "    def __eq__(self, other):\n"
+           "        if other.__class__ is self.__class__:\n"
+           "            return ({**self.__dict__, \"offset\": 0}\n"
+           "                    == {**other.__dict__, \"offset\": 0})\n"
+           "        return NotImplemented\n\n"
+           "    def __hash__(self):\n"
+           "        return hash(tuple({**self.__dict__, \"offset\": 0}.values()))\n\n"
+           "    def mean_kind_or_self(self) -> \"QuantityKind\":\n",
+           (VALUES + "test_equal_and_hash_follow_the_fields_in_order",)),
 )
 
 

@@ -66,6 +66,14 @@ def test_importing_units_loads_neither_compiler_simulator_nor_cli():
     assert not {"domcalc.compiler", "domcalc.simulator", "domcalc.cli"} & loaded
 
 
+def test_importing_units_loads_neither_dataclasses_nor_inspect():
+    # The unit algebra starts every command; its value types are plain
+    # classes, so the start compiles no generated methods.
+    loaded = _loaded_by("domcalc.units")
+    assert "domcalc.units" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
 def test_importing_the_cli_leaves_the_simulator_unloaded():
     loaded = _loaded_by("domcalc.cli")
     assert {"domcalc.cli", "domcalc.compiler"} <= loaded

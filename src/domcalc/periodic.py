@@ -15,8 +15,10 @@ copies it reads in bulk, and ``check_axioms`` folds it a window at a time
 A run is held as a ``Lasso``: ``parts`` that are runs of events and
 ``Replay``s, in order.  ``simulator.stream`` and ``simulator.write_jsonl``
 return one whose parts are one pass (``one_pass``), as a ``Replay`` is
-known only once the events before it end; ``simulator.trace_from_jsonl``
-returns one that holds its parts.
+known only once the events before it end.  ``simulator.run`` returns the
+stream's lasso held, its scheduled events a tuple and its ``Replay``
+unbuilt, and ``simulator.trace_from_jsonl`` returns one that holds its
+parts.
 """
 
 from __future__ import annotations

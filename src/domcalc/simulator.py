@@ -28,7 +28,6 @@ from .analysis import parse_value
 from .model import READ, RECEIVE, SEND, DomainModel, ProcessDef, ProcessGraph, attr_channel
 from .units import KindRegistry, Quantity, fraction_str, parse_fraction
 
-RENDEZVOUS = "rendezvous"
 RECURSION = "recursion"
 DEADLOCK = "deadlock"
 
@@ -73,10 +72,10 @@ class EnvironmentScript:
     @staticmethod
     def from_json(data: dict, graph: ProcessGraph) -> "EnvironmentScript":
         """Build a script from the JSON form: channel -> [[step, "value"], ...]
-        or channel -> {"points": [...], "cycle": N}.  Steps are non-negative
-        JSON integers and a cycle is a positive integer; a cyclic track's
-        steps are below its cycle, and points at one step have one value.
-        Anything else raises ``ScriptError``."""
+        or channel -> {"points": [...], "cycle": N}, with no other key.
+        Steps are non-negative JSON integers and a cycle is a positive
+        integer; a cyclic track's steps are below its cycle, and points at
+        one step have one value.  Anything else raises ``ScriptError``."""
         if not isinstance(data, dict):
             raise ScriptError("script must be a JSON object mapping channels to tracks")
         registry: KindRegistry = graph.registry
@@ -91,6 +90,10 @@ class EnvironmentScript:
             cycle = None
             points = entry
             if isinstance(entry, dict):
+                unknown = [key for key in entry if key not in ("points", "cycle")]
+                if unknown:
+                    raise ScriptError(f"{name!r}: unknown track key {unknown[0]!r}; "
+                                      f"a track object has only \"points\" and \"cycle\"")
                 points = entry.get("points")
                 cycle = entry.get("cycle")
             if cycle is not None and (type(cycle) is not int or cycle <= 0):
@@ -200,8 +203,8 @@ def _chain_apply(model: DomainModel, registry: KindRegistry,
     """The chain's map: each named conversion in turn, first to last, each
     into its own resolved target kind; an empty chain returns its input.  The
     chains come from a compiled graph, so every name is a declared conversion
-    (E112 refuses the rest).  Each call maps afresh: ``run`` keeps one table
-    per chain from value number to number, and the monitor decides each
+    (E112 refuses the rest).  Each call maps afresh: ``_schedule`` keeps one
+    table per chain from value number to number, and the monitor decides each
     distinct combination of payload objects once."""
     links = [(conv, registry.resolve(conv.to_kind))
              for conv in map(model.conversion, chain)]
@@ -226,9 +229,12 @@ class _Table(dict):
         return value
 
 
-def run(config: RunConfig, max_steps: int) -> tuple[TraceEvent, ...]:
-    """Every event of ``stream(config, max_steps)``, held in one tuple."""
-    return tuple(stream(config, max_steps))
+def run(config: RunConfig, max_steps: int) -> periodic.Lasso:
+    """``stream(config, max_steps)`` held: each run of scheduled events as a
+    tuple, taken whole before the next part, and the ``Replay``, if there is
+    one, unbuilt.  It iterates as often as asked and has a length."""
+    return periodic.Lasso([part if type(part) is periodic.Replay else tuple(part)
+                           for part in stream(config, max_steps).parts])
 
 
 def stream(config: RunConfig, max_steps: int) -> periodic.Lasso:
@@ -451,8 +457,8 @@ def check_axioms(model: DomainModel, trace: Iterable[TraceEvent]) -> list[Verdic
     tuples, so most checks are a dict hit; unshared tuples get the same
     verdicts, only slower.
 
-    Over a ``periodic.Lasso``, what ``stream``, ``write_jsonl`` and
-    ``trace_from_jsonl`` return, the first copy of each ``Replay`` is
+    Over a ``periodic.Lasso``, what ``stream``, ``run``, ``write_jsonl``
+    and ``trace_from_jsonl`` return, the first copy of each ``Replay`` is
     walked, and each later copy and the tail add their check counts; the
     state that the tail leaves, ``last``, is put back for the events after
     it (``periodic.segments``).  The verdicts, counts included, are those

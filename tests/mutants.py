@@ -1,6 +1,6 @@
 """A mutation gate for the fast paths: the bulk trace reader and writer,
-the replay and the window monitor; and for the equality and hash of the
-hand-written value types of ``units`` and ``diagnostics``.
+the replay, the window monitor and the held run; and for the equality and
+hash of the hand-written value types of ``units`` and ``diagnostics``.
 
 These paths are optimisations over an oracle, so a bug in them gives bytes
 and verdicts that look right; a value type that compares too little merges
@@ -161,6 +161,18 @@ MUTANTS = (
            "key=itemgetter(0)) - 2)",
            "key=itemgetter(0)) - 1)",
            (RUN + "test_replay_matches_oracle_on_aircraft",)),
+    # The held run (``simulator.run``).
+    Mutant("run drops its Replay part", "simulator.py",
+           "                           for part in stream(config, max_steps).parts])",
+           "                           for part in stream(config, max_steps).parts\n"
+           "                           if type(part) is not periodic.Replay])",
+           (SIM + "test_run_holds_the_replayed_run_as_a_lasso",
+            RUN + "test_replay_matches_oracle_on_aircraft")),
+    Mutant("run keeps the scheduled part undrained", "simulator.py",
+           "part if type(part) is periodic.Replay else tuple(part)",
+           "part if type(part) is periodic.Replay else part",
+           (SIM + "test_run_holds_the_replayed_run_as_a_lasso",
+            RUN + "test_run_and_reader_return_lassos_of_a_replayed_run")),
     # The value types of ``units`` and ``diagnostics`` (``diagnostics.Frozen``).
     Mutant("values of another class compared by their fields", "diagnostics.py",
            "        if other.__class__ is self.__class__:\n"

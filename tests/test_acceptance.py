@@ -100,7 +100,7 @@ def test_criterion_3_axiom_discharge(aircraft_model, aircraft_graph):
             rng = random.Random(seed)
             script = random_script(rng, aircraft_graph, horizon=60)
             config = simulator.instantiate(aircraft_graph, script, seed=seed)
-            trace = simulator.run(config, 50)
+            trace = tuple(simulator.run(config, 50))
             (verdict,) = simulator.check_axioms(aircraft_model, trace)
             assert verdict.passed, (seed, verdict)
             assert verdict.checked > 0
@@ -176,10 +176,10 @@ def test_criterion_7_determinism_and_prefix_monotonicity():
             config = simulator.instantiate(graph, script, seed=seed)
             short_steps = 4 + seed % 7
             long_steps = short_steps + 1 + seed % 5
-            first = simulator.run(config, long_steps)
-            second = simulator.run(config, long_steps)
+            first = tuple(simulator.run(config, long_steps))
+            second = tuple(simulator.run(config, long_steps))
             assert first == second, seed
-            prefix = simulator.run(config, short_steps)
+            prefix = tuple(simulator.run(config, short_steps))
             assert first[:len(prefix)] == prefix, seed
 
 

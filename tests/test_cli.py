@@ -269,6 +269,8 @@ def _with_lo_track(track):
     pytest.param(None, _with_lo_track({"points": [[0, "10 deg"], [45, "99 deg"]], "cycle": 40}),
                  id="point-past-cycle"),
     pytest.param(None, _with_lo_track([[0, "10 deg"], [0, "20 deg"]]), id="two-values-at-step"),
+    pytest.param(None, _with_lo_track({"points": [[0, "10 deg"]], "cylce": 40}),
+                 id="unknown-track-key"),
 ])
 def test_simulate_bad_input_exits_1_without_traceback(
         capsys, tmp_path, aircraft_path, aircraft_script_path, dom, make_script):

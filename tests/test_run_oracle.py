@@ -140,7 +140,7 @@ def oracle_jsonl(trace: tuple[TraceEvent, ...]) -> str:
 
 
 def assert_matches_oracle(config: RunConfig, steps: int) -> tuple[TraceEvent, ...]:
-    trace = run(config, steps)
+    trace = tuple(run(config, steps))
     expected = oracle_run(config, steps)
     assert trace == expected
     assert trace_to_jsonl(trace) == oracle_jsonl(expected)
@@ -260,7 +260,7 @@ def test_long_script_costs_no_more_than_reading_it(aircraft_graph):
     parsed = time.perf_counter() - started
     config = instantiate(aircraft_graph, script, 0)
     started = time.perf_counter()
-    trace = run(config, 50)
+    trace = tuple(run(config, 50))
     ran = time.perf_counter() - started
     assert ran <= parsed
     assert trace[-1].kind != DEADLOCK and trace[-1].step == 50
@@ -272,20 +272,25 @@ def test_long_script_costs_no_more_than_reading_it(aircraft_graph):
 
 def assert_streamed_as_run(capsys, tmp_path, text: str, script: dict, steps: int,
                            seed: int) -> tuple[TraceEvent, ...]:
-    """``simulate --trace`` on the model text and script JSON: the file it
-    writes, its verdicts and its exit code are those of ``run``, and the
-    events of ``stream`` are those ``run`` holds."""
+    """``simulate`` on the model text and script JSON, with ``--trace`` and
+    without: the file it writes is ``trace_to_jsonl`` of ``run``'s events,
+    and the verdicts both print and their exit code are those of
+    ``check_axioms`` walking those events one by one; the events of
+    ``stream`` are those ``run`` holds."""
     dom, script_path, out = tmp_path / "m.dom", tmp_path / "s.json", tmp_path / "t.jsonl"
     dom.write_text(text, encoding="utf-8")
     script_path.write_text(json.dumps(script), encoding="utf-8")
-    code = cli.main(["simulate", str(dom), "--script", str(script_path), "--steps", str(steps),
-                     "--seed", str(seed), "--trace", str(out)])
+    argv = ["simulate", str(dom), "--script", str(script_path), "--steps", str(steps),
+            "--seed", str(seed)]
+    untraced = cli.main(argv), capsys.readouterr().out
+    code = cli.main([*argv, "--trace", str(out)])
     printed = capsys.readouterr().out
+    assert (code, printed) == untraced
     model, diagnostics = dsl.parse_file(str(dom))
     assert not diagnostics
     graph = compiler.compile_model(model)
     config = instantiate(graph, EnvironmentScript.from_json(script, graph), seed)
-    trace = run(config, steps)
+    trace = tuple(run(config, steps))
     assert out.read_bytes() == trace_to_jsonl(trace).encode()
     verdicts = check_axioms(model, trace)
     assert printed == json.dumps(verdicts_to_json(verdicts), indent=2, sort_keys=True) + "\n"
@@ -347,7 +352,7 @@ def assert_replay_matches_oracle(config: RunConfig, steps: int):
     over ``write_jsonl`` over ``stream`` (the ``simulate --trace`` pass)
     give the oracle's events, bytes and verdicts; the run's replay, or None."""
     expected = oracle_run(config, steps)
-    assert run(config, steps) == expected
+    assert tuple(run(config, steps)) == expected
     text = oracle_jsonl(expected)
     assert trace_to_jsonl(stream(config, steps)) == text
     model = config.graph.model
@@ -620,13 +625,18 @@ def test_one_pass_takes_the_replay_its_generator_returns():
         "event 0", "event 1", *stand_in]
 
 
-def test_run_and_reader_return_tuples_of_a_replayed_run(aircraft_graph, aircraft_script_path):
+def test_run_and_reader_return_lassos_of_a_replayed_run(aircraft_graph, aircraft_script_path):
     with open(aircraft_script_path, encoding="utf-8") as handle:
         script = EnvironmentScript.from_json(json.load(handle), aircraft_graph)
     config = instantiate(aircraft_graph, script, 0)
     assert replay_of(config, 5000) is not None
-    trace = run(config, 5000)
-    assert type(trace) is tuple and trace == tuple(stream(config, 5000))
+    # ``run`` holds the scheduled events as a tuple and the stream's replay
+    # unbuilt.
+    held = run(config, 5000)
+    assert type(held) is periodic.Lasso and [type(part) for part in held.parts] == [
+        tuple, periodic.Replay]
+    trace = tuple(stream(config, 5000))
+    assert tuple(held) == trace and len(held) == len(trace)
     # The stream, the writer and the reader each return the run as a lasso.
     back = trace_from_jsonl(trace_to_jsonl(trace), aircraft_graph.registry)
     for lasso in (stream(config, 5000), write_jsonl(stream(config, 5000), io.StringIO()), back):
@@ -637,7 +647,7 @@ def test_a_one_pass_lasso_has_no_length_and_keeps_its_run(aircraft_graph,
                                                           aircraft_script_path):
     # ``len`` of the stream, or of the writer over it, refuses without
     # taking a part, so the run is whole afterwards; a read lasso counts.
-    # ``run`` asks for the length too, so the oracle is the reference.
+    # ``run`` holds the stream's parts, so the oracle is the reference.
     config, expected, text, _ = _aircraft_replayed(aircraft_graph, aircraft_script_path)
     for lasso in (stream(config, 5000), write_jsonl(stream(config, 5000), io.StringIO())):
         with pytest.raises(TypeError):

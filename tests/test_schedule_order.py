@@ -39,7 +39,7 @@ def _renamed_aircraft_trace(aircraft_path, aircraft_script_path, behaviour):
     assert behaviour in {p.name for p in graph.processes()}
     with open(aircraft_script_path, encoding="utf-8") as handle:
         script = EnvironmentScript.from_json(json.load(handle), graph)
-    return run(instantiate(graph, script, seed=3), 200)
+    return tuple(run(instantiate(graph, script, seed=3), 200))
 
 
 def test_process_named_env_is_not_an_external_sender(aircraft_path, aircraft_script_path):

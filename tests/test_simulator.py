@@ -114,12 +114,12 @@ def test_instantiate_refuses_a_hand_built_graph_without_init(aircraft_graph, air
 def test_empty_graph_runs_to_empty_trace():
     graph = compiler.compile_model(parse_ok(""))
     config = instantiate(graph, EnvironmentScript({}), seed=0)
-    assert run(config, 10) == ()
+    assert tuple(run(config, 10)) == ()
 
 
 def test_zero_steps_empty_trace(aircraft_graph, aircraft_script):
     config = instantiate(aircraft_graph, aircraft_script, seed=1)
-    assert run(config, 0) == ()
+    assert tuple(run(config, 0)) == ()
 
 
 def test_aircraft_payloads_follow_the_declared_conversions(
@@ -156,13 +156,27 @@ def test_two_steps_cover_both_channels(aircraft_graph, aircraft_script):
 
 def test_rerun_is_bit_identical(aircraft_graph, aircraft_script):
     config = instantiate(aircraft_graph, aircraft_script, seed=5)
-    assert run(config, 25) == run(config, 25)
+    assert tuple(run(config, 25)) == tuple(run(config, 25))
+
+
+def test_run_holds_the_replayed_run_as_a_lasso(aircraft_graph, aircraft_script):
+    # The scheduled events are one tuple and the copies of the window one
+    # unbuilt Replay, so a run of a million steps holds what one of two
+    # thousand does; the held run iterates again, to the same events.
+    config = instantiate(aircraft_graph, aircraft_script, seed=0)
+    held = run(config, 2000)
+    assert [type(part) for part in held.parts] == [tuple, periodic.Replay]
+    events = tuple(held)
+    assert tuple(held) == events and len(held) == len(events)
+    long = run(config, 1_000_000)
+    assert type(long) is periodic.Lasso and type(long.parts[-1]) is periodic.Replay
+    assert len(long) == 6_000_005
 
 
 def test_prefix_monotonicity(aircraft_graph, aircraft_script):
     config = instantiate(aircraft_graph, aircraft_script, seed=2)
-    short = run(config, 7)
-    long = run(config, 19)
+    short = tuple(run(config, 7))
+    long = tuple(run(config, 19))
     assert long[:len(short)] == short
 
 
@@ -181,10 +195,10 @@ def test_independent_subgraphs_interleave_deterministically():
     graph = compiler.compile_model(model)
     script = random_script(random.Random(11), graph)
     config = instantiate(graph, script, seed=4)
-    trace = run(config, 12)
+    trace = tuple(run(config, 12))
     channels = {e.channel for e in trace if e.kind == "send"}
     assert channels == {"a_b_ch", "c_d_ch"}
-    assert run(config, 12) == trace
+    assert tuple(run(config, 12)) == trace
     for verdict in check_axioms(model, trace):
         assert verdict.passed and verdict.checked > 0
 
@@ -243,14 +257,14 @@ def test_exhausted_script_deadlocks(aircraft_graph, aircraft_script_path):
     finite = {name: [[0, entry["points"][0][1]]] for name, entry in raw.items()}
     script = EnvironmentScript.from_json(finite, aircraft_graph)
     config = instantiate(aircraft_graph, script, seed=0)
-    trace = run(config, 50)
+    trace = tuple(run(config, 50))
     assert trace[-1].kind == "deadlock"
 
 
 def test_receiver_without_sender_deadlocks(aircraft_model):
     graph = compiler.compile_process(aircraft_model, "DP")
     config = instantiate(graph, EnvironmentScript({}), seed=0)
-    trace = run(config, 5)
+    trace = tuple(run(config, 5))
     assert trace[-1].kind == "deadlock"
     assert len(trace) == 1
 
@@ -268,7 +282,7 @@ def test_axioms_fail_with_witness_on_tampered_trace(
     # Oracle for the witness: the perturbed event is the first recursion whose
     # controllables no longer equal the recomputed chain values.
     config = instantiate(aircraft_graph, aircraft_script, seed=9)
-    trace = run(config, 40)
+    trace = tuple(run(config, 40))
     tampered, event = perturb_recursion_payload(trace, random.Random(1), "display")
     (verdict,) = check_axioms(aircraft_model, tampered)
     assert not verdict.passed
@@ -344,10 +358,10 @@ def monitored_traces(aircraft_model, aircraft_graph, aircraft_script):
     each as run and with one display recursion tampered."""
     pairs = pairs_model(random.Random(5), 6)
     pairs_graph = compiler.compile_model(pairs)
-    runs = [(aircraft_model, run(instantiate(aircraft_graph, aircraft_script, seed), 300),
+    runs = [(aircraft_model, tuple(run(instantiate(aircraft_graph, aircraft_script, seed), 300)),
              "display") for seed in range(4)]
-    runs.append((pairs, run(instantiate(pairs_graph, random_script(random.Random(5), pairs_graph),
-                                        seed=1), 200), "display_a_b"))
+    runs.append((pairs, tuple(run(instantiate(
+        pairs_graph, random_script(random.Random(5), pairs_graph), seed=1), 200)), "display_a_b"))
     for seed, (model, trace, display) in enumerate(runs):
         yield model, trace
         yield model, perturb_recursion_payload(trace, random.Random(seed), display)[0]
@@ -503,7 +517,7 @@ def test_inverse_pair_is_refused_exactly_when_apply_does_not_return(f, g, exact)
 
 def test_trace_jsonl_roundtrip(aircraft_graph, aircraft_script):
     config = instantiate(aircraft_graph, aircraft_script, seed=6)
-    trace = run(config, 12)
+    trace = tuple(run(config, 12))
     text = trace_to_jsonl(trace)
     assert tuple(trace_from_jsonl(text, aircraft_graph.registry)) == trace
 
@@ -678,8 +692,8 @@ def test_sends_match_replay_oracle_generated():
 def test_always_core_spinner_keeps_run_deterministic(aircraft_model, aircraft_script):
     graph = compiler.compile_process(aircraft_model, "AC", always_core=True)
     config = instantiate(graph, aircraft_script, seed=1)
-    first = run(config, 10)
-    assert first == run(config, 10)
+    first = tuple(run(config, 10))
+    assert first == tuple(run(config, 10))
     assert any(e.kind == "recursion" and e.process == "ac" for e in first)
 
 
@@ -692,10 +706,10 @@ def test_declared_channel_with_no_payload_runs():
     """)
     graph = compiler.compile_model(model)
     config = instantiate(graph, EnvironmentScript({}), seed=0)
-    trace = run(config, 5)
+    trace = tuple(run(config, 5))
     sends = [e for e in trace if e.kind == "send"]
     assert sends and all(e.payload == () for e in sends)
-    assert run(config, 5) == trace
+    assert tuple(run(config, 5)) == trace
 
 
 def test_script_value_beyond_unit_bounds_is_script_error(aircraft_graph):
@@ -756,8 +770,10 @@ def test_script_step_must_be_a_json_integer(aircraft_graph, step):
      "'attr_AL_ch': point at step 40 is never read, as the track repeats with cycle 40"),
     ({"attr_AL_ch": [[3, "2 m"], [0, "10 m"], [3, "2.0 m"], [0, "20 m"]]},
      "'attr_AL_ch': two values at step 0: 10 point m and 20 point m"),
+    ({"attr_AL_ch": {"points": [[0, "1 m"]], "cylce": 40}},
+     "'attr_AL_ch': unknown track key 'cylce'; a track object has only \"points\" and \"cycle\""),
 ], ids=["unknown", "not-external", "short-point", "number-value", "no-points", "string",
-        "past-cycle", "at-cycle", "two-values"])
+        "past-cycle", "at-cycle", "two-values", "unknown-track-key"])
 def test_script_channel_and_points_are_checked(aircraft_graph, data, message):
     with pytest.raises(ScriptError) as err:
         EnvironmentScript.from_json(data, aircraft_graph)
@@ -804,7 +820,7 @@ def test_compiled_graph_deep_copies_and_pickles(aircraft_model, aircraft_script_
 
     def trace_of(graph):
         script = EnvironmentScript.from_json(data, graph)
-        return run(instantiate(graph, script, seed=1), 200)
+        return tuple(run(instantiate(graph, script, seed=1), 200))
 
     expected = trace_of(graph)
     for twin in copy.deepcopy(graph), pickle.loads(pickle.dumps(graph)):
@@ -1135,7 +1151,7 @@ def test_jsonl_reader_reads_the_same_in_any_piece_size(aircraft_graph, aircraft_
     # U+2028 and a text with no final newline, give the events and the line
     # numbers of errors that the whole text gives.
     registry = aircraft_graph.registry
-    aircraft = run(instantiate(aircraft_graph, aircraft_script, seed=0), 2000)
+    aircraft = tuple(run(instantiate(aircraft_graph, aircraft_script, seed=0), 2000))
     texts = {**READER_VALID_TEXTS, **READER_ODD_TEXTS, "aircraft": trace_to_jsonl(aircraft),
              **{f"bad {name}": f"{_GOOD}\n\n{line}\n{_GOOD}\n"
                 for name, line in READER_BAD_LINES.items()}}
